@@ -25,13 +25,16 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DegenerateMedium, EvanescentRegime, ZeroFrequency
 from .units import DEFAULT_NORMALIZATION, Normalization
 
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
     "DispersionSample", "branch_sqrt_product", "permittivity", "permeability",
-    "refraction_index", "sample", "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
+    "refraction_index", "sample", "index_and_mask", "lorentz_from_thz",
+    "LORENTZ_DEFAULTS_THZ",
 ]
 
 
@@ -45,6 +48,10 @@ class NonDispersive:
     def __post_init__(self):
         if not (self.eps > 0 and self.mu > 0):
             raise ValueError("non-dispersive medium requires eps > 0, mu > 0")
+
+    @property
+    def index(self) -> float:
+        return math.sqrt(self.eps * self.mu)
 
 
 @dataclass(frozen=True)
@@ -140,13 +147,38 @@ class DispersionSample:
         return self
 
 
-def branch_sqrt_product(eps: complex, mu: complex) -> complex:
-    """sqrt(eps*mu) on the half-argument branch, args taken in (-pi, pi]."""
-    if eps == 0 or mu == 0:
-        raise DegenerateMedium("eps or mu is exactly zero")
-    mag = math.sqrt(abs(eps) * abs(mu))
-    half = 0.5 * (cmath.phase(complex(eps)) + cmath.phase(complex(mu)))
-    return mag * cmath.exp(1j * half)
+def branch_sqrt_product(eps, mu):
+    """sqrt(eps*mu) on the half-argument branch, args taken in (-pi, pi].
+
+    Takes complex scalars, or complex arrays elementwise.  A scalar eps or
+    mu of exactly zero raises DegenerateMedium; an array entry gives 0.
+    """
+    if isinstance(eps, np.ndarray):
+        sqrt, phase, exp = np.sqrt, np.angle, np.exp
+    else:
+        if eps == 0 or mu == 0:
+            raise DegenerateMedium("eps or mu is exactly zero")
+        sqrt, phase, exp = math.sqrt, cmath.phase, cmath.exp
+    mag = sqrt(abs(eps) * abs(mu))
+    half = 0.5 * (phase(eps) + phase(mu))
+    return mag * exp(1j * half)
+
+
+def _wave_dominated(n):
+    """Propagating rule: the real part of n beats the imaginary part."""
+    return n.real ** 2 > n.imag ** 2
+
+
+def _resonance(omega_p, omega_t, gamma, w):
+    """Single-resonance response 1 + omega_p**2/d and its denominator
+    d = omega_t**2 - w**2 - i w gamma (scalar or array w)."""
+    d = omega_t ** 2 - w * w - 1j * w * gamma
+    return 1.0 + omega_p ** 2 / d, d
+
+
+def _plasma_k2(model: ColdPlasma, omega):
+    """k**2 = omega**2 - omega_p**2; the plasma propagates where it is > 0."""
+    return omega * omega - model.omega_p * model.omega_p
 
 
 def permittivity(model: DispersionModel, omega: float) -> complex:
@@ -158,8 +190,7 @@ def permittivity(model: DispersionModel, omega: float) -> complex:
         if omega == 0:
             raise ZeroFrequency("plasma permittivity diverges at omega = 0")
         return complex(1.0 - (model.omega_p / omega) ** 2)
-    d = model.omega_te ** 2 - omega ** 2 - 1j * omega * model.gamma_e
-    return 1.0 + model.omega_pe ** 2 / d
+    return _resonance(model.omega_pe, model.omega_te, model.gamma_e, omega)[0]
 
 
 def permeability(model: DispersionModel, omega: float) -> complex:
@@ -169,8 +200,7 @@ def permeability(model: DispersionModel, omega: float) -> complex:
         return complex(model.mu)
     if isinstance(model, ColdPlasma):
         return complex(1.0)
-    d = model.omega_tm ** 2 - omega ** 2 - 1j * omega * model.gamma_m
-    return 1.0 + model.omega_pm ** 2 / d
+    return _resonance(model.omega_pm, model.omega_tm, model.gamma_m, omega)[0]
 
 
 def refraction_index(model: DispersionModel, omega: float) -> complex:
@@ -186,11 +216,9 @@ def _check_finite(omega: float):
 
 def _lorentz_chain(model: LorentzMetamaterial, w: float):
     """eps, mu, n and their first two omega-derivatives (all complex)."""
-    de = model.omega_te ** 2 - w * w - 1j * w * model.gamma_e
-    dm = model.omega_tm ** 2 - w * w - 1j * w * model.gamma_m
+    eps, de = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)
+    mu, dm = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)
     pe2, pm2 = model.omega_pe ** 2, model.omega_pm ** 2
-    eps = 1.0 + pe2 / de
-    mu = 1.0 + pm2 / dm
     ge = 2.0 * w + 1j * model.gamma_e   # -d(de)/dw
     gm = 2.0 * w + 1j * model.gamma_m
     deps = pe2 * ge / de ** 2
@@ -205,6 +233,43 @@ def _lorentz_chain(model: LorentzMetamaterial, w: float):
     return eps, mu, n, dn, d2n
 
 
+def index_and_mask(model: DispersionModel, omega) -> tuple:
+    """Re n and the propagating flag on an array of frequencies.
+
+    Re n equals ``sample(model, w).n.real`` to rounding: numpy and Python
+    divide complex numbers differently, and on the default metamaterial the
+    two routes' n differ by up to about 5e-13 of |n|.  Such a difference can
+    flip the propagating rule where Re n**2 and Im n**2 nearly tie, as at a
+    bisected band edge, so points within 1e-6 |n|**2 of the tie are taken
+    from ``sample`` (flag and Re n).  The flag then equals
+    ``sample(model, w).propagating`` wherever the two routes' n agree to
+    well within 1e-6 of |n|, which fails only next to an exact zero of a
+    nearly lossless eps or mu.  Where ``sample`` raises (eps or mu exactly
+    zero, where n = 0; a plasma at omega = 0) the point is marked not
+    propagating.
+    """
+    w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("frequency must be finite")
+    if isinstance(model, NonDispersive):
+        return np.full(w.shape, model.index), np.ones(w.shape, dtype=bool)
+    if isinstance(model, ColdPlasma):
+        k2 = _plasma_k2(model, w)
+        propagating = k2 > 0
+        k = np.copysign(np.sqrt(np.where(propagating, k2, 0.0)), w)
+        return np.divide(k, w, out=np.zeros_like(w),
+                         where=propagating), propagating
+    eps = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)[0]
+    mu = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)[0]
+    n = branch_sqrt_product(eps, mu)
+    n_real, propagating = n.real, _wave_dominated(n)
+    tie = n.real ** 2 - n.imag ** 2
+    for i in np.flatnonzero((np.abs(tie) <= 1e-6 * np.abs(n) ** 2) & (n != 0)):
+        s = sample(model, float(w.flat[i]))
+        n_real.flat[i], propagating.flat[i] = s.n.real, s.propagating
+    return n_real, propagating
+
+
 def sample(model: DispersionModel, omega: float) -> DispersionSample:
     """Evaluate the full material response at one frequency.
 
@@ -213,7 +278,7 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
     _check_finite(omega)
 
     if isinstance(model, NonDispersive):
-        n = math.sqrt(model.eps * model.mu)
+        n = model.index
         k = omega * n
         return DispersionSample(
             omega=omega, eps=complex(model.eps), mu=complex(model.mu),
@@ -223,7 +288,7 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
     if isinstance(model, ColdPlasma):
         eps = permittivity(model, omega)
         wp = model.omega_p
-        k2 = omega * omega - wp * wp
+        k2 = _plasma_k2(model, omega)
         if k2 > 0:
             aw = abs(omega)
             k = math.copysign(math.sqrt(k2), omega)
@@ -244,8 +309,7 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
             propagating=False)
 
     eps, mu, n, dn, d2n = _lorentz_chain(model, omega)
-    # Wave-dominated when the real part of n beats the imaginary part.
-    propagating = n.real ** 2 > n.imag ** 2
+    propagating = _wave_dominated(n)
     if model.neglect_imaginary:
         k = complex(omega * n.real)
         kp = n.real + omega * dn.real

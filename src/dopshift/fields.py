@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dispersion as disp
 from . import stationary_phase as sph
@@ -183,19 +182,89 @@ def plasma_doppler_closed_form(omega0: float, omega_p: float, mach: float,
     return (omega0 + sign * mach * math.sqrt(disc)) / (1.0 - mach * mach)
 
 
-def _band_interval(model, omega0: float, lo_cap=None, hi_cap=None):
-    """Contiguous propagating interval containing omega0.
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb], where f changes sign, by Brent's method.
 
-    Coarse grid march from the carrier, then bisection refinement of each
-    edge so roots hugging a band edge are not cut off.
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
+    with the step rules of the widely used C ``brentq`` routine, step for
+    step, so it returns the same float: an inverse quadratic or secant step
+    when it is short enough, else bisection, to the tolerance 2 delta,
+    delta = (xtol + rtol |x|)/2.
+    Raises ValueError when f is NaN or f(xa), f(xb) share a sign, and
+    RuntimeError after 100 iterations without convergence.
     """
-    lo_cap = omega0 * 1e-3 if lo_cap is None else lo_cap
-    hi_cap = omega0 * 10.0 if hi_cap is None else hi_cap
-    step = omega0 * 1e-3
-    if not disp.sample(model, omega0).propagating:
-        return None
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
 
-    def refine(good, bad):
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:                                            # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"failed to converge after 100 iterations, value is {xcur}")
+
+
+def _band_edge(model, omega0: float, step: float, cap: float) -> float:
+    """Edge of the propagating band reached from omega0 in steps of ``step``.
+
+    Marches omega0 + step + step + ... (the same float sums as a scalar
+    loop) while the points propagate and lie strictly inside ``cap``, in
+    blocks that double in length so a narrow band costs few samples, then
+    bisects the step that leaves the band 50 times so roots hugging the
+    edge are not cut off.  Returns the last march point when it hits the cap.
+    """
+    good, block = omega0, 32
+    while True:
+        cand = np.add.accumulate(np.r_[good, np.full(block, step)])[1:]
+        inside = cand < cap if step > 0 else cand > cap
+        cand = cand[inside]
+        propagating = disp.index_and_mask(model, cand)[1]
+        if propagating.all():
+            if len(cand) < block:
+                return float(cand[-1]) if len(cand) else good
+            good, block = float(cand[-1]), 2 * block
+            continue
+        k = int(np.argmin(propagating))
+        good, bad = (float(cand[k - 1]) if k else good), float(cand[k])
         for _ in range(50):
             mid = 0.5 * (good + bad)
             if disp.sample(model, mid).propagating:
@@ -204,17 +273,15 @@ def _band_interval(model, omega0: float, lo_cap=None, hi_cap=None):
                 bad = mid
         return good
 
-    lo = omega0
-    while lo - step > lo_cap and disp.sample(model, lo - step).propagating:
-        lo -= step
-    if lo - step > lo_cap:
-        lo = refine(lo, lo - step)
-    hi = omega0
-    while hi + step < hi_cap and disp.sample(model, hi + step).propagating:
-        hi += step
-    if hi + step < hi_cap:
-        hi = refine(hi, hi + step)
-    return lo, hi
+
+def _band_interval(model, omega0: float):
+    """Contiguous propagating interval containing omega0, within
+    [1e-3 omega0, 10 omega0], from a march in 1e-3 omega0 steps."""
+    if not disp.sample(model, omega0).propagating:
+        return None
+    step = omega0 * 1e-3
+    return (_band_edge(model, omega0, -step, omega0 * 1e-3),
+            _band_edge(model, omega0, step, omega0 * 10.0))
 
 
 def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
@@ -222,8 +289,9 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
                             ) -> list[float]:
     """Roots of g(w) = w (1 + sign * n(w) v) - w0 on the propagating band.
 
-    Scans the band containing omega0 (or the given range), brackets sign
-    changes and polishes each with a safeguarded bisection/Newton hybrid.
+    Scans the band containing omega0 (or the given range) on an n_scan-point
+    grid evaluated in one array call, brackets the sign changes, and polishes
+    each bracket with Brent's method on the scalar ``dispersion.sample``.
     Returns every root found (ascending); callers select among multiple.
     """
     if not -1.0 < v < 1.0:
@@ -233,22 +301,30 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
         if omega_range is None:
             raise NoRootInBand(f"omega0={omega0:g} is not propagating")
 
+    def residual(w, n_real):
+        return w * (1.0 + sign * n_real * v) - omega0
+
     def g(w):
         s = disp.sample(model, w)
         if not s.propagating:
             return math.nan
-        return w * (1.0 + sign * s.n.real * v) - omega0
+        return residual(w, s.n.real)
 
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
-    vals = np.array([g(w) for w in grid])
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            roots.append(float(brentq(g, a, b, xtol=1e-14, rtol=1e-15)))
+    n_real, propagating = disp.index_and_mask(model, grid)
+    vals = np.where(propagating, residual(grid, n_real), np.nan)
+    # The array Re n rounds differently from sample's (by about 5e-13 of
+    # |n|), so a residual this close to zero could take the other sign on
+    # the scalar route that the polish uses: take those points from g.
+    scale = np.abs(grid) * (1.0 + np.abs(n_real * v)) + abs(omega0)
+    for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
+        vals[i] = g(float(grid[i]))
+    fa, fb = vals[:-1], vals[1:]
+    both = propagating[:-1] & propagating[1:]
+    roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
+    for i in np.flatnonzero(both & (fa * fb < 0)):
+        roots.append(_brentq(g, float(grid[i]), float(grid[i + 1]),
+                             xtol=1e-14, rtol=1e-15))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     if not roots:
@@ -322,18 +398,11 @@ def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
 
 
 def _positive_phase_speed_min(model, omega_lo, omega_hi, n=400):
-    """Smallest positive phase speed on the scanned propagating grid."""
-    best = math.inf
-    for w in np.linspace(omega_lo, omega_hi, n):
-        if w <= 0:
-            continue
-        try:
-            s = disp.sample(model, w)
-        except Exception:
-            continue
-        if s.propagating and s.v_phase is not None and s.v_phase > 0:
-            best = min(best, s.v_phase)
-    return best
+    """Smallest positive phase speed 1/Re n on the scanned propagating grid."""
+    w = np.linspace(omega_lo, omega_hi, n)
+    n_real, propagating = disp.index_and_mask(model, w[w > 0])
+    n_real = n_real[propagating & (n_real > 0)]
+    return float(np.min(1.0 / n_real)) if n_real.size else math.inf
 
 
 def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
@@ -380,7 +449,7 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
 
         lo, hi = tau_closed - 1.0, tau_closed + 1.0
         if ch2(lo) * ch2(hi) < 0:
-            tau_s = float(brentq(ch2, lo, hi, xtol=1e-15, rtol=1e-15))
+            tau_s = _brentq(ch2, lo, hi, xtol=1e-15, rtol=1e-15)
         else:
             tau_s = tau_closed
         g = trj.geometry(traj, x, tau_s)

@@ -2,6 +2,10 @@
 codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +285,14 @@ def test_nine_significant_digits(capsys):
     cell = out.strip().splitlines()[1].split(",")[1]
     mantissa = cell.lstrip("-").replace(".", "").lstrip("0")
     assert len(mantissa) == 9
+
+
+def test_import_needs_no_scipy():
+    # numpy is the only runtime dependency: starting the CLI loads no scipy
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, dopshift.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dopshift import dispersion as disp
+from dopshift import fields as fld
 from dopshift.errors import DegenerateMedium, EvanescentRegime, ZeroFrequency
 from dopshift.units import omega_from_thz
 
@@ -125,6 +126,97 @@ class TestSample:
         assert s.mu == disp.permeability(LORENTZ, w)
         assert s.n == disp.refraction_index(LORENTZ, w)
         assert abs(s.n * s.n - s.eps * s.mu) <= 1e-12 * abs(s.eps * s.mu)
+
+    def test_sample_eps_mu_bitwise_on_grid(self):
+        # sample and permittivity/permeability share one resonance formula;
+        # w**2 through libm pow and w*w can differ in the last bit
+        for w in omega_from_thz(np.linspace(380.0, 520.0, 2001)).tolist() + [
+                0.6146128402223965, 0.6155481110634424]:
+            s = disp.sample(LORENTZ, w)
+            assert s.eps == disp.permittivity(LORENTZ, w)
+            assert s.mu == disp.permeability(LORENTZ, w)
+
+
+def _scalar_route(model, omegas):
+    """Re n, |n| and the propagating flag from scalar ``sample`` calls; a
+    point where ``sample`` raises counts as not propagating with n = 0."""
+    re, mag, flag = [], [], []
+    for w in omegas:
+        try:
+            s = disp.sample(model, float(w))
+        except (DegenerateMedium, ZeroFrequency):
+            re.append(0.0), mag.append(0.0), flag.append(False)
+            continue
+        re.append(s.n.real), mag.append(abs(s.n)), flag.append(s.propagating)
+    return np.array(re), np.array(mag), np.array(flag)
+
+
+def _edge_grid(omega_edge, n=2001):
+    return np.linspace(omega_edge * (1 - 1e-6), omega_edge * (1 + 1e-6), n)
+
+
+class TestIndexAndMask:
+    """The array route equals the scalar route: the propagating mask
+    exactly, Re n to 1e-12 of |n| (numpy and Python divide complex numbers
+    with different roundings)."""
+
+    @pytest.mark.parametrize("model,omegas", [
+        (LORENTZ, omega_from_thz(np.linspace(380.0, 520.0, 14001))),
+        # the strip above the electric resonance where Im n ~ |Re n|
+        (LORENTZ, omega_from_thz(np.linspace(409.82, 409.84, 4001))),
+        # upper edge of the left-handed band (mu = 0) and the eps zero
+        (LORENTZ, _edge_grid(math.hypot(LORENTZ.omega_tm, LORENTZ.omega_pm))),
+        (LORENTZ, _edge_grid(math.hypot(LORENTZ.omega_te, LORENTZ.omega_pe))),
+        (disp.ColdPlasma(omega_p=1.0), np.linspace(-3.0, 3.0, 6001)),
+        (disp.ColdPlasma(omega_p=1.0), _edge_grid(1.0)),
+        (disp.ColdPlasma(omega_p=1.0), -_edge_grid(1.0)),
+        (disp.NonDispersive(eps=2.0, mu=1.5), np.linspace(0.1, 10.0, 101)),
+    ])
+    def test_equals_scalar_sample(self, model, omegas):
+        n_real, mask = disp.index_and_mask(model, omegas)
+        re, mag, flag = _scalar_route(model, omegas)
+        if not isinstance(model, disp.NonDispersive):
+            assert flag.any() and not flag.all()    # the grid meets an edge
+        np.testing.assert_array_equal(mask, flag)
+        assert np.all(np.abs(n_real - re) <= 1e-12 * mag)
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
+    def test_band_edges_equal_scalar_sample(self, rotate_array_index, angle):
+        # _band_interval bisects each edge to within an ulp of where the
+        # propagating rule flips, so there the two routes' roundings could
+        # disagree; the turned n is 20 times further off than numpy's
+        edges = sorted({e for f0 in np.linspace(380.0, 1000.0, 63)
+                        for e in fld._band_interval(
+                            LORENTZ, omega_from_thz(f0)) or ()})
+        omegas = np.array([e + k * np.spacing(e) for e in edges
+                           for k in range(-2, 3)])
+        rotate_array_index(angle)
+        n_real, mask = disp.index_and_mask(LORENTZ, omegas)
+        flag = _scalar_route(LORENTZ, omegas)[2]
+        assert flag.any() and not flag.all()
+        np.testing.assert_array_equal(mask, flag)
+
+    def test_zero_frequency_plasma_not_propagating(self):
+        n_real, mask = disp.index_and_mask(disp.ColdPlasma(omega_p=1.0),
+                                           np.array([0.0, 2.0]))
+        assert mask.tolist() == [False, True]
+        assert n_real[0] == 0.0
+
+    def test_nonfinite_raises(self):
+        with pytest.raises(ValueError):
+            disp.index_and_mask(LORENTZ, np.array([1.0, math.nan]))
+
+    def test_branch_sqrt_product_arrays(self):
+        rng = np.random.default_rng(5)
+        eps = rng.uniform(-5, 5, 200) + 1j * rng.uniform(1e-6, 5, 200)
+        mu = rng.uniform(-5, 5, 200) + 1j * rng.uniform(1e-6, 5, 200)
+        n = disp.branch_sqrt_product(eps, mu)
+        for a, b, got in zip(eps, mu, n):
+            want = disp.branch_sqrt_product(complex(a), complex(b))
+            assert abs(got - want) <= 1e-14 * abs(want)
+        zero = disp.branch_sqrt_product(np.array([0j, 1 + 0j]),
+                                        np.array([1 + 0j, 0j]))
+        assert zero.tolist() == [0j, 0j]
 
 
 class TestGroupVelocityDerivatives:

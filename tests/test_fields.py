@@ -61,6 +61,40 @@ class TestPlasmaClosedForm:
             fld.plasma_doppler_closed_form(0.9, 1.0, 0.5, True)
 
 
+# (medium, carrier THz, v, sign, repr of the roots)
+GOLDEN_ROOTS = [
+    ("lorentz", 415.0, 0.5, +1, ["0.6807042906557053"]),
+    ("lorentz", 428.0, 0.3, +1, ["0.6807932004724463"]),
+    ("lorentz", 600.0, 0.5, +1, ["0.8170654170073607"]),
+    ("lorentz", 600.0, 0.5, -1, ["1.7921188835978645"]),
+    ("nondispersive", 420.0, 0.5, +1, ["0.37725210395130276"]),
+    ("nondispersive", 420.0, 0.5, -1, ["2.640764727659119"]),
+    ("nondispersive", 431.7, 0.3, -1, ["1.2337858581498284"]),
+]
+
+
+def _scalar_scan_roots(model, omega0, v, sign, omega_range, n_scan=4001):
+    """The collinear scan with every grid point taken from scalar sample."""
+    def g(w):
+        s = disp.sample(model, w)
+        return w * (1.0 + sign * s.n.real * v) - omega0 if s.propagating \
+            else math.nan
+
+    grid = np.linspace(omega_range[0], omega_range[1], n_scan).tolist()
+    vals = [g(w) for w in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if math.isnan(fa) or math.isnan(fb):
+            continue
+        if fa == 0.0:
+            roots.append(a)
+        elif fa * fb < 0:
+            roots.append(fld._brentq(g, a, b, xtol=1e-14, rtol=1e-15))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
+    return sorted(roots)
+
+
 class TestDoppler1D:
     def test_vacuum_both_signs(self):
         w0 = 3.0
@@ -81,6 +115,106 @@ class TestDoppler1D:
         # minus branch has no root inside the left-handed band
         with pytest.raises(NoRootInBand):
             fld.metamaterial_doppler_1d(LORENTZ, omega_from_thz(420.0), 0.5, -1)
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
+    @pytest.mark.parametrize("medium,f0_thz,v,sign,golden", GOLDEN_ROOTS)
+    def test_golden_roots(self, rotate_array_index, medium, f0_thz, v, sign,
+                          golden, angle):
+        # repr values of the scalar-scan implementation that preceded the
+        # array grid and the in-house Brent polish: the roots are unchanged
+        # to the last bit, also with the array route's n turned 20 times
+        # further off than numpy's rounding
+        model = LORENTZ if medium == "lorentz" else disp.NonDispersive(
+            eps=2.25, mu=1.0)
+        rotate_array_index(angle)
+        roots = fld.metamaterial_doppler_1d(model, omega_from_thz(f0_thz), v,
+                                            sign)
+        assert [repr(w) for w in roots] == golden
+
+    def test_golden_roots_given_range(self):
+        # the collinear reference check's approach-branch scan
+        w0 = omega_from_thz(420.0)
+        band = (math.hypot(LORENTZ.omega_te, LORENTZ.omega_pe), w0 / 0.5)
+        roots = fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5, -1,
+                                            omega_range=band)
+        assert [repr(w) for w in roots] == ["0.838222733649669",
+                                            "1.1220044686557629"]
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
+    def test_root_on_grid_end(self, rotate_array_index, angle):
+        # a range that starts or ends on a root puts a residual within
+        # rounding of zero on the grid
+        w0 = omega_from_thz(415.0)
+        lo, hi = fld._band_interval(LORENTZ, w0)
+        root = fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5)[0]
+        rotate_array_index(angle)
+        for band in [(lo, root), (root, hi)]:
+            want = _scalar_scan_roots(LORENTZ, w0, 0.5, +1, band)
+            if not want:
+                with pytest.raises(NoRootInBand):
+                    fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5,
+                                                omega_range=band)
+                continue
+            assert fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5,
+                                               omega_range=band) == want
+
+
+class TestBrent:
+    """The in-house Brent port returns scipy.optimize.brentq's float."""
+
+    SMOOTH = [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 1.0, 3.0),
+        (math.cos, 0.1, 3.0),
+        (lambda x: math.exp(x) - 3.0, -2.8, 3.4),
+        (lambda x: 1e-3 * math.atan(x - 0.3), -0.13, 0.43),
+        (lambda x: math.sin(10.0 * x) + 0.1 * x, -0.2, 0.25),
+        (lambda x: x * x * x - 1e-9, -2.9, 2.3),
+    ]
+
+    @pytest.mark.parametrize("xtol,rtol", [(2e-12, 8.9e-16), (1e-14, 1e-15),
+                                           (1e-6, 1e-10)])
+    def test_matches_scipy_on_smooth_functions(self, xtol, rtol):
+        optimize = pytest.importorskip("scipy.optimize")
+        for f, a, b in self.SMOOTH:
+            assert fld._brentq(f, a, b, xtol=xtol, rtol=rtol) == \
+                optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    def test_matches_scipy_on_scan_brackets(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        calls = []
+        port = fld._brentq
+
+        def recording(f, a, b, **tol):
+            root = port(f, a, b, **tol)
+            calls.append((f, a, b, tol, root))
+            return root
+
+        monkeypatch.setattr(fld, "_brentq", recording)
+        for f0 in np.linspace(405.0, 720.0, 22):
+            for model in (LORENTZ, disp.NonDispersive(eps=2.25, mu=1.0)):
+                for sign in (+1, -1):
+                    try:
+                        fld.metamaterial_doppler_1d(
+                            model, omega_from_thz(float(f0)), 0.5, sign)
+                    except NoRootInBand:
+                        pass
+        assert len(calls) > 40
+        for f, a, b, tol, root in calls:
+            assert root == optimize.brentq(f, a, b, **tol)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError):
+            fld._brentq(math.cos, 0.1, 0.2, xtol=1e-15, rtol=1e-15)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            fld._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45,
+                        0.0, 1.0, xtol=1e-15, rtol=1e-15)
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(RuntimeError):
+            # cos has no float zero, so a zero tolerance is never met
+            fld._brentq(math.cos, 0.1, 3.0, xtol=0.0, rtol=0.0)
 
 
 class TestRetard1D:
