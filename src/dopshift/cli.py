@@ -26,8 +26,9 @@ from . import fields as fld
 from . import stationary_phase as sph
 from . import trajectory as trj
 from . import validation
-from .errors import (DegeneratePoint, DopshiftError, NoCherenkovRoot,
-                     NoConvergence, NoRootInBand, ScenarioError)
+from .errors import (BelowCutoff, DegeneratePoint, DopshiftError,
+                     NoCherenkovRoot, NoConvergence, NoRootInBand,
+                     ScenarioError, SuperluminalMach)
 from .scenario import Scenario, load_scenario
 from .units import omega_from_thz, thz_from_omega
 
@@ -65,14 +66,6 @@ def _emit(header, rows, fmt, path):
             fh.write(text)
 
 
-def _medium_from_args(args) -> disp.DispersionModel:
-    if args.medium == "nondispersive":
-        return disp.NonDispersive(eps=args.eps, mu=args.mu)
-    if args.medium == "plasma":
-        return disp.ColdPlasma(omega_p=omega_from_thz(args.fp_thz))
-    return disp.lorentz_from_thz(neglect_imaginary=not args.keep_imaginary)
-
-
 def _add_medium_flags(p):
     p.add_argument("--medium", choices=("lorentz", "plasma", "nondispersive"),
                    default="lorentz")
@@ -82,8 +75,6 @@ def _add_medium_flags(p):
                    help="non-dispersive permeability")
     p.add_argument("--fp-thz", type=float, default=500.0,
                    help="plasma frequency in THz")
-    p.add_argument("--keep-imaginary", action="store_true",
-                   help="keep Im n in the metamaterial wavenumber")
 
 
 def _add_output_flags(p):
@@ -105,7 +96,8 @@ def _add_scenario_flags(p):
 
 
 def _scenario_from_args(args) -> Scenario:
-    sc = load_scenario(args.config) if args.config else Scenario()
+    config = getattr(args, "config", None)
+    sc = load_scenario(config) if config else Scenario()
     if getattr(args, "medium", None):
         sc.medium_kind = args.medium
         if args.medium == "nondispersive":
@@ -134,7 +126,7 @@ def cmd_dispersion_sweep(args) -> int:
     if not (args.f_start_thz < args.f_end_thz) or args.n < 2:
         print("error: need f_start < f_end and n >= 2", file=sys.stderr)
         return EXIT_USAGE
-    model = _medium_from_args(args)
+    model = _scenario_from_args(args).medium()
     header = ["f_thz", "re_n", "im_n", "v_p", "v_g"]
     rows = []
     for f in np.linspace(args.f_start_thz, args.f_end_thz, args.n):
@@ -148,6 +140,9 @@ def _solve_scenario_point(sc: Scenario):
     """One Doppler point per the scenario's method.  Returns a result dict."""
     model = sc.medium()
     w0 = omega_from_thz(sc.f0_thz)
+    ctx = sph.PhaseContext(t=sc.t, x=(sc.x1, sc.x2, sc.x3), omega0=w0,
+                           trajectory=trj.OffsetLine(v=sc.v, H=sc.h),
+                           dispersion=model)
     if sc.method == "closed-form":
         if sc.x1 != 0 or sc.x3 != 0 or sc.h != 0:
             raise ScenarioError(
@@ -159,25 +154,17 @@ def _solve_scenario_point(sc: Scenario):
             w = fld.metamaterial_doppler_1d(model, w0, sc.v, +1)[0]
         s = disp.sample(model, w)
         tau = fld.retard_1d(sc.v, s.v_group, sc.x2, sc.t)
-        ctx = sph.PhaseContext(t=sc.t, x=(sc.x1, sc.x2, sc.x3), omega0=w0,
-                               trajectory=trj.OffsetLine(v=sc.v, H=sc.h),
-                               dispersion=model)
-        g = trj.geometry(ctx.trajectory, ctx.x, tau)
         resid = float(np.hypot(*sph.gradient(ctx, w, tau))) \
-            if disp.sample(model, w).propagating else math.nan
+            if s.propagating else math.nan
         det = sig = None
-        vrad = g.v_rad
     else:
-        ctx = sph.PhaseContext(t=sc.t, x=(sc.x1, sc.x2, sc.x3), omega0=w0,
-                               trajectory=trj.OffsetLine(v=sc.v, H=sc.h),
-                               dispersion=model)
         solver = sph.solve_newton if sc.method == "newton" \
             else sph.solve_fixed_point
         sp = solver(ctx, tol=sc.tol, max_iter=sc.max_iter)
         w, tau = sp.omega_s, sp.tau_s
         resid, det, sig = sp.residual_norm, sp.det, sp.signature
-        vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
-    s = disp.sample(model, w)
+        s = disp.sample(model, w)
+    vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
     cls = fld.doppler_classification(s.k.real, vrad)
     return {
         "f0_thz": sc.f0_thz,
@@ -237,28 +224,13 @@ def cmd_plasma(args) -> int:
     if not 0 <= args.mach < 1:
         print("error: Mach number must lie in [0, 1)", file=sys.stderr)
         return EXIT_USAGE
-    w0 = omega_from_thz(args.f0_thz)
-    wp = omega_from_thz(args.fp_thz)
-    model = disp.ColdPlasma(omega_p=wp)
     try:
-        closed = fld.plasma_doppler_closed_form(w0, wp, args.mach,
-                                                args.direction == "approaching")
-    except DopshiftError as err:
+        closed, sp = fld.plasma_head_on(
+            omega_from_thz(args.f0_thz), omega_from_thz(args.fp_thz),
+            args.mach, args.direction == "approaching")
+    except (BelowCutoff, SuperluminalMach, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    x2 = 4.0 if args.direction == "approaching" else -4.0
-    ctx = sph.PhaseContext(
-        t=1.0, x=(0.0, x2, 0.0), omega0=w0,
-        trajectory=trj.StraightLine(velocity=(0.0, args.mach, 0.0)),
-        dispersion=model)
-    try:
-        if args.direction == "approaching":
-            sp = sph.solve_newton(ctx, tol=1e-12)
-        else:
-            vg_c = disp.sample(model, closed).v_group
-            tau_rec = (vg_c * ctx.t - abs(x2)) / (args.mach + vg_c)
-            sp = sph.solve_newton(ctx, seed=(1.001 * closed, tau_rec - 0.1),
-                                  tol=1e-12)
     except DopshiftError as err:
         print(f"error: no convergence: {err}", file=sys.stderr)
         return EXIT_NOCONV
@@ -272,14 +244,14 @@ def cmd_plasma(args) -> int:
 
 
 def cmd_cherenkov(args) -> int:
-    model = disp.NonDispersive(eps=args.eps, mu=args.mu)
     try:
+        model = disp.NonDispersive(eps=args.eps, mu=args.mu)
         contr = fld.cherenkov_solve(model, (0.0, 0.0, args.v),
                                     (args.x1, args.x2, args.x3), args.t)
     except NoCherenkovRoot as err:
         print(f"no Cherenkov radiation: {err}", file=sys.stderr)
         return EXIT_NOROOT
-    except DopshiftError as err:
+    except (DopshiftError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     s = disp.sample(model, 1.0)

@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DegenerateMedium, EvanescentRegime, ZeroFrequency
-from .units import DEFAULT_NORMALIZATION, Normalization
+from .units import omega_from_thz
 
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
@@ -69,10 +69,7 @@ class ColdPlasma:
 class LorentzMetamaterial:
     """Single-resonance electric and magnetic response.
 
-    All frequencies are normalized angular frequencies.  ``neglect_imaginary``
-    makes the solvers use Re n only (the wavenumber and every derived real
-    quantity come from the real part); the complex eps, mu, n remain available
-    in the sample for inspection.
+    All frequencies are normalized angular frequencies.
     """
 
     omega_pe: float
@@ -81,7 +78,6 @@ class LorentzMetamaterial:
     omega_pm: float
     omega_tm: float
     gamma_m: float
-    neglect_imaginary: bool = True
 
     def __post_init__(self):
         if not (self.omega_te > 0 and self.omega_tm > 0):
@@ -106,15 +102,12 @@ def lorentz_from_thz(f_pe=LORENTZ_DEFAULTS_THZ["f_pe"],
                      f_pm=LORENTZ_DEFAULTS_THZ["f_pm"],
                      gamma_m=LORENTZ_DEFAULTS_THZ["gamma_m"],
                      f_tm=LORENTZ_DEFAULTS_THZ["f_tm"],
-                     neglect_imaginary=True,
-                     normalization: Normalization = DEFAULT_NORMALIZATION,
                      ) -> LorentzMetamaterial:
     """Build the metamaterial model from oscillator parameters given in THz."""
-    w = normalization.omega_from_thz
+    w = omega_from_thz
     return LorentzMetamaterial(
         omega_pe=w(f_pe), omega_te=w(f_te), gamma_e=w(gamma_e),
         omega_pm=w(f_pm), omega_tm=w(f_tm), gamma_m=w(gamma_m),
-        neglect_imaginary=neglect_imaginary,
     )
 
 
@@ -124,8 +117,9 @@ class DispersionSample:
     frequency.
 
     ``v_phase``, ``v_group`` and ``k_second`` are None outside the propagating
-    band.  ``k_prime`` is dk/domega (the group slowness).  ``derivatives``
-    records how the omega-derivatives were obtained.
+    band.  ``k_prime`` is dk/domega (the group slowness).  For the
+    metamaterial ``k`` is omega Re n (Im n is neglected, and ``k_prime`` and
+    ``k_second`` follow from Re n); the complex eps, mu and n stay available.
     """
 
     omega: float
@@ -138,7 +132,6 @@ class DispersionSample:
     k_prime: float | None
     k_second: float | None
     propagating: bool
-    derivatives: str = "analytic"
 
     def require_propagating(self) -> "DispersionSample":
         if not self.propagating:
@@ -310,14 +303,9 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
 
     eps, mu, n, dn, d2n = _lorentz_chain(model, omega)
     propagating = _wave_dominated(n)
-    if model.neglect_imaginary:
-        k = complex(omega * n.real)
-        kp = n.real + omega * dn.real
-        kpp = 2.0 * dn.real + omega * d2n.real
-    else:
-        k = omega * n
-        kp = (n + omega * dn).real
-        kpp = (2.0 * dn + omega * d2n).real
+    k = complex(omega * n.real)
+    kp = n.real + omega * dn.real
+    kpp = 2.0 * dn.real + omega * d2n.real
     if propagating and n.real != 0 and kp != 0:
         vp = 1.0 / n.real
         vg = 1.0 / kp

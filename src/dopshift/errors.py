@@ -31,10 +31,6 @@ class ObserverOnTrajectory(DopshiftError):
     """Observer coincides with the source position; geometry is singular."""
 
 
-class UnsupportedTrajectory(DopshiftError):
-    """The requested closed form does not exist for this trajectory kind."""
-
-
 # -- stationary phase -------------------------------------------------------
 
 class DegeneratePoint(DopshiftError):

@@ -29,7 +29,7 @@ from .errors import (BelowCutoff, EvanescentRegime,
 
 __all__ = [
     "SourceModel", "FieldContribution", "DopplerClass", "moving_source_fields",
-    "nondispersive_doppler", "plasma_doppler_closed_form",
+    "nondispersive_doppler", "plasma_doppler_closed_form", "plasma_head_on",
     "metamaterial_doppler_1d", "retard_1d", "metamaterial_doppler_2d",
     "PlanarDopplerSolution", "cherenkov_solve", "doppler_classification",
 ]
@@ -92,36 +92,28 @@ def doppler_classification(k_at_solution: float, v_rad: float) -> DopplerClass:
     return DopplerClass.NO_SHIFT
 
 
-def _amp_factors(u: np.ndarray, r: float, direction: np.ndarray):
-    """curl and grad-div amplitude factors for a given current direction."""
-    d_rad = float(direction @ u)
-    return np.cross(u, direction), (direction - d_rad * u) / r
-
-
-def _assemble(source: SourceModel, traj, model, x, t,
+def _assemble(source: SourceModel, ctx: sph.PhaseContext,
               sp: sph.StationaryPoint, gate: bool) -> FieldContribution:
-    x = trj.as_vec3(x)
-    g = trj.geometry(traj, x, sp.tau_s)
-    s = disp.sample(model, sp.omega_s)
-    k = s.k.real
-    s_val = k * g.r - sp.omega_s * (t - sp.tau_s) - source.omega0 * sp.tau_s
-    direction = trj.velocity(traj, sp.tau_s)
+    g = trj.geometry(ctx.trajectory, ctx.x, sp.tau_s)
+    s = disp.sample(ctx.dispersion, sp.omega_s)
+    s_val = sph.phase(ctx, sp.omega_s, sp.tau_s)
+    direction = trj.velocity(ctx.trajectory, sp.tau_s)
     if not np.any(direction) and source.polarization is not None:
         direction = trj.as_vec3(source.polarization)
     zero = np.zeros(3, dtype=complex)
     if gate and not sp.degenerate and np.any(direction):
         a = float(source.envelope(sp.tau_s))
-        curl, graddiv = _amp_factors(g.unit_dir, g.r, direction)
+        curl, graddiv = trj.amplitude_factors(g.unit_dir, g.r, direction)
         scale = a * np.exp(1j * (s_val + 0.25 * math.pi * sp.signature)) \
             / (4.0 * math.pi * g.r * math.sqrt(abs(sp.det)))
-        h_vec = 1j * k * curl * scale
+        h_vec = 1j * s.k.real * curl * scale
         e_vec = (sp.omega_s * s.mu * direction - graddiv) * scale / 1j
     else:
         h_vec, e_vec = zero.copy(), zero.copy()
     return FieldContribution(
         H=h_vec, E=e_vec, phase_value=s_val,
         instantaneous_frequency=sp.omega_s,
-        retarded_time=t - sp.tau_s,
+        retarded_time=ctx.t - sp.tau_s,
         doppler_shift=sp.omega_s - source.omega0,
         gate=gate, point=sp)
 
@@ -149,8 +141,7 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
         except (NoConvergence, LeftPropagatingBand, EvanescentRegime,
                 ObserverOnTrajectory):
             points = []
-    out = [_assemble(source, traj, model, x, t, sp, gate=True)
-           for sp in points]
+    out = [_assemble(source, ctx, sp, gate=True) for sp in points]
     return sorted(out, key=lambda c: c.point.tau_s)
 
 
@@ -180,6 +171,31 @@ def plasma_doppler_closed_form(omega0: float, omega_p: float, mach: float,
         raise BelowCutoff("no real shifted frequency")
     sign = 1.0 if approaching else -1.0
     return (omega0 + sign * mach * math.sqrt(disc)) / (1.0 - mach * mach)
+
+
+def plasma_head_on(omega0: float, omega_p: float, mach: float,
+                   approaching: bool = True):
+    """Closed form and Newton solve of the head-on plasma point.
+
+    The source moves along x2 at the Mach number through the origin; the
+    on-axis observer sits at x2 = 4 (approach) or -4 (recession) at t = 1.
+    It sees both a pre- and a post-passage point, so the receding branch is
+    selected by seeding Newton near the closed form.  Returns (closed-form
+    frequency, StationaryPoint); the closed form's errors (BelowCutoff,
+    SuperluminalMach) are raised before any solve.
+    """
+    closed = plasma_doppler_closed_form(omega0, omega_p, mach, approaching)
+    x2 = 4.0 if approaching else -4.0
+    ctx = sph.PhaseContext(
+        t=1.0, x=(0.0, x2, 0.0), omega0=omega0,
+        trajectory=trj.StraightLine(velocity=(0.0, mach, 0.0)),
+        dispersion=disp.ColdPlasma(omega_p=omega_p))
+    seed = None
+    if not approaching:
+        vg_c = disp.sample(ctx.dispersion, closed).v_group
+        tau_rec = (vg_c * ctx.t - abs(x2)) / (mach + vg_c)
+        seed = (1.001 * closed, tau_rec - 0.1)
+    return closed, sph.solve_newton(ctx, seed=seed, tol=1e-12)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -431,6 +447,8 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
     x_perp = float(np.linalg.norm(x - zeta * vhat))
     traj = trj.StraightLine(origin=(0.0, 0.0, 0.0), velocity=tuple(v_vec))
     source = SourceModel(omega0=0.0)
+    ctx = sph.PhaseContext(t=t, x=tuple(x), omega0=0.0, trajectory=traj,
+                           dispersion=model)
 
     if isinstance(model, disp.NonDispersive):
         s = disp.sample(model, 1.0)
@@ -460,7 +478,7 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
             omega_s=0.0, tau_s=tau_s, hessian=h, det=float(np.linalg.det(h)),
             signature=0, residual_norm=res, iterations=0, converged=True,
             method="closed-form", degenerate=True)
-        return _assemble(source, traj, model, x, t, sp, gate=gate)
+        return _assemble(source, ctx, sp, gate=gate)
 
     # Dispersive medium: refuse when no propagating frequency is slow enough,
     # else solve the joint system with the generic Newton engine.
@@ -468,8 +486,6 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
     if cmin >= speed:
         raise NoCherenkovRoot(
             f"minimum phase speed {cmin:g} >= source speed {speed:g}")
-    ctx = sph.PhaseContext(t=t, x=tuple(x), omega0=0.0, trajectory=traj,
-                           dispersion=model)
     last_err = None
     for w0 in np.geomspace(max(omega_scan[0], 1e-3), omega_scan[1], 12):
         try:
@@ -483,5 +499,5 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
             beta = speed / s.v_group
             gate = (speed * t - zeta
                     - x_perp * math.sqrt(abs(beta * beta - 1.0))) > 0
-            return _assemble(source, traj, model, x, t, sp, gate=gate)
+            return _assemble(source, ctx, sp, gate=gate)
     raise NoCherenkovRoot(f"no nontrivial-frequency root found ({last_err})")

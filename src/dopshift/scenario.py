@@ -10,7 +10,6 @@ length-scale/c units.  Example::
     ; f_pe_thz, gamma_e_thz, f_te_thz, f_pm_thz, gamma_m_thz, f_tm_thz
     ; plasma keys:        f_p_thz
     ; nondispersive keys: eps, mu
-    neglect_imaginary = true
 
     [source]
     f0_thz = 420
@@ -32,7 +31,8 @@ length-scale/c units.  Example::
     format = csv              ; csv | json
     path = -                  ; '-' means stdout
 
-Command-line flags override individual keys.
+Unknown sections and keys, including a medium key the chosen kind does not
+read, are rejected.  Command-line flags override individual keys.
 """
 
 import configparser
@@ -41,17 +41,26 @@ from dataclasses import dataclass, field
 
 from . import dispersion as disp
 from .errors import ScenarioError
-from .units import DEFAULT_NORMALIZATION
+from .units import omega_from_thz
 
 _METHODS = ("newton", "fixed-point", "closed-form")
 _FORMATS = ("csv", "json")
+# Scenario key -> lorentz_from_thz parameter.
+_LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",
+                 "f_te_thz": "f_te", "f_pm_thz": "f_pm",
+                 "gamma_m_thz": "gamma_m", "f_tm_thz": "f_tm"}
+_MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
+                "nondispersive": {"eps", "mu"}}
+_SECTION_KEYS = {"medium": {"kind"}, "source": {"f0_thz", "v", "h"},
+                 "observer": {"x1", "x2", "x3", "t"},
+                 "solve": {"method", "tol", "max_iter"},
+                 "output": {"format", "path"}}
 
 
 @dataclass
 class Scenario:
     medium_kind: str = "lorentz"
     medium_params: dict = field(default_factory=dict)
-    neglect_imaginary: bool = True
     f0_thz: float = 420.0
     v: float = 0.5
     h: float = 0.0
@@ -66,7 +75,7 @@ class Scenario:
     out_path: str = "-"
 
     def validate(self) -> "Scenario":
-        if self.medium_kind not in ("lorentz", "plasma", "nondispersive"):
+        if self.medium_kind not in _MEDIUM_KEYS:
             raise ScenarioError(f"unknown medium kind {self.medium_kind!r}")
         if self.method not in _METHODS:
             raise ScenarioError(f"unknown method {self.method!r}")
@@ -78,37 +87,51 @@ class Scenario:
             raise ScenarioError("f0_thz must be >= 0")
         if self.tol <= 0 or self.max_iter < 1:
             raise ScenarioError("tol must be > 0 and max_iter >= 1")
+        self.medium()           # rejects invalid medium parameters
         return self
 
     def medium(self) -> disp.DispersionModel:
+        """The dispersion model; invalid parameters raise ScenarioError."""
         p = self.medium_params
-        if self.medium_kind == "nondispersive":
-            return disp.NonDispersive(eps=float(p.get("eps", 1.0)),
-                                      mu=float(p.get("mu", 1.0)))
-        if self.medium_kind == "plasma":
-            f_p = float(p.get("f_p_thz", 500.0))
-            return disp.ColdPlasma(
-                omega_p=DEFAULT_NORMALIZATION.omega_from_thz(f_p))
-        kw = {}
-        for src, dst in (("f_pe_thz", "f_pe"), ("gamma_e_thz", "gamma_e"),
-                         ("f_te_thz", "f_te"), ("f_pm_thz", "f_pm"),
-                         ("gamma_m_thz", "gamma_m"), ("f_tm_thz", "f_tm")):
-            if src in p:
-                kw[dst] = float(p[src])
-        return disp.lorentz_from_thz(neglect_imaginary=self.neglect_imaginary,
-                                     **kw)
+        try:
+            if self.medium_kind == "nondispersive":
+                return disp.NonDispersive(eps=float(p.get("eps", 1.0)),
+                                          mu=float(p.get("mu", 1.0)))
+            if self.medium_kind == "plasma":
+                f_p = float(p.get("f_p_thz", 500.0))
+                return disp.ColdPlasma(
+                    omega_p=omega_from_thz(f_p))
+            return disp.lorentz_from_thz(**{
+                dst: float(p[src]) for src, dst in _LORENTZ_KEYS.items()
+                if src in p})
+        except ValueError as err:
+            raise ScenarioError(f"invalid {self.medium_kind} medium: {err}")
 
 
 def _get(cp, section, key, cast, default):
     if cp.has_option(section, key):
         raw = cp.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except ValueError as err:
             raise ScenarioError(f"[{section}] {key} = {raw!r}: {err}")
     return default
+
+
+def _reject_unknown(cp, medium_kind):
+    """Raise ScenarioError on a section or key the scenario does not read."""
+    if cp.defaults():
+        raise ScenarioError(f"unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section not in _SECTION_KEYS:
+            raise ScenarioError(f"unknown section [{section}]")
+        allowed = _SECTION_KEYS[section]
+        if section == "medium":
+            allowed = allowed | _MEDIUM_KEYS.get(medium_kind, set())
+        unknown = sorted(set(cp.options(section)) - allowed)
+        if unknown:
+            raise ScenarioError(
+                f"[{section}] unknown keys: {', '.join(unknown)}")
 
 
 def load_scenario(path_or_text: str, from_text: bool = False) -> Scenario:
@@ -127,11 +150,9 @@ def load_scenario(path_or_text: str, from_text: bool = False) -> Scenario:
 
     sc = Scenario()
     sc.medium_kind = _get(cp, "medium", "kind", str, sc.medium_kind).strip()
-    sc.neglect_imaginary = _get(cp, "medium", "neglect_imaginary", bool,
-                                sc.neglect_imaginary)
+    _reject_unknown(cp, sc.medium_kind)
     if cp.has_section("medium"):
-        sc.medium_params = {k: v for k, v in cp.items("medium")
-                            if k not in ("kind", "neglect_imaginary")}
+        sc.medium_params = {k: v for k, v in cp.items("medium") if k != "kind"}
     sc.f0_thz = _get(cp, "source", "f0_thz", float, sc.f0_thz)
     sc.v = _get(cp, "source", "v", float, sc.v)
     sc.h = _get(cp, "source", "h", float, sc.h)

@@ -21,7 +21,6 @@ from . import dispersion as disp
 from . import trajectory as trj
 from .errors import (DegeneratePoint, EvanescentRegime, LeftPropagatingBand,
                      NoConvergence, NotAContraction, ObserverOnTrajectory)
-from .units import DEFAULT_NORMALIZATION, Normalization
 
 __all__ = [
     "PhaseContext", "StationaryPoint", "phase", "gradient", "hessian",
@@ -50,7 +49,6 @@ class PhaseContext:
     trajectory: trj.Trajectory
     dispersion: disp.DispersionModel
     lam: float = 1.0
-    normalization: Normalization = DEFAULT_NORMALIZATION
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(map(float, self.x)))
@@ -92,22 +90,9 @@ def phase(ctx: PhaseContext, omega: float, tau: float) -> float:
     return s.k.real * g.r - omega * (ctx.t - tau) - ctx.omega0 * tau
 
 
-def gradient(ctx: PhaseContext, omega: float, tau: float) -> Tuple[float, float]:
-    """(dS/domega, dS/dtau) from analytic dispersion and geometry."""
-    s, g = _eval_pieces(ctx, omega, tau)
-    return (g.r / s.v_group - (ctx.t - tau),
-            -s.k.real * g.v_rad + (omega - ctx.omega0))
-
-
-def hessian(ctx: PhaseContext, omega: float, tau: float) -> np.ndarray:
-    """[[k'' r, 1 - v_rad/v_g], [1 - v_rad/v_g, -k dv_rad/dtau]]."""
-    s, g = _eval_pieces(ctx, omega, tau)
-    off = 1.0 - g.v_rad / s.v_group
-    return np.array([[s.k_second * g.r, off],
-                     [off, -s.k.real * g.dv_rad_dtau]])
-
-
 def _grad_and_hess(ctx, omega, tau):
+    """grad S and the 2x2 Hessian of S in (omega, tau), from one dispersion
+    sample and one geometry evaluation."""
     s, g = _eval_pieces(ctx, omega, tau)
     grad = np.array([g.r / s.v_group - (ctx.t - tau),
                      -s.k.real * g.v_rad + (omega - ctx.omega0)])
@@ -115,6 +100,16 @@ def _grad_and_hess(ctx, omega, tau):
     hess = np.array([[s.k_second * g.r, off],
                      [off, -s.k.real * g.dv_rad_dtau]])
     return grad, hess
+
+
+def gradient(ctx: PhaseContext, omega: float, tau: float) -> Tuple[float, float]:
+    """(dS/domega, dS/dtau) from analytic dispersion and geometry."""
+    return tuple(_grad_and_hess(ctx, omega, tau)[0].tolist())
+
+
+def hessian(ctx: PhaseContext, omega: float, tau: float) -> np.ndarray:
+    """The 2x2 Hessian of S in (omega, tau)."""
+    return _grad_and_hess(ctx, omega, tau)[1]
 
 
 def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
@@ -134,8 +129,8 @@ def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
     return float(det), signature
 
 
-def _make_point(ctx, omega, tau, res, iters, method) -> StationaryPoint:
-    h = hessian(ctx, omega, tau)
+def _make_point(h, omega, tau, res, iters, method) -> StationaryPoint:
+    """Classify the Hessian h of a converged point (omega, tau)."""
     try:
         det, sig = classify(h)
         degenerate = False
@@ -217,21 +212,18 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
-    F, _ = _grad_and_hess(ctx, w, tau)
+    F, J = _grad_and_hess(ctx, w, tau)
     band_exits = 0
-    last = (w, tau, float(np.linalg.norm(F)))
     for it in range(1, max_iter + 1):
         res = float(np.linalg.norm(F))
-        last = (w, tau, res)
         if res <= tol:
-            return _make_point(ctx, w, tau, res, it - 1, "newton")
-        _, J = _grad_and_hess(ctx, w, tau)
+            return _make_point(J, w, tau, res, it - 1, "newton")
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             raise NoConvergence(
                 "singular Jacobian (caustic) at the current iterate",
-                diagnostics=_failed_point(w, tau, res, it))
+                diagnostics=_failed_point(w, tau, res, it, "newton"))
         merit = 0.5 * res * res
         alpha = 1.0
         accepted = False
@@ -239,14 +231,14 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
         for _ in range(_MAX_HALVINGS + 1):
             wt, tt = w + alpha * step[0], tau + alpha * step[1]
             try:
-                Ft, _ = _grad_and_hess(ctx, wt, tt)
+                Ft, Jt = _grad_and_hess(ctx, wt, tt)
             except (EvanescentRegime, ObserverOnTrajectory, ValueError):
                 if alpha == 1.0:
                     full_step_left_band = True
                 alpha *= 0.5
                 continue
             if 0.5 * float(Ft @ Ft) <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
-                w, tau, F = wt, tt, Ft
+                w, tau, F, J = wt, tt, Ft, Jt
                 accepted = True
                 break
             alpha *= 0.5
@@ -262,19 +254,19 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
         if not accepted:
             raise NoConvergence(
                 f"line search stalled at iteration {it}, residual {res:.3e}",
-                diagnostics=_failed_point(w, tau, res, it))
+                diagnostics=_failed_point(w, tau, res, it, "newton"))
     res = float(np.linalg.norm(F))
     if res <= tol:
-        return _make_point(ctx, w, tau, res, max_iter, "newton")
+        return _make_point(J, w, tau, res, max_iter, "newton")
     raise NoConvergence(
         f"no convergence in {max_iter} iterations, residual {res:.3e}",
-        diagnostics=_failed_point(w, tau, res, max_iter))
+        diagnostics=_failed_point(w, tau, res, max_iter, "newton"))
 
 
-def _failed_point(w, tau, res, iters) -> StationaryPoint:
+def _failed_point(w, tau, res, iters, method) -> StationaryPoint:
     return StationaryPoint(omega_s=w, tau_s=tau, hessian=np.full((2, 2), np.nan),
                            det=math.nan, signature=0, residual_norm=res,
-                           iterations=iters, converged=False, method="newton")
+                           iterations=iters, converged=False, method=method)
 
 
 def _contraction_brackets(ctx, omega_box, tau_box, n=7):
@@ -301,6 +293,14 @@ def _contraction_brackets(ctx, omega_box, tau_box, n=7):
     return b1, b2
 
 
+def _fixed_point_step(ctx, w, tau):
+    """One successive approximation; returns the new (omega, tau)."""
+    s = disp.sample(ctx.dispersion, w).require_propagating()
+    tau_new = ctx.t - trj.geometry(ctx.trajectory, ctx.x, tau).r / s.v_group
+    g_new = trj.geometry(ctx.trajectory, ctx.x, tau_new)
+    return ctx.omega0 + s.k.real * g_new.v_rad, tau_new
+
+
 def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
                       max_iter: int = 400,
                       seed: Optional[Tuple[float, float]] = None
@@ -313,11 +313,7 @@ def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
     """
     w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
     try:
-        s0 = disp.sample(ctx.dispersion, w).require_propagating()
-        g0 = trj.geometry(ctx.trajectory, ctx.x, tau)
-        tau1 = ctx.t - g0.r / s0.v_group
-        w1 = ctx.omega0 + s0.k.real * trj.geometry(ctx.trajectory, ctx.x,
-                                                   tau1).v_rad
+        w1, tau1 = _fixed_point_step(ctx, w, tau)
     except (EvanescentRegime, ObserverOnTrajectory) as err:
         raise NotAContraction(f"trial update from the seed failed: {err}")
     dw = 1.5 * max(abs(w1 - w), 1e-6 * max(1.0, abs(w)))
@@ -328,19 +324,20 @@ def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
         raise NotAContraction(
             f"sampled contraction bounds {b1:.3f}, {b2:.3f} reach 1")
     for it in range(1, max_iter + 1):
-        s = disp.sample(ctx.dispersion, w).require_propagating()
-        g = trj.geometry(ctx.trajectory, ctx.x, tau)
-        tau_new = ctx.t - g.r / s.v_group
-        g_new = trj.geometry(ctx.trajectory, ctx.x, tau_new)
-        w_new = ctx.omega0 + s.k.real * g_new.v_rad
+        w_new, tau_new = _fixed_point_step(ctx, w, tau)
         d_tau, d_w = abs(tau_new - tau), abs(w_new - w)
         w, tau = w_new, tau_new
         if d_tau < tol and d_w < tol:
-            F, _ = _grad_and_hess(ctx, w, tau)
-            res = float(np.linalg.norm(F))
-            return _make_point(ctx, w, tau, res, it, "fixed-point")
+            F, H = _grad_and_hess(ctx, w, tau)
+            return _make_point(H, w, tau, float(np.linalg.norm(F)), it,
+                               "fixed-point")
+    try:
+        res = float(np.linalg.norm(_grad_and_hess(ctx, w, tau)[0]))
+    except (EvanescentRegime, ObserverOnTrajectory, ValueError):
+        res = math.nan
     raise NoConvergence(f"fixed point did not settle in {max_iter} iterations",
-                        diagnostics=None)
+                        diagnostics=_failed_point(w, tau, res, max_iter,
+                                                  "fixed-point"))
 
 
 def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],

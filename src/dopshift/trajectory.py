@@ -24,7 +24,7 @@ from .errors import ObserverOnTrajectory
 __all__ = [
     "Vec3", "as_vec3", "StraightLine", "OffsetLine", "CustomTrajectory",
     "Trajectory", "Geometry", "AmplitudeGeometry", "position", "velocity",
-    "acceleration", "geometry", "amplitude_geometry",
+    "acceleration", "geometry", "amplitude_factors", "amplitude_geometry",
 ]
 
 Vec3 = np.ndarray
@@ -69,15 +69,12 @@ class CustomTrajectory:
     The callables must be pure and safe to call concurrently.  Missing
     velocity/acceleration callables are replaced by central finite
     differences (one Richardson level) and the resulting geometry is marked
-    reduced-precision.  ``slow_scale`` is the dimensionless slowness scale of
-    the motion; the bundled world-line is x0(t) = slow_scale * X0(t/slow_scale)
-    for some bounded profile X0, which keeps the velocity bounded uniformly.
+    reduced-precision.
     """
 
     position_fn: Callable[[float], Vec3]
     velocity_fn: Optional[Callable[[float], Vec3]] = None
     acceleration_fn: Optional[Callable[[float], Vec3]] = None
-    slow_scale: float = 1.0
 
 
 Trajectory = Union[StraightLine, OffsetLine, CustomTrajectory]
@@ -142,6 +139,15 @@ class AmplitudeGeometry:
     reduced_precision: bool = False
 
 
+def _range(traj: Trajectory, x, tau: float):
+    """Range r and unit direction u from the source at tau to observer x."""
+    d = as_vec3(x) - position(traj, tau)
+    r = float(np.linalg.norm(d))
+    if r < _MIN_RANGE:
+        raise ObserverOnTrajectory(f"observer within {_MIN_RANGE} of source")
+    return r, d / r
+
+
 def geometry(traj: Trajectory, x, tau: float) -> Geometry:
     """All scalar geometry at observer x and emission time tau.
 
@@ -149,18 +155,20 @@ def geometry(traj: Trajectory, x, tau: float) -> Geometry:
 
         d/dtau (v . u) = a . u + (v_rad**2 - |v|**2)/r
     """
-    x = as_vec3(x)
-    d = x - position(traj, tau)
-    r = float(np.linalg.norm(d))
-    if r < _MIN_RANGE:
-        raise ObserverOnTrajectory(f"observer within {_MIN_RANGE} of source")
-    u = d / r
+    r, u = _range(traj, x, tau)
     v = velocity(traj, tau)
     v_rad = float(v @ u)
     a = acceleration(traj, tau)
     dv_rad = float(a @ u) + (v_rad * v_rad - float(v @ v)) / r
     return Geometry(r=r, unit_dir=u, v_rad=v_rad, dv_rad_dtau=dv_rad,
                     reduced_precision=_is_reduced_precision(traj))
+
+
+def amplitude_factors(u: Vec3, r: float, direction: Vec3):
+    """curl_factor u x d and graddiv_factor (d - (d.u) u)/r of a current
+    direction d, at range r and unit direction u."""
+    d_rad = float(direction @ u)
+    return np.cross(u, direction), (direction - d_rad * u) / r
 
 
 def amplitude_geometry(traj: Trajectory, x, tau: float) -> AmplitudeGeometry:
@@ -175,15 +183,7 @@ def amplitude_geometry(traj: Trajectory, x, tau: float) -> AmplitudeGeometry:
     the coordinate-free forms above are their simplification and cover every
     trajectory kind, since only fixed-tau spatial derivatives of r enter.
     """
-    x = as_vec3(x)
-    d = x - position(traj, tau)
-    r = float(np.linalg.norm(d))
-    if r < _MIN_RANGE:
-        raise ObserverOnTrajectory(f"observer within {_MIN_RANGE} of source")
-    u = d / r
-    v = velocity(traj, tau)
-    v_rad = float(v @ u)
-    return AmplitudeGeometry(
-        curl_factor=np.cross(u, v),
-        graddiv_factor=(v - v_rad * u) / r,
-        reduced_precision=_is_reduced_precision(traj))
+    r, u = _range(traj, x, tau)
+    curl, graddiv = amplitude_factors(u, r, velocity(traj, tau))
+    return AmplitudeGeometry(curl_factor=curl, graddiv_factor=graddiv,
+                             reduced_precision=_is_reduced_precision(traj))

@@ -17,20 +17,13 @@ DEFAULT_LENGTH_SCALE = 75e-9     # meters
 
 @dataclass(frozen=True)
 class Normalization:
-    """Scales tying the dimensionless internal system to SI.
-
-    ``omega_ref`` is the reference angular frequency (internal units) used
-    when forming the large asymptotic parameter from a source-receiver
-    distance.
-    """
+    """Scales tying the dimensionless internal system to SI."""
 
     length_scale: float = DEFAULT_LENGTH_SCALE
     velocity_scale: float = C0_SI
-    omega_ref: float = 1.0
 
     def __post_init__(self):
-        if not (self.length_scale > 0 and self.velocity_scale > 0
-                and self.omega_ref > 0):
+        if not (self.length_scale > 0 and self.velocity_scale > 0):
             raise ValueError("all normalization scales must be positive")
 
     @property

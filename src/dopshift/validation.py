@@ -191,27 +191,11 @@ def _check_plasma_closed_form():
     branches; M = 0 exact; omega_p = 0 reduces to the non-dispersive shift."""
     t0 = time.perf_counter()
     worst = 0.0
-    plasma = disp.ColdPlasma(omega_p=1.0)
     for mach in np.linspace(0.0, 0.8, 5):
         for ratio in np.linspace(1.2, 5.0, 5):
-            w0 = float(ratio)
             for approaching in (True, False):
-                closed = fld.plasma_doppler_closed_form(w0, 1.0, float(mach),
-                                                        approaching)
-                x2 = 4.0 if approaching else -4.0
-                ctx = sph.PhaseContext(
-                    t=1.0, x=(0.0, x2, 0.0), omega0=w0,
-                    trajectory=trj.StraightLine(velocity=(0.0, float(mach), 0.0)),
-                    dispersion=plasma)
-                if approaching:
-                    sp = sph.solve_newton(ctx, tol=1e-12)
-                else:
-                    # The on-axis observer admits both a pre- and post-passage
-                    # point; select the receding branch by seeding it.
-                    vg_c = disp.sample(plasma, closed).v_group
-                    tau_rec = (vg_c * ctx.t - abs(x2)) / (mach + vg_c)
-                    sp = sph.solve_newton(ctx, seed=(1.001 * closed,
-                                                     tau_rec - 0.1), tol=1e-12)
+                closed, sp = fld.plasma_head_on(float(ratio), 1.0, float(mach),
+                                                approaching)
                 worst = max(worst, abs(sp.omega_s - closed) / closed)
     exact0 = fld.plasma_doppler_closed_form(2.0, 1.0, 0.0) == 2.0
     lim = max(abs(fld.plasma_doppler_closed_form(2.0, 0.0, 0.5, True)
@@ -469,9 +453,6 @@ CHECKS = {
     "nondispersive-linearity": _check_nondispersive_linearity,
 }
 
-# Alias used by the scenario-reproduction scripts.
-CHECKS["fresnel"] = CHECKS["oracle-asymptotics"]
-
 
 def run_checks(names=None):
     """Run the named checks (all when None); returns list of CheckResult."""
@@ -479,8 +460,5 @@ def run_checks(names=None):
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             raise KeyError(f"unknown checks: {unknown}")
-        todo = dict.fromkeys(names)           # preserve order, drop dupes
-    else:
-        todo = {k: None for k, v in CHECKS.items()
-                if k != "fresnel"}
+    todo = dict.fromkeys(names or CHECKS)     # preserve order, drop dupes
     return [CHECKS[name]() for name in todo]

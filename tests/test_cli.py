@@ -16,7 +16,6 @@ from dopshift.errors import ScenarioError
 SCENARIO_TEXT = """
 [medium]
 kind = lorentz
-neglect_imaginary = true
 
 [source]
 f0_thz = 420
@@ -67,6 +66,36 @@ class TestScenarioFiles:
             load_scenario("[solve]\nmethod = sorcery\n", from_text=True)
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.ini")
+
+    def test_unknown_sections_and_keys_rejected(self, capsys):
+        for text in ("[sovle]\nmethod = newton\n",
+                     "[medium]\nkind = lorentz\nneglect_imaginery = false\n",
+                     "[medium]\nkind = lorentz\nneglect_imaginary = true\n",
+                     "[medium]\nkind = plasma\neps = 4\n",
+                     "[observer]\ny = 1\n"):
+            with pytest.raises(ScenarioError):
+                load_scenario(text, from_text=True)
+        sc = load_scenario("[medium]\nkind = plasma\nf_p_thz = 400\n",
+                           from_text=True)
+        assert sc.medium_params == {"f_p_thz": "400"}
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "typo.ini"
+        p.write_text(SCENARIO_TEXT.replace("[solve]", "[sovle]"))
+        code, _, err = run_cli(capsys, "doppler", "--config", str(p))
+        assert code == 2 and "sovle" in err
+
+    @pytest.mark.parametrize("command", ["doppler", "dispersion-sweep"])
+    @pytest.mark.parametrize("flags", [
+        ("--medium", "nondispersive", "--eps", "-1"),
+        ("--medium", "nondispersive", "--mu", "0"),
+        ("--medium", "plasma", "--fp-thz", "-1")])
+    def test_bad_medium_exit_code(self, capsys, command, flags):
+        extra = ("--f-start-thz", "400", "--f-end-thz", "500") \
+            if command == "dispersion-sweep" else ()
+        code, out, err = run_cli(capsys, command, *flags, *extra)
+        assert code == 2
+        assert out == "" and "invalid" in err
 
     def test_medium_construction(self):
         sc = load_scenario("[medium]\nkind = nondispersive\neps = 4\nmu = 1\n",
@@ -226,6 +255,12 @@ class TestPlasmaCommand:
         code, _, _ = run_cli(capsys, "plasma", "--mach", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [("--f0-thz", "400"),
+                                       ("--fp-thz", "-1")])
+    def test_bad_frequency_exit(self, capsys, flags):
+        code, out, err = run_cli(capsys, "plasma", *flags)
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestCherenkovCommand:
     def test_cone_angle_output(self, capsys):
@@ -239,6 +274,11 @@ class TestCherenkovCommand:
     def test_vacuum_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "cherenkov", "--eps", "1", "--v", "0.5")
         assert code == 4
+
+    @pytest.mark.parametrize("flags", [("--eps", "-1"), ("--v", "1.5")])
+    def test_bad_input_exit_code(self, capsys, flags):
+        code, out, err = run_cli(capsys, "cherenkov", *flags)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestValidateCommand:

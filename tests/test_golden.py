@@ -1,0 +1,176 @@
+"""Golden values: solver results, field amplitudes and CLI output, bit for bit.
+
+Every expected value below was recorded with the code as it stood before the
+phase derivatives, the phase and the amplitude factors were each reduced to
+one implementation, so these tests pin that refactor to identical floats.
+Solver results are compared through the ``repr`` of
+(omega_s, tau_s, det, signature, iterations, residual_norm) and the raw bytes
+of the Hessian; fields through the raw bytes of E and H.
+"""
+
+import hashlib
+
+import pytest
+
+from dopshift import cli
+from dopshift import dispersion as disp
+from dopshift import fields as fld
+from dopshift import stationary_phase as sph
+from dopshift import trajectory as trj
+from dopshift.units import omega_from_thz
+
+PLASMA = disp.ColdPlasma(omega_p=1.0)
+
+
+def plasma_ctx(x2):
+    return sph.PhaseContext(
+        t=1.0, x=(0.0, x2, 0.0), omega0=2.0,
+        trajectory=trj.StraightLine(velocity=(0.0, 0.5, 0.0)),
+        dispersion=PLASMA)
+
+
+def lorentz_ctx():
+    return sph.PhaseContext(
+        t=0.0, x=(0.01, 0.2, 0.0), omega0=omega_from_thz(424.0),
+        trajectory=trj.OffsetLine(v=1e-3, H=0.0),
+        dispersion=disp.lorentz_from_thz())
+
+
+def key(sp):
+    return (repr((float(sp.omega_s), float(sp.tau_s), sp.det, sp.signature,
+                  sp.iterations, sp.residual_norm)),
+            sp.hessian.tobytes().hex())
+
+
+APPROACH = (
+    "(3.86851709182133, -6.510535164768805, -0.23271759497133723, 0, 3, 0.0)",
+    "dd0f8cb15acbc1bfbc327e4fc6dfde3fbc327e4fc6dfde3f0000000000000080")
+RECEDING_CLOSED = 1.4648162415120034
+RECEDING_SEED = (1.4662810577535152, -2.7564023547027503)
+RECEDING = (
+    "(1.4648162415120036, -2.6564023547027498, -2.8367268494731075, 0, 3, "
+    "8.95090418262362e-16)",
+    "8dd31f250e6e01c0fc1dcb16b9f2fa3ffc1dcb16b9f2fa3f0000000000000080")
+LORENTZ = (
+    "(0.6653673440707604, -17.13945056899181, -0.8486610116765511, 0, 3, "
+    "2.486899734073558e-14)",
+    "4d16c794415590c084df3703c07aed3f84df3703c07aed3f9fe10085284347be")
+GRID = [(
+    "(3.86851709182133, -6.510535164768806, -0.23271759497133723, 0, 9, 0.0)",
+    "de0f8cb15acbc1bfbc327e4fc6dfde3fbc327e4fc6dfde3f0000000000000080")]
+FIXED_POINT = (
+    "(3.8685170918212837, -6.5105351647696486, -0.23271759497133668, 0, 45, "
+    "4.0029660424867213e-13)",
+    "c1118cb15acbc1bfb2327e4fc6dfde3fb2327e4fc6dfde3f0000000000000080")
+
+
+class TestSolverGolden:
+    def test_plasma_approach(self):
+        ctx = plasma_ctx(4.0)
+        sp = sph.solve_newton(ctx, tol=1e-12)
+        assert key(sp) == APPROACH
+        assert sph.hessian(ctx, sp.omega_s, sp.tau_s).tobytes() \
+            == sp.hessian.tobytes()
+
+    def test_plasma_seeded_receding(self):
+        ctx = plasma_ctx(-4.0)
+        sp = sph.solve_newton(ctx, seed=RECEDING_SEED, tol=1e-12)
+        assert key(sp) == RECEDING
+        assert sph.hessian(ctx, sp.omega_s, sp.tau_s).tobytes() \
+            == sp.hessian.tobytes()
+
+    def test_plasma_head_on_both_branches(self):
+        closed, sp = fld.plasma_head_on(2.0, 1.0, 0.5, True)
+        assert key(sp) == APPROACH
+        closed, sp = fld.plasma_head_on(2.0, 1.0, 0.5, False)
+        assert repr(closed) == repr(RECEDING_CLOSED)
+        assert key(sp) == RECEDING
+
+    def test_lorentz_default_seed(self):
+        ctx = lorentz_ctx()
+        sp = sph.solve_newton(ctx)
+        assert key(sp) == LORENTZ
+        assert sph.hessian(ctx, sp.omega_s, sp.tau_s).tobytes() \
+            == sp.hessian.tobytes()
+
+    def test_solve_grid(self):
+        pts = sph.solve_grid(plasma_ctx(4.0), (1.5, 6.0), (-8.0, 0.9),
+                             n_omega=5, n_tau=5)
+        assert [key(p) for p in pts] == GRID
+
+    def test_fixed_point(self):
+        ctx = plasma_ctx(4.0)
+        sp = sph.solve_fixed_point(ctx, tol=1e-12)
+        assert key(sp) == FIXED_POINT
+        assert sph.hessian(ctx, sp.omega_s, sp.tau_s).tobytes() \
+            == sp.hessian.tobytes()
+
+
+class TestFieldsGolden:
+    def test_moving_source(self):
+        out = fld.moving_source_fields(
+            fld.SourceModel(omega0=2.0),
+            trj.StraightLine(velocity=(0.0, 0.5, 0.0)), PLASMA,
+            (0.3, 4.0, 0.2), 1.0)
+        assert len(out) == 1
+        c = out[0]
+        assert repr(float(c.phase_value)) == "11.113033406934997"
+        assert c.E.tobytes().hex() == (
+            "f0290e30f8b010bf19cd92028683dfbe3d6c03e56d3ea6bffe2b7b5aa5ff74bf"
+            "418dbdea4a4106bfbc880c575902d5be")
+        assert c.H.tobytes().hex() == (
+            "eac015be9ae752bf547a7ef2acd821bf00000000000000000000000000000000"
+            "5ea1201d685b5c3f7db7bd6b03c52a3f")
+
+    def test_motionless_source_uses_polarization(self):
+        out = fld.moving_source_fields(
+            fld.SourceModel(omega0=2.0, polarization=(0.0, 0.0, 1.0)),
+            trj.OffsetLine(v=0.0, H=0.0), PLASMA, (0.3, 4.0, 0.2), 1.0)
+        assert len(out) == 1
+        c = out[0]
+        assert repr(float(c.phase_value)) == "4.956292115775472"
+        assert c.E.tobytes().hex() == (
+            "f2fe965467acf2bec02b55ed8e96d2be40fe50e2561f2fbf419e3836eefa0ebf"
+            "62ff3004733ea1bf600a79ba462a81bf")
+        assert c.H.tobytes().hex() == (
+            "366fead27cfba03fc7ea29df9ee7803f74854c30fc6064bf88e6cb0b254944bf"
+            "00000000000000000000000000000000")
+
+
+DOPPLER_FLAGS = ("doppler", "--medium", "plasma", "--f0-thz", "1000",
+                 "--fp-thz", "500", "--v", "0.3", "--x1", "0.5", "--x2", "4",
+                 "--x3", "0", "--t", "1")
+DOPPLER_HEADER = ("f0_thz,f_shift_thz,tau,retarded_time,residual,"
+                  "classification,det,signature,v_group\n")
+PLASMA_HEADER = ("f0_thz,fp_thz,mach,direction,f_closed_thz,f_newton_thz,"
+                 "relative_gap,det,signature\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (DOPPLER_FLAGS + ("--method", "newton"), DOPPLER_HEADER
+     + "1000,1386.27691,-4.88411784,5.88411784,8.8817842e-16,blue-shift,"
+       "-0.462086842,0,0.932690283\n"),
+    (DOPPLER_FLAGS + ("--method", "fixed-point"), DOPPLER_HEADER
+     + "1000,1386.27691,-4.88411784,5.88411784,1.97813575e-11,blue-shift,"
+       "-0.462086842,0,0.932690283\n"),
+    (("plasma",), PLASMA_HEADER
+     + "1000,500,0.5,approaching,1934.25855,1934.25855,0,-0.232717595,0\n"),
+    (("plasma", "--direction", "receding"), PLASMA_HEADER
+     + "1000,500,0.5,receding,732.408121,732.408121,0,-2.83672685,0\n"),
+    (("cherenkov",),
+     "cone_half_angle_rad,cos_angle,tau_emission,retarded_time,gate,beta,"
+     "degenerate_hessian\n"
+     "0.841068671,0.666666667,-0.329618127,2.32961813,true,1.5,true\n"),
+])
+def test_cli_stdout(capsys, argv, expected):
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_dispersion_sweep_stdout(capsys):
+    assert cli.main(["dispersion-sweep", "--medium", "lorentz",
+                     "--f-start-thz", "410", "--f-end-thz", "432",
+                     "--n", "50"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fbdbc2f2a4b2b57c5204cde74cc192762cd7bd51c02e18fc11a751e26ff559e0")

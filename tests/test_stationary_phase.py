@@ -172,6 +172,17 @@ class TestSolvers:
         diag = err.value.diagnostics
         assert diag is not None and not diag.converged
 
+    def test_fixed_point_no_convergence_diagnostics(self):
+        ctx = plasma_ctx()
+        with pytest.raises(NoConvergence) as err:
+            sph.solve_fixed_point(ctx, max_iter=1)
+        diag = err.value.diagnostics
+        assert diag is not None and not diag.converged
+        assert diag.method == "fixed-point" and diag.iterations == 1
+        assert diag.residual_norm == pytest.approx(
+            math.hypot(*sph.gradient(ctx, diag.omega_s, diag.tau_s)),
+            rel=1e-12)
+
     def test_fixed_point_stationary_source_one_iteration(self):
         ctx = sph.PhaseContext(t=2.0, x=(0.0, 3.0, 0.0), omega0=2.0,
                                trajectory=trj.OffsetLine(v=0.0, H=0.0),

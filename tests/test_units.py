@@ -28,5 +28,3 @@ def test_custom_length_scale():
 def test_invalid_scales_rejected():
     with pytest.raises(ValueError):
         Normalization(length_scale=0.0)
-    with pytest.raises(ValueError):
-        Normalization(omega_ref=-1.0)
