@@ -9,9 +9,9 @@ decimals and 9 significant digits, and is byte-identical across runs.
 Exit codes:
     0  success / all validation checks passed
     1  validation failure
-    2  invalid arguments, ranges or scenario file
+    2  invalid arguments, ranges or scenario file; input outside the model
     3  solver did not converge
-    4  no Doppler root in the scanned band
+    4  no Doppler root in the scanned band, or no Cherenkov root
 """
 
 import argparse
@@ -26,13 +26,23 @@ from . import fields as fld
 from . import stationary_phase as sph
 from . import trajectory as trj
 from . import validation
-from .errors import (BelowCutoff, DegeneratePoint, DopshiftError,
-                     NoCherenkovRoot, NoConvergence, NoRootInBand,
-                     ScenarioError, SuperluminalMach)
+from .errors import (BelowCutoff, DegenerateMedium, DopshiftError,
+                     NoCherenkovRoot, NoRootInBand, ObserverOnTrajectory,
+                     ScenarioError, SuperluminalMach, SuperluminalRadialSpeed,
+                     ZeroFrequency)
 from .scenario import Scenario, load_scenario
 from .units import omega_from_thz, thz_from_omega
 
 EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_NOCONV, EXIT_NOROOT = 0, 1, 2, 3, 4
+
+# (error types, exit code, message prefix); the first matching row wins.
+EXIT_CODES = (
+    ((ScenarioError, ZeroFrequency, DegenerateMedium, BelowCutoff,
+      SuperluminalMach, SuperluminalRadialSpeed, ObserverOnTrajectory),
+     EXIT_USAGE, "error"),
+    ((NoRootInBand, NoCherenkovRoot), EXIT_NOROOT, "error: no root"),
+    (DopshiftError, EXIT_NOCONV, "error: no convergence"),
+)
 
 
 def _fmt(x) -> str:
@@ -181,14 +191,7 @@ def _solve_scenario_point(sc: Scenario):
 
 def cmd_doppler(args) -> int:
     sc = _scenario_from_args(args)
-    try:
-        row = _solve_scenario_point(sc)
-    except (NoConvergence, DegeneratePoint) as err:
-        print(f"error: no convergence: {err}", file=sys.stderr)
-        return EXIT_NOCONV
-    except NoRootInBand as err:
-        print(f"error: no root in band: {err}", file=sys.stderr)
-        return EXIT_NOROOT
+    row = _solve_scenario_point(sc)
     header = list(row.keys())
     _emit(header, [tuple(row.values())], sc.out_format, sc.out_path)
     return EXIT_OK
@@ -221,19 +224,13 @@ def cmd_doppler_sweep(args) -> int:
 
 
 def cmd_plasma(args) -> int:
-    if not 0 <= args.mach < 1:
-        print("error: Mach number must lie in [0, 1)", file=sys.stderr)
-        return EXIT_USAGE
     try:
         closed, sp = fld.plasma_head_on(
             omega_from_thz(args.f0_thz), omega_from_thz(args.fp_thz),
             args.mach, args.direction == "approaching")
-    except (BelowCutoff, SuperluminalMach, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DopshiftError as err:
-        print(f"error: no convergence: {err}", file=sys.stderr)
-        return EXIT_NOCONV
     header = ["f0_thz", "fp_thz", "mach", "direction", "f_closed_thz",
               "f_newton_thz", "relative_gap", "det", "signature"]
     rows = [(args.f0_thz, args.fp_thz, args.mach, args.direction,
@@ -248,10 +245,7 @@ def cmd_cherenkov(args) -> int:
         model = disp.NonDispersive(eps=args.eps, mu=args.mu)
         contr = fld.cherenkov_solve(model, (0.0, 0.0, args.v),
                                     (args.x1, args.x2, args.x3), args.t)
-    except NoCherenkovRoot as err:
-        print(f"no Cherenkov radiation: {err}", file=sys.stderr)
-        return EXIT_NOROOT
-    except (DopshiftError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     s = disp.sample(model, 1.0)
@@ -349,12 +343,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except DopshiftError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOCONV
+        code, prefix = exit_code(err)
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
+
+
+def exit_code(err: DopshiftError):
+    """(exit code, message prefix) of an error: its first row in EXIT_CODES."""
+    return next(row[1:] for row in EXIT_CODES if isinstance(err, row[0]))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,11 @@ used so the cutoff folds into the per-axis quadrature weights.
 Quadrature: per axis, Gauss-Legendre panels sized from the local phase
 gradient so the node density never drops below ``points_per_osc`` points per
 local phase oscillation (default 12); the 2-D tensor product is evaluated in
-row chunks with negligible-amplitude chunks skipped.  R doubles until two
-successive values agree to the requested tolerance.
+blocks of rows, negligible-amplitude points skipped; each block's
+exponential and contraction with the axis weights run on a thread pool of one
+thread per usable CPU, and the block sums are added in block order, so the
+value is the same on any CPU count.  R doubles until two successive values
+agree to the requested tolerance.
 
 An integration-by-parts regularizer is also provided: the transpose of the
 first-order operator L with L e^{iS} = e^{iS} maps the amplitude to one of
@@ -20,6 +23,7 @@ faster decay, improving the cutoff convergence order.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -36,7 +40,7 @@ __all__ = [
     "gaussian_saddle_case", "fresnel_case", "hyperbolic_saddle_case",
 ]
 
-_CHUNK = 1 << 21          # complex elements per evaluation block
+_CHUNK = 1 << 19          # elements per evaluation block
 _SKIP_REL = 1e-12         # amplitude floor, relative to the sampled maximum
 
 
@@ -48,7 +52,10 @@ class OscillatoryIntegrand:
     the two arguments) and be pure.  ``growth_bound`` is the polynomial
     growth order of the amplitude.  ``phase_grad`` (analytic, returning the
     pair of partials) is required by the integration-by-parts regularizer and
-    used when available to size quadrature panels.
+    used when available to size quadrature panels.  The quadrature calls the
+    callbacks on the calling thread only, block after block (they need not be
+    thread-safe, but must not overwrite an array they returned); its result
+    does not depend on the CPU count.
     """
 
     amplitude: Callable
@@ -165,8 +172,25 @@ def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray,
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _workers() -> int:
+    """Threads of the block pool: the CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _block_sum(lam, amp, P, wx, wy):
+    """sum_ij wx_i wy_j amp_ij exp(i lam P_ij) over one block."""
+    val = np.zeros(np.shape(amp), dtype=complex)
+    np.multiply(P, lam, out=val.imag)        # val = 1j * lam * P
+    np.exp(val, out=val)
+    val *= amp
+    # einsum, not BLAS: a threaded BLAS would spin against the pool
+    return wx @ np.einsum("ij,j->i", val, wy)
+
+
 def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str,
                     points_per_osc: int, gl_order: int) -> complex:
+    from concurrent.futures import ThreadPoolExecutor
     grid, gx, gy, amp_scale, ext_x, ext_y = _probe_box(ig, R)
     if amp_scale == 0.0:
         return 0.0 + 0.0j
@@ -177,25 +201,29 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str,
     floor = _SKIP_REL * amp_scale
     total = 0.0 + 0.0j
     rows_per_chunk = max(1, _CHUNK // len(ys))
-    for i0 in range(0, len(xs), rows_per_chunk):
-        i1 = min(i0 + rows_per_chunk, len(xs))
-        X = xs[i0:i1, None]
-        Y = ys[None, :]
-        amp = np.asarray(ig.amplitude(X, Y)) * np.ones((i1 - i0, len(ys)),
-                                                       dtype=complex)
-        live = np.abs(amp) >= floor
-        if not live.any():
-            continue
-        w2 = wxs[i0:i1, None] * wys[None, :]
-        if live.all():
-            val = amp * np.exp(1j * ig.lam * np.asarray(ig.phase(X, Y)))
-            total += np.sum(w2 * val)
-        else:
-            xi, yi = np.nonzero(live)
-            xpts, ypts = xs[i0 + xi], ys[yi]
-            val = amp[live] * np.exp(
-                1j * ig.lam * np.asarray(ig.phase(xpts, ypts)))
-            total += np.sum(w2[live] * val)
+    Y = ys[None, :]
+    workers, pending = _workers(), []
+    # Callbacks run here, block by block; at most workers + 1 blocks are in
+    # flight on the pool, and their sums are added in block order.
+    with ThreadPoolExecutor(workers) as pool:
+        for i0 in range(0, len(xs), rows_per_chunk):
+            X = xs[i0:i0 + rows_per_chunk, None]
+            amp = np.broadcast_to(ig.amplitude(X, Y), (len(X), len(ys)))
+            mag = np.abs(amp)
+            if mag.min() >= floor:
+                args = (amp, ig.phase(X, Y), wxs[i0:i0 + len(X)], wys)
+            else:
+                xi, yi = np.nonzero(mag >= floor)
+                if xi.size == 0:
+                    continue
+                # the live points as one row, of unit row weight
+                args = (amp[xi, yi][None], ig.phase(xs[i0 + xi], ys[yi]),
+                        np.ones(1), wxs[i0 + xi] * wys[yi])
+            pending.append(pool.submit(_block_sum, ig.lam, *args))
+            if len(pending) > workers:
+                total += pending.pop(0).result()
+        for fut in pending:
+            total += fut.result()
     return complex(total)
 
 

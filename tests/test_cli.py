@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dopshift import cli, validation
+from dopshift import cli, errors, validation
 from dopshift.scenario import Scenario, load_scenario
 from dopshift.errors import ScenarioError
 
@@ -327,6 +327,43 @@ def test_nine_significant_digits(capsys):
     assert len(mantissa) == 9
 
 
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+class TestExitCodeTable:
+    DOCUMENTED = {int(line.split()[0]) for line in
+                  cli.__doc__.split("Exit codes:")[1].splitlines()
+                  if line.strip()[:1].isdigit()}
+
+    def test_every_error_maps_to_a_documented_code(self):
+        subclasses = list(all_subclasses(errors.DopshiftError))
+        assert set(subclasses) >= {
+            c for c in vars(errors).values() if isinstance(c, type)
+            and issubclass(c, errors.DopshiftError)} - {errors.DopshiftError}
+        for cls in [errors.DopshiftError] + subclasses:
+            code, prefix = cli.exit_code(cls("x"))
+            assert code in self.DOCUMENTED - {0, 1}, cls.__name__
+            assert prefix.startswith("error"), cls.__name__
+
+    @pytest.mark.parametrize("cls, code", [
+        (errors.ZeroFrequency, 2), (errors.DegenerateMedium, 2),
+        (errors.BelowCutoff, 2), (errors.SuperluminalMach, 2),
+        (errors.SuperluminalRadialSpeed, 2), (errors.ScenarioError, 2),
+        (errors.NoRootInBand, 4), (errors.NoCherenkovRoot, 4),
+        (errors.NoConvergence, 3), (errors.DegeneratePoint, 3)])
+    def test_code_of_each_kind(self, cls, code):
+        assert cli.exit_code(cls("x"))[0] == code
+
+    def test_zero_frequency_sweep_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "dispersion-sweep", "--medium",
+                                 "plasma", "--f-start-thz", "0",
+                                 "--f-end-thz", "10", "--n", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_import_needs_no_scipy():
     # numpy is the only runtime dependency: starting the CLI loads no scipy
     src = Path(cli.__file__).resolve().parent.parent
@@ -336,3 +373,15 @@ def test_import_needs_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread_pool():
+    # the oracle imports concurrent.futures inside the quadrature, so
+    # starting the CLI does not pay for it
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, dopshift.cli; print('concurrent.futures' in "
+            "sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,9 @@
 """Oscillatory-integral quadrature: analytic values, cutoff independence,
-linearity, conjugation, the phase-operator identity and the
-integration-by-parts regularizer."""
+linearity, conjugation, the phase-operator identity, the
+integration-by-parts regularizer, and the pooled block loop: golden values,
+independence of the worker count and callbacks kept on the calling thread."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +88,99 @@ class TestQuadrature:
         ig, _, _ = orc.gaussian_saddle_case(20.0)
         with pytest.raises(NoConvergenceInR):
             orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-6, max_doublings=0)
+
+
+def golden_integrand(case, lam, ibp):
+    ig = {"gaussian": orc.gaussian_saddle_case,
+          "hyperbolic": orc.hyperbolic_saddle_case,
+          "fresnel": orc.fresnel_case}[case](lam)[0]
+    return orc.ibp_regularize(ig, 1) if ibp else ig
+
+
+def bits(res):
+    return (res.value.real.hex(), res.value.imag.hex(), res.R_used,
+            res.estimated_error.hex())
+
+
+# (case, lam, ibp): value, R_used and estimated_error at R0 = 3, tol = 1e-6,
+# recorded with the single-threaded block loop that summed w_i w_j f e^{iS}
+# over each block before the pooled loop replaced it.  Only the summation
+# order changed, so the values must agree to 1e-12 relative and R_used must
+# be identical.
+GOLDEN = {
+    ("gaussian", 20.0, False):
+        (0.015668791665479704 + 0.3133758257823419j, 12.0,
+         3.6195960166908683e-10),
+    ("hyperbolic", 20.0, False):
+        (0.313767301057426 - 2.0024657018372243e-17j, 6.0,
+         1.1593415116806302e-10),
+    ("fresnel", 20.0, False):
+        (-2.4551531461096136e-13 + 0.3141592653591558j, 12.0,
+         2.353333330611433e-09),
+    ("hyperbolic", 24.0, True):
+        (0.2615724267994421 + 1.3964369982438723e-14j, 6.0,
+         5.297556812192584e-13),
+}
+
+
+class TestPooledBlocks:
+    @pytest.mark.parametrize("key", list(GOLDEN))
+    def test_golden_values(self, key):
+        value, r_used, err = GOLDEN[key]
+        res = orc.oscillatory_integral_2d(golden_integrand(*key), R0=3.0,
+                                          tol=1e-6)
+        assert res.R_used == r_used
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+        # the difference of two values that each moved by < 1e-12 |value|
+        assert abs(res.estimated_error - err) <= 2e-12 * abs(value)
+
+    @pytest.mark.parametrize("key", list(GOLDEN))
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, key):
+        ig = golden_integrand(*key)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(orc, "_workers", lambda n=workers: n)
+            got.append(bits(orc.oscillatory_integral_2d(ig, R0=3.0,
+                                                        tol=1e-6)))
+        assert got[0] == got[1] == got[2]
+
+    def test_callbacks_run_on_the_calling_thread(self):
+        ig, _, _ = orc.gaussian_saddle_case(20.0)
+        seen = set()
+
+        def on(fn):
+            def wrapped(w, t):
+                seen.add(threading.get_ident())
+                return fn(w, t)
+            return wrapped
+
+        orc.oscillatory_integral_2d(
+            orc.OscillatoryIntegrand(amplitude=on(ig.amplitude),
+                                     phase=on(ig.phase), lam=ig.lam,
+                                     phase_grad=on(ig.phase_grad)),
+            R0=3.0, tol=1e-6)
+        assert seen == {threading.get_ident()}
+
+    def test_callback_error_on_a_later_block_reaches_the_caller(self):
+        class Boom(Exception):
+            pass
+
+        ig, _, _ = orc.hyperbolic_saddle_case(20.0)
+        calls = []
+
+        def amplitude(w, t):
+            calls.append(w)
+            if len(calls) == 8:     # block 5 of the R = 6 pass
+                raise Boom("amplitude failed")
+            return ig.amplitude(w, t)
+
+        with pytest.raises(Boom):
+            orc.oscillatory_integral_2d(
+                orc.OscillatoryIntegrand(amplitude=amplitude, phase=ig.phase,
+                                         lam=ig.lam,
+                                         phase_grad=ig.phase_grad),
+                R0=3.0, tol=1e-6)
+        assert len(calls) == 8
 
 
 class TestPhaseOperator:
