@@ -37,6 +37,7 @@ read, are rejected.  Command-line flags override individual keys.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from . import dispersion as disp
@@ -81,31 +82,40 @@ class Scenario:
             raise ScenarioError(f"unknown method {self.method!r}")
         if self.out_format not in _FORMATS:
             raise ScenarioError(f"unknown output format {self.out_format!r}")
+        for name in ("f0_thz", "h", "x1", "x2", "x3", "t"):
+            _in_range(name, getattr(self, name))
         if not -1.0 < self.v < 1.0:
             raise ScenarioError("source speed must lie in (-1, 1)")
         if self.f0_thz < 0:
             raise ScenarioError("f0_thz must be >= 0")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ScenarioError("tol must be > 0 and max_iter >= 1")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise ScenarioError("tol must be finite and > 0, max_iter >= 1")
         self.medium()           # rejects invalid medium parameters
         return self
 
     def medium(self) -> disp.DispersionModel:
         """The dispersion model; invalid parameters raise ScenarioError."""
-        p = self.medium_params
         try:
+            p = {key: _in_range(key, float(raw))
+                 for key, raw in self.medium_params.items()}
             if self.medium_kind == "nondispersive":
-                return disp.NonDispersive(eps=float(p.get("eps", 1.0)),
-                                          mu=float(p.get("mu", 1.0)))
+                return disp.NonDispersive(eps=p.get("eps", 1.0),
+                                          mu=p.get("mu", 1.0))
             if self.medium_kind == "plasma":
-                f_p = float(p.get("f_p_thz", 500.0))
                 return disp.ColdPlasma(
-                    omega_p=omega_from_thz(f_p))
+                    omega_p=omega_from_thz(p.get("f_p_thz", 500.0)))
             return disp.lorentz_from_thz(**{
-                dst: float(p[src]) for src, dst in _LORENTZ_KEYS.items()
-                if src in p})
+                dst: p[src] for src, dst in _LORENTZ_KEYS.items() if src in p})
         except ValueError as err:
             raise ScenarioError(f"invalid {self.medium_kind} medium: {err}")
+
+
+def _in_range(name: str, value: float) -> float:
+    """value if 0 or of magnitude 1e-12 to 1e12, else ScenarioError: the model
+    squares ranges and raises frequencies to the sixth power in doubles."""
+    if not (value == 0 or 1e-12 <= abs(value) <= 1e12):
+        raise ScenarioError(f"{name} must be 0 or of magnitude 1e-12 to 1e12")
+    return value
 
 
 def _get(cp, section, key, cast, default):

@@ -91,25 +91,25 @@ def phase(ctx: PhaseContext, omega: float, tau: float) -> float:
 
 
 def _grad_and_hess(ctx, omega, tau):
-    """grad S and the 2x2 Hessian of S in (omega, tau), from one dispersion
-    sample and one geometry evaluation."""
+    """grad S and the Hessian of S in (omega, tau), from one dispersion
+    sample and one geometry evaluation, as five floats:
+    (S_w, S_tau, S_ww, S_wtau, S_tautau)."""
     s, g = _eval_pieces(ctx, omega, tau)
-    grad = np.array([g.r / s.v_group - (ctx.t - tau),
-                     -s.k.real * g.v_rad + (omega - ctx.omega0)])
-    off = 1.0 - g.v_rad / s.v_group
-    hess = np.array([[s.k_second * g.r, off],
-                     [off, -s.k.real * g.dv_rad_dtau]])
-    return grad, hess
+    k = s.k.real
+    return (g.r / s.v_group - (ctx.t - tau),
+            -k * g.v_rad + (omega - ctx.omega0), s.k_second * g.r,
+            1.0 - g.v_rad / s.v_group, -k * g.dv_rad_dtau)
 
 
 def gradient(ctx: PhaseContext, omega: float, tau: float) -> Tuple[float, float]:
     """(dS/domega, dS/dtau) from analytic dispersion and geometry."""
-    return tuple(_grad_and_hess(ctx, omega, tau)[0].tolist())
+    return _grad_and_hess(ctx, omega, tau)[:2]
 
 
 def hessian(ctx: PhaseContext, omega: float, tau: float) -> np.ndarray:
     """The 2x2 Hessian of S in (omega, tau)."""
-    return _grad_and_hess(ctx, omega, tau)[1]
+    _, _, h_ww, h_wt, h_tt = _grad_and_hess(ctx, omega, tau)
+    return np.array([[h_ww, h_wt], [h_wt, h_tt]])
 
 
 def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
@@ -129,8 +129,9 @@ def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
     return float(det), signature
 
 
-def _make_point(h, omega, tau, res, iters, method) -> StationaryPoint:
-    """Classify the Hessian h of a converged point (omega, tau)."""
+def _make_point(d, omega, tau, iters, method) -> StationaryPoint:
+    """Classify a converged point with ``_grad_and_hess`` output d."""
+    h = np.array([[d[2], d[3]], [d[3], d[4]]])
     try:
         det, sig = classify(h)
         degenerate = False
@@ -139,8 +140,14 @@ def _make_point(h, omega, tau, res, iters, method) -> StationaryPoint:
         sig = 0
         degenerate = True
     return StationaryPoint(omega_s=omega, tau_s=tau, hessian=h, det=det,
-                           signature=sig, residual_norm=res, iterations=iters,
-                           converged=True, method=method, degenerate=degenerate)
+                           signature=sig, residual_norm=_norm(d),
+                           iterations=iters, converged=True, method=method,
+                           degenerate=degenerate)
+
+
+def _norm(d) -> float:
+    """|grad S| of phase derivatives d."""
+    return math.sqrt(d[0] * d[0] + d[1] * d[1])
 
 
 def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
@@ -209,36 +216,42 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
     band are treated as infeasible: the first full-step band exit is projected
     back by halving, a second one aborts.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
-    F, J = _grad_and_hess(ctx, w, tau)
+    d = _grad_and_hess(ctx, w, tau)
     band_exits = 0
     for it in range(1, max_iter + 1):
-        res = float(np.linalg.norm(F))
+        res = _norm(d)
         if res <= tol:
-            return _make_point(J, w, tau, res, it - 1, "newton")
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+            return _make_point(d, w, tau, it - 1, "newton")
+        # Closed-form solve of H step = -grad S; numpy's LAPACK call costs
+        # more than the whole phase evaluation on a 2x2 system.
+        f_w, f_t, h_ww, h_wt, h_tt = d
+        det = h_ww * h_tt - h_wt * h_wt
+        if det == 0.0:
             raise NoConvergence(
                 "singular Jacobian (caustic) at the current iterate",
                 diagnostics=_failed_point(w, tau, res, it, "newton"))
+        step_w = (h_wt * f_t - h_tt * f_w) / det
+        step_t = (h_wt * f_w - h_ww * f_t) / det
         merit = 0.5 * res * res
         alpha = 1.0
         accepted = False
         full_step_left_band = False
         for _ in range(_MAX_HALVINGS + 1):
-            wt, tt = w + alpha * step[0], tau + alpha * step[1]
+            wt, tt = w + alpha * step_w, tau + alpha * step_t
             try:
-                Ft, Jt = _grad_and_hess(ctx, wt, tt)
+                d_trial = _grad_and_hess(ctx, wt, tt)
             except (EvanescentRegime, ObserverOnTrajectory, ValueError):
                 if alpha == 1.0:
                     full_step_left_band = True
                 alpha *= 0.5
                 continue
-            if 0.5 * float(Ft @ Ft) <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
-                w, tau, F, J = wt, tt, Ft, Jt
+            g_w, g_t = d_trial[:2]
+            if 0.5 * (g_w * g_w + g_t * g_t) \
+                    <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
+                w, tau, d = wt, tt, d_trial
                 accepted = True
                 break
             alpha *= 0.5
@@ -255,9 +268,9 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
             raise NoConvergence(
                 f"line search stalled at iteration {it}, residual {res:.3e}",
                 diagnostics=_failed_point(w, tau, res, it, "newton"))
-    res = float(np.linalg.norm(F))
+    res = _norm(d)
     if res <= tol:
-        return _make_point(J, w, tau, res, max_iter, "newton")
+        return _make_point(d, w, tau, max_iter, "newton")
     raise NoConvergence(
         f"no convergence in {max_iter} iterations, residual {res:.3e}",
         diagnostics=_failed_point(w, tau, res, max_iter, "newton"))
@@ -311,6 +324,8 @@ def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
     Refuses when the contraction bounds, sampled over a neighborhood of the
     seed (the region the iteration explores), reach 1.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
     try:
         w1, tau1 = _fixed_point_step(ctx, w, tau)
@@ -328,11 +343,10 @@ def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
         d_tau, d_w = abs(tau_new - tau), abs(w_new - w)
         w, tau = w_new, tau_new
         if d_tau < tol and d_w < tol:
-            F, H = _grad_and_hess(ctx, w, tau)
-            return _make_point(H, w, tau, float(np.linalg.norm(F)), it,
+            return _make_point(_grad_and_hess(ctx, w, tau), w, tau, it,
                                "fixed-point")
     try:
-        res = float(np.linalg.norm(_grad_and_hess(ctx, w, tau)[0]))
+        res = _norm(_grad_and_hess(ctx, w, tau))
     except (EvanescentRegime, ObserverOnTrajectory, ValueError):
         res = math.nan
     raise NoConvergence(f"fixed point did not settle in {max_iter} iterations",

@@ -15,6 +15,7 @@ oracle is authoritative).
 """
 
 from dataclasses import dataclass
+from math import isfinite, sqrt
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -31,6 +32,7 @@ Vec3 = np.ndarray
 
 _MIN_RANGE = 1e-12          # l0 units; closer counts as "on the trajectory"
 _FD_REL_STEP = 1e-6
+_ZERO = (0.0, 0.0, 0.0)
 
 
 def as_vec3(x) -> Vec3:
@@ -81,11 +83,9 @@ Trajectory = Union[StraightLine, OffsetLine, CustomTrajectory]
 
 
 def position(traj: Trajectory, tau: float) -> Vec3:
-    if isinstance(traj, OffsetLine):
-        return np.array([0.0, traj.v * tau, traj.H])
-    if isinstance(traj, StraightLine):
-        return np.asarray(traj.origin) + np.asarray(traj.velocity) * tau
-    return as_vec3(traj.position_fn(tau))
+    if isinstance(traj, CustomTrajectory):
+        return as_vec3(traj.position_fn(tau))
+    return np.array(_state(traj, tau)[0])
 
 
 def _richardson(f: Callable[[float], np.ndarray], tau: float) -> np.ndarray:
@@ -97,17 +97,15 @@ def _richardson(f: Callable[[float], np.ndarray], tau: float) -> np.ndarray:
 
 
 def velocity(traj: Trajectory, tau: float) -> Vec3:
-    if isinstance(traj, OffsetLine):
-        return np.array([0.0, traj.v, 0.0])
-    if isinstance(traj, StraightLine):
-        return np.asarray(traj.velocity, dtype=float)
+    if not isinstance(traj, CustomTrajectory):
+        return np.array(_state(traj, tau)[1])
     if traj.velocity_fn is not None:
         return as_vec3(traj.velocity_fn(tau))
     return _richardson(lambda s: position(traj, s), tau)
 
 
 def acceleration(traj: Trajectory, tau: float) -> Vec3:
-    if isinstance(traj, (OffsetLine, StraightLine)):
+    if not isinstance(traj, CustomTrajectory):
         return np.zeros(3)
     if traj.acceleration_fn is not None:
         return as_vec3(traj.acceleration_fn(tau))
@@ -116,9 +114,15 @@ def acceleration(traj: Trajectory, tau: float) -> Vec3:
     return _richardson(lambda s: velocity(traj, s), tau)
 
 
-def _is_reduced_precision(traj: Trajectory) -> bool:
-    return isinstance(traj, CustomTrajectory) and (
-        traj.velocity_fn is None or traj.acceleration_fn is None)
+def _state(traj: Trajectory, tau: float):
+    """Position, velocity and acceleration at tau, as float triples."""
+    if isinstance(traj, OffsetLine):
+        return (0.0, traj.v * tau, traj.H), (0.0, traj.v, 0.0), _ZERO
+    if isinstance(traj, StraightLine):
+        (o0, o1, o2), v = traj.origin, traj.velocity
+        return (o0 + v[0] * tau, o1 + v[1] * tau, o2 + v[2] * tau), v, _ZERO
+    return (position(traj, tau).tolist(), velocity(traj, tau).tolist(),
+            acceleration(traj, tau).tolist())
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,14 @@ class AmplitudeGeometry:
     reduced_precision: bool = False
 
 
-def _range(traj: Trajectory, x, tau: float):
-    """Range r and unit direction u from the source at tau to observer x."""
-    d = as_vec3(x) - position(traj, tau)
-    r = float(np.linalg.norm(d))
-    if r < _MIN_RANGE:
-        raise ObserverOnTrajectory(f"observer within {_MIN_RANGE} of source")
-    return r, d / r
+def _float3(x):
+    """x as three finite floats; ValueError as in ``as_vec3`` otherwise."""
+    if type(x) is tuple and len(x) == 3:
+        x0, x1, x2 = x
+        if type(x0) is type(x1) is type(x2) is float \
+                and isfinite(x0) and isfinite(x1) and isfinite(x2):
+            return x
+    return tuple(as_vec3(x).tolist())
 
 
 def geometry(traj: Trajectory, x, tau: float) -> Geometry:
@@ -154,14 +159,23 @@ def geometry(traj: Trajectory, x, tau: float) -> Geometry:
     dv_rad/dtau uses d(x - x0)/dtau = -v and d r/dtau = -v_rad:
 
         d/dtau (v . u) = a . u + (v_rad**2 - |v|**2)/r
+
+    Plain floats: numpy's per-call cost on 3-vectors is several times the
+    arithmetic, and this runs once per Newton trial point.
     """
-    r, u = _range(traj, x, tau)
-    v = velocity(traj, tau)
-    v_rad = float(v @ u)
-    a = acceleration(traj, tau)
-    dv_rad = float(a @ u) + (v_rad * v_rad - float(v @ v)) / r
-    return Geometry(r=r, unit_dir=u, v_rad=v_rad, dv_rad_dtau=dv_rad,
-                    reduced_precision=_is_reduced_precision(traj))
+    x0, x1, x2 = _float3(x)
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = _state(traj, float(tau))
+    d0, d1, d2 = x0 - p0, x1 - p1, x2 - p2
+    r = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    if r < _MIN_RANGE:
+        raise ObserverOnTrajectory(f"observer within {_MIN_RANGE} of source")
+    u0, u1, u2 = d0 / r, d1 / r, d2 / r
+    v_rad = v0 * u0 + v1 * u1 + v2 * u2
+    dv_rad = (a0 * u0 + a1 * u1 + a2 * u2) \
+        + (v_rad * v_rad - (v0 * v0 + v1 * v1 + v2 * v2)) / r
+    reduced = isinstance(traj, CustomTrajectory) and (
+        traj.velocity_fn is None or traj.acceleration_fn is None)
+    return Geometry(r, np.array((u0, u1, u2)), v_rad, dv_rad, reduced)
 
 
 def amplitude_factors(u: Vec3, r: float, direction: Vec3):
@@ -183,7 +197,7 @@ def amplitude_geometry(traj: Trajectory, x, tau: float) -> AmplitudeGeometry:
     the coordinate-free forms above are their simplification and cover every
     trajectory kind, since only fixed-tau spatial derivatives of r enter.
     """
-    r, u = _range(traj, x, tau)
-    curl, graddiv = amplitude_factors(u, r, velocity(traj, tau))
+    g = geometry(traj, x, tau)
+    curl, graddiv = amplitude_factors(g.unit_dir, g.r, velocity(traj, tau))
     return AmplitudeGeometry(curl_factor=curl, graddiv_factor=graddiv,
-                             reduced_precision=_is_reduced_precision(traj))
+                             reduced_precision=g.reduced_precision)

@@ -67,6 +67,15 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.ini")
 
+    @pytest.mark.parametrize("text", [
+        "[observer]\nx1 = nan\n", "[source]\nf0_thz = inf\n",
+        "[solve]\ntol = nan\n", "[observer]\nt = 1e13\n",
+        "[medium]\nkind = plasma\nf_p_thz = 1e-300\n",
+        "[medium]\nkind = lorentz\nf_te_thz = nan\n"])
+    def test_values_outside_the_modelled_range_rejected(self, text):
+        with pytest.raises(ScenarioError):
+            load_scenario(text, from_text=True)
+
     def test_unknown_sections_and_keys_rejected(self, capsys):
         for text in ("[sovle]\nmethod = newton\n",
                      "[medium]\nkind = lorentz\nneglect_imaginery = false\n",
@@ -96,6 +105,18 @@ class TestScenarioFiles:
         code, out, err = run_cli(capsys, command, *flags, *extra)
         assert code == 2
         assert out == "" and "invalid" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flags", [
+        ("--x1",), ("--x2",), ("--x3",), ("--t",), ("--f0-thz",), ("--v",),
+        ("--tol",), ("--medium", "plasma", "--fp-thz"),
+        ("--medium", "nondispersive", "--eps"),
+        ("--medium", "nondispersive", "--mu")])
+    def test_non_finite_flag_is_a_usage_error(self, capsys, flags, value):
+        *medium, flag = flags
+        code, out, err = run_cli(capsys, "doppler", *medium, f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_medium_construction(self):
         sc = load_scenario("[medium]\nkind = nondispersive\neps = 4\nmu = 1\n",

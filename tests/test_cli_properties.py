@@ -1,0 +1,40 @@
+"""Property test: the ``doppler`` command ends every input with a documented
+exit code and never lets an exception escape."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dopshift import cli
+
+DOCUMENTED = {int(line.split()[0]) for line in
+              cli.__doc__.split("Exit codes:")[1].splitlines()
+              if line.strip()[:1].isdigit()}
+
+FLOAT_FLAGS = ("f0-thz", "v", "x1", "x2", "x3", "t", "tol", "fp-thz", "eps",
+               "mu")
+# Plausible values next to extreme and non-finite ones.
+VALUES = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3),
+                   st.sampled_from([0.0, -0.0, 1e-300, 1e300, 420.0]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
+       method=st.sampled_from([None, "newton", "fixed-point", "closed-form"]),
+       floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS), VALUES),
+       max_iter=st.one_of(st.none(), st.integers(-2, 120)))
+def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
+                                           max_iter):
+    argv = ["doppler"]
+    if medium is not None:
+        argv.append(f"--medium={medium}")
+    if method is not None:
+        argv.append(f"--method={method}")
+    if max_iter is not None:
+        argv.append(f"--max-iter={max_iter}")
+    argv += [f"--{flag}={value!r}" for flag, value in floats.items()]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in DOCUMENTED - {1}, argv
+    assert "Traceback" not in err, argv

@@ -172,6 +172,25 @@ class TestSolvers:
         diag = err.value.diagnostics
         assert diag is not None and not diag.converged
 
+    def test_singular_hessian_raises_no_convergence(self):
+        # Vacuum, and a source at light speed on the line of sight: every
+        # Hessian entry vanishes, so the Newton determinant is exactly 0.
+        ctx = sph.PhaseContext(t=1.0, x=(0.0, 4.0, 0.0), omega0=2.0,
+                               trajectory=trj.StraightLine(velocity=(0, 1, 0)),
+                               dispersion=VACUUM)
+        assert not sph.hessian(ctx, 2.0, -3.0).any()
+        with pytest.raises(NoConvergence, match="singular") as err:
+            sph.solve_newton(ctx, seed=(2.0, -3.0))
+        diag = err.value.diagnostics
+        assert (diag.omega_s, diag.tau_s, diag.iterations) == (2.0, -3.0, 1)
+        assert not diag.converged
+
+    @pytest.mark.parametrize("solve", [sph.solve_newton, sph.solve_fixed_point])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, solve, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve(plasma_ctx(), tol=tol)
+
     def test_fixed_point_no_convergence_diagnostics(self):
         ctx = plasma_ctx()
         with pytest.raises(NoConvergence) as err:

@@ -111,19 +111,107 @@ class TestGeometry:
         assert a.dv_rad_dtau == pytest.approx(b.dv_rad_dtau, rel=1e-14)
 
 
-class TestCustomTrajectory:
-    def _circle(self, radius=2.0, omega=0.3):
-        pos = lambda s: np.array([radius * math.cos(omega * s),
-                                  radius * math.sin(omega * s), 0.0])
-        vel = lambda s: np.array([-radius * omega * math.sin(omega * s),
-                                  radius * omega * math.cos(omega * s), 0.0])
-        acc = lambda s: np.array([-radius * omega ** 2 * math.cos(omega * s),
-                                  -radius * omega ** 2 * math.sin(omega * s),
-                                  0.0])
-        return pos, vel, acc
+def _numpy_geometry(traj, x, tau):
+    """The numpy formula that the float kernel of ``trj.geometry`` replaced,
+    kept as its reference: (r, u, v_rad, dv_rad/dtau)."""
+    d = trj.as_vec3(x) - trj.position(traj, tau)
+    r = float(np.linalg.norm(d))
+    if r < 1e-12:
+        raise ObserverOnTrajectory("observer on the trajectory")
+    u = d / r
+    v = trj.velocity(traj, tau)
+    v_rad = float(v @ u)
+    a = trj.acceleration(traj, tau)
+    return r, u, v_rad, float(a @ u) + (v_rad * v_rad - float(v @ v)) / r
 
+
+def _circle(radius=2.0, omega=0.3):
+    pos = lambda s: np.array([radius * math.cos(omega * s),
+                              radius * math.sin(omega * s), 0.0])
+    vel = lambda s: np.array([-radius * omega * math.sin(omega * s),
+                              radius * omega * math.cos(omega * s), 0.0])
+    acc = lambda s: np.array([-radius * omega ** 2 * math.cos(omega * s),
+                              -radius * omega ** 2 * math.sin(omega * s),
+                              0.0])
+    return pos, vel, acc
+
+
+def _random_trajectory(rng, kind):
+    if kind == "straight":
+        return trj.StraightLine(origin=tuple(rng.normal(size=3)),
+                                velocity=tuple(rng.normal(size=3) * 0.5))
+    if kind == "offset":
+        return trj.OffsetLine(v=float(rng.uniform(-0.9, 0.9)),
+                              H=float(rng.normal()))
+    pos, vel, acc = _circle(float(rng.uniform(0.5, 3.0)),
+                            float(rng.uniform(-0.5, 0.5)))
+    if kind == "custom":
+        return trj.CustomTrajectory(position_fn=pos, velocity_fn=vel,
+                                    acceleration_fn=acc)
+    return trj.CustomTrajectory(position_fn=pos)     # Richardson differences
+
+
+class TestFloatKernelAgainstNumpy:
+    """The plain-float geometry against the numpy formula, within 1e-13 of
+    each quantity's scale (|v| for v_rad, |a| + |v|**2/r for its rate)."""
+
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("kind", ["straight", "offset", "custom",
+                                      "custom-position-only"])
+    def test_random_draws(self, kind):
+        rng = np.random.default_rng(["straight", "offset", "custom",
+                                     "custom-position-only"].index(kind))
+        checked = 0
+        for _ in range(200):
+            traj = _random_trajectory(rng, kind)
+            x = tuple(rng.normal(size=3) * 3)
+            tau = float(rng.normal() * 2)
+            try:
+                r, u, v_rad, dv_rad = _numpy_geometry(traj, x, tau)
+            except ObserverOnTrajectory:
+                continue
+            g = trj.geometry(traj, x, tau)
+            speed = float(np.linalg.norm(trj.velocity(traj, tau)))
+            rate = float(np.linalg.norm(trj.acceleration(traj, tau))) \
+                + speed * speed / r
+            assert abs(g.r - r) <= self.RTOL * r
+            assert np.max(np.abs(g.unit_dir - u)) <= self.RTOL
+            assert abs(g.v_rad - v_rad) <= self.RTOL * speed
+            assert abs(g.dv_rad_dtau - dv_rad) <= self.RTOL * rate
+            assert isinstance(g.unit_dir, np.ndarray)
+            assert g.reduced_precision == (kind == "custom-position-only")
+            checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("kind", ["straight", "offset", "custom"])
+    def test_observer_on_trajectory(self, kind):
+        traj = _random_trajectory(np.random.default_rng(3), kind)
+        x = trj.position(traj, 0.7)
+        for geometry in (_numpy_geometry, trj.geometry):
+            with pytest.raises(ObserverOnTrajectory):
+                geometry(traj, x, 0.7)
+
+    @pytest.mark.parametrize("x", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0),
+                                   np.array([0.0, 1.0, -math.inf]),
+                                   (1.0, 2.0), [[1.0], [2.0], [3.0]], 5.0])
+    def test_bad_observer_rejected(self, x):
+        for geometry in (_numpy_geometry, trj.geometry):
+            with pytest.raises(ValueError):
+                geometry(trj.OffsetLine(v=0.5), x, 0.0)
+
+    @pytest.mark.parametrize("x", [[1, 2, 3], np.array([1.0, 2.0, 3.0]),
+                                   (np.float64(1.0), 2, 3.0)])
+    def test_observer_sequence_kinds(self, x):
+        traj = trj.StraightLine(velocity=(0.1, 0.2, 0.3))
+        a = trj.geometry(traj, x, 0.5)
+        b = trj.geometry(traj, (1.0, 2.0, 3.0), 0.5)
+        assert (a.r, a.v_rad, a.dv_rad_dtau) == (b.r, b.v_rad, b.dv_rad_dtau)
+
+
+class TestCustomTrajectory:
     def test_analytic_callables(self):
-        pos, vel, acc = self._circle()
+        pos, vel, acc = _circle()
         traj = trj.CustomTrajectory(position_fn=pos, velocity_fn=vel,
                                     acceleration_fn=acc)
         g = trj.geometry(traj, (5.0, 1.0, 0.5), 0.9)
@@ -135,7 +223,7 @@ class TestCustomTrajectory:
         assert g.dv_rad_dtau == pytest.approx(fd, rel=1e-6)
 
     def test_position_only_is_reduced_precision(self):
-        pos, vel, _ = self._circle()
+        pos, vel, _ = _circle()
         traj = trj.CustomTrajectory(position_fn=pos)
         full = trj.CustomTrajectory(position_fn=pos, velocity_fn=vel)
         g = trj.geometry(traj, (5.0, 1.0, 0.5), 0.9)
