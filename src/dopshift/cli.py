@@ -30,7 +30,7 @@ from .errors import (BelowCutoff, DegenerateMedium, DopshiftError,
                      NoCherenkovRoot, NoRootInBand, ObserverOnTrajectory,
                      ScenarioError, SuperluminalMach, SuperluminalRadialSpeed,
                      ZeroFrequency)
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, _in_range, load_scenario
 from .units import omega_from_thz, thz_from_omega
 
 EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_NOCONV, EXIT_NOROOT = 0, 1, 2, 3, 4
@@ -130,9 +130,16 @@ def _scenario_from_args(args) -> Scenario:
     return sc.validate()
 
 
+def _check_ranges(args, *names):
+    """The scenario range rule on the named numeric flags."""
+    for name in names:
+        _in_range("--" + name.replace("_", "-"), getattr(args, name))
+
+
 # -- subcommands --------------------------------------------------------------
 
 def cmd_dispersion_sweep(args) -> int:
+    _check_ranges(args, "f_start_thz", "f_end_thz")
     if not (args.f_start_thz < args.f_end_thz) or args.n < 2:
         print("error: need f_start < f_end and n >= 2", file=sys.stderr)
         return EXIT_USAGE
@@ -215,15 +222,13 @@ def cmd_doppler_sweep(args) -> int:
             rows.append((float(f0), None, None, type(err).__name__))
     _emit(header, rows, sc.out_format, sc.out_path)
     if len(good) >= 3:
-        f0s = np.array([g[0] for g in good])
-        fss = np.array([g[1] for g in good])
-        line = fss[0] + (fss[-1] - fss[0]) * (f0s - f0s[0]) / (f0s[-1] - f0s[0])
-        metric = float(np.max(np.abs(fss - line)))
+        metric = validation._secant_deviation(*np.array(good).T)
         print(f"nonlinearity_metric_thz = {metric:.9g}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_plasma(args) -> int:
+    _check_ranges(args, "f0_thz", "fp_thz")
     try:
         closed, sp = fld.plasma_head_on(
             omega_from_thz(args.f0_thz), omega_from_thz(args.fp_thz),
@@ -241,6 +246,7 @@ def cmd_plasma(args) -> int:
 
 
 def cmd_cherenkov(args) -> int:
+    _check_ranges(args, "eps", "mu", "x1", "x2", "x3", "t")
     try:
         model = disp.NonDispersive(eps=args.eps, mu=args.mu)
         contr = fld.cherenkov_solve(model, (0.0, 0.0, args.v),

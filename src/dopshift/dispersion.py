@@ -117,9 +117,9 @@ class DispersionSample:
     frequency.
 
     ``v_phase``, ``v_group`` and ``k_second`` are None outside the propagating
-    band.  ``k_prime`` is dk/domega (the group slowness).  For the
-    metamaterial ``k`` is omega Re n (Im n is neglected, and ``k_prime`` and
-    ``k_second`` follow from Re n); the complex eps, mu and n stay available.
+    band.  For the metamaterial ``k`` is omega Re n (Im n is neglected, and
+    ``v_group`` and ``k_second`` follow from Re n); the complex eps, mu and n
+    stay available.
     """
 
     omega: float
@@ -129,7 +129,6 @@ class DispersionSample:
     k: complex
     v_phase: float | None
     v_group: float | None
-    k_prime: float | None
     k_second: float | None
     propagating: bool
 
@@ -276,7 +275,7 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
         return DispersionSample(
             omega=omega, eps=complex(model.eps), mu=complex(model.mu),
             n=complex(n), k=complex(k), v_phase=1.0 / n, v_group=1.0 / n,
-            k_prime=n, k_second=0.0, propagating=True)
+            k_second=0.0, propagating=True)
 
     if isinstance(model, ColdPlasma):
         eps = permittivity(model, omega)
@@ -291,15 +290,14 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
             kpp = -wp * wp / k2 ** 1.5
             return DispersionSample(
                 omega=omega, eps=eps, mu=1.0 + 0.0j, n=complex(n),
-                k=complex(k), v_phase=vp, v_group=vg, k_prime=1.0 / vg,
-                k_second=kpp, propagating=True)
+                k=complex(k), v_phase=vp, v_group=vg, k_second=kpp,
+                propagating=True)
         # Evanescent: limiting-absorption rule gives a purely imaginary k.
         k = 1j * math.sqrt(-k2)
         n = k / omega if omega != 0 else complex(0.0)
         return DispersionSample(
             omega=omega, eps=eps, mu=1.0 + 0.0j, n=n, k=k,
-            v_phase=None, v_group=None, k_prime=None, k_second=None,
-            propagating=False)
+            v_phase=None, v_group=None, k_second=None, propagating=False)
 
     eps, mu, n, dn, d2n = _lorentz_chain(model, omega)
     propagating = _wave_dominated(n)
@@ -311,9 +309,9 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
         vg = 1.0 / kp
         return DispersionSample(
             omega=omega, eps=eps, mu=mu, n=n, k=k, v_phase=vp, v_group=vg,
-            k_prime=kp, k_second=kpp, propagating=True)
+            k_second=kpp, propagating=True)
     # Wave-like but with stationary k' (infinite group speed) keeps its
     # propagating flag; the velocities are simply unavailable.
     return DispersionSample(
         omega=omega, eps=eps, mu=mu, n=n, k=k, v_phase=None, v_group=None,
-        k_prime=None, k_second=None, propagating=bool(propagating))
+        k_second=None, propagating=bool(propagating))

@@ -3,12 +3,13 @@ closed-form special cases and the Cherenkov gate.
 
 The magnetic and electric amplitudes of one stationary point are
 
-    H = i k(w_s) a(tau_s) (u x v) e^{i(S + pi/4 sgn)} / (4 pi r sqrt|det|)
-    E = [w_s mu(w_s) v - (v - v_rad u)/r] a(tau_s) e^{i(S + pi/4 sgn)}
-        / (4 pi i r sqrt|det|)
+    H = i k(w_s) (u x v) W,    E = [w_s mu(w_s) v - (v - v_rad u)/r] W / i,
 
-with u the unit source-observer direction and v the source velocity (or the
-polarization vector for a motionless modulated source).
+with u the unit source-observer direction, v the source velocity (or the
+polarization vector for a motionless modulated source), and W the saddle
+weight ``stationary_phase.saddle_contribution`` of the Fourier-Green
+amplitude a(tau_s) / (8 pi**2 r) at (w_s, tau_s); at lam = 1 it equals
+a(tau_s) e^{i(S + pi/4 sgn)} / (4 pi r sqrt|det|).
 """
 
 import enum
@@ -21,11 +22,9 @@ import numpy as np
 from . import dispersion as disp
 from . import stationary_phase as sph
 from . import trajectory as trj
-from .errors import (BelowCutoff, EvanescentRegime,
-                     GroupVelocityMatchesSource, LeftPropagatingBand,
+from .errors import (BelowCutoff, GroupVelocityMatchesSource,
                      NoCherenkovRoot, NoConvergence, NoRootInBand,
-                     ObserverOnTrajectory, SuperluminalMach,
-                     SuperluminalRadialSpeed)
+                     SuperluminalMach, SuperluminalRadialSpeed)
 
 __all__ = [
     "SourceModel", "FieldContribution", "DopplerClass", "moving_source_fields",
@@ -41,7 +40,7 @@ def _unit_envelope(t: float) -> float:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Modulated source: carrier omega0, slow real envelope, charge.
+    """Modulated source: carrier omega0 and slow real envelope.
 
     ``polarization`` supplies the current direction when the trajectory
     velocity vanishes (a motionless modulated source); it is ignored for a
@@ -50,7 +49,6 @@ class SourceModel:
 
     omega0: float
     envelope: Callable[[float], float] = _unit_envelope
-    charge: float = 1.0
     polarization: Optional[tuple] = None
 
     def __post_init__(self):
@@ -104,8 +102,8 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
     if gate and not sp.degenerate and np.any(direction):
         a = float(source.envelope(sp.tau_s))
         curl, graddiv = trj.amplitude_factors(g.unit_dir, g.r, direction)
-        scale = a * np.exp(1j * (s_val + 0.25 * math.pi * sp.signature)) \
-            / (4.0 * math.pi * g.r * math.sqrt(abs(sp.det)))
+        scale = sph.saddle_contribution(ctx.lam, s_val, sp.det, sp.signature,
+                                        a / (8.0 * math.pi ** 2 * g.r))
         h_vec = 1j * s.k.real * curl * scale
         e_vec = (sp.omega_s * s.mu * direction - graddiv) * scale / 1j
     else:
@@ -138,8 +136,7 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
         try:
             points = [sph.solve_newton(ctx, seed=seed, tol=tol,
                                        max_iter=max_iter)]
-        except (NoConvergence, LeftPropagatingBand, EvanescentRegime,
-                ObserverOnTrajectory):
+        except sph.START_FAILURES:
             points = []
     out = [_assemble(source, ctx, sp, gate=True) for sp in points]
     return sorted(out, key=lambda c: c.point.tau_s)
@@ -301,11 +298,10 @@ def _band_interval(model, omega0: float):
 
 
 def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
-                            omega_range=None, n_scan: int = 4001
-                            ) -> list[float]:
+                            omega_range=None) -> list[float]:
     """Roots of g(w) = w (1 + sign * n(w) v) - w0 on the propagating band.
 
-    Scans the band containing omega0 (or the given range) on an n_scan-point
+    Scans the band containing omega0 (or the given range) on a 4001-point
     grid evaluated in one array call, brackets the sign changes, and polishes
     each bracket with Brent's method on the scalar ``dispersion.sample``.
     Returns every root found (ascending); callers select among multiple.
@@ -326,7 +322,7 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
             return math.nan
         return residual(w, s.n.real)
 
-    grid = np.linspace(omega_range[0], omega_range[1], n_scan)
+    grid = np.linspace(omega_range[0], omega_range[1], 4001)
     n_real, propagating = disp.index_and_mask(model, grid)
     vals = np.where(propagating, residual(grid, n_real), np.nan)
     # The array Re n rounds differently from sample's (by about 5e-13 of
@@ -490,8 +486,7 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
     for w0 in np.geomspace(max(omega_scan[0], 1e-3), omega_scan[1], 12):
         try:
             sp = sph.solve_newton(ctx, seed=(w0, t - 1.0), tol=1e-11)
-        except (NoConvergence, LeftPropagatingBand, EvanescentRegime,
-                ObserverOnTrajectory) as err:
+        except sph.START_FAILURES as err:
             last_err = err
             continue
         if sp.omega_s > 1e-8:

@@ -8,9 +8,9 @@ with chi a fixed C-infinity bump (1 on |u| <= 1/2, 0 on |u| >= 1); the limit
 is independent of the bump profile.  A product bump chi(u1/R) chi(u2/R) is
 used so the cutoff folds into the per-axis quadrature weights.
 
-Quadrature: per axis, Gauss-Legendre panels sized from the local phase
-gradient so the node density never drops below ``points_per_osc`` points per
-local phase oscillation (default 12); the 2-D tensor product is evaluated in
+Quadrature: per axis, order-16 Gauss-Legendre panels sized from the local
+phase gradient so the node density never drops below 12 points per local
+phase oscillation; the 2-D tensor product is evaluated in
 blocks of rows, negligible-amplitude points skipped; each block's
 exponential and contraction with the axis weights run on a thread pool of one
 thread per usable CPU, and the block sums are added in block order, so the
@@ -42,6 +42,8 @@ __all__ = [
 
 _CHUNK = 1 << 19          # elements per evaluation block
 _SKIP_REL = 1e-12         # amplitude floor, relative to the sampled maximum
+_POINTS_PER_OSC = 12      # quadrature nodes per local phase oscillation
+_GL_ORDER = 16            # Gauss-Legendre order of each panel
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,14 @@ def _block_sum(lam, amp, P, wx, wy):
     return wx @ np.einsum("ij,j->i", val, wy)
 
 
-def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str,
-                    points_per_osc: int, gl_order: int) -> complex:
+def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str
+                    ) -> complex:
     from concurrent.futures import ThreadPoolExecutor
     grid, gx, gy, amp_scale, ext_x, ext_y = _probe_box(ig, R)
     if amp_scale == 0.0:
         return 0.0 + 0.0j
-    xs, wxs = _axis_rule(ext_x, grid, gx, points_per_osc, gl_order)
-    ys, wys = _axis_rule(ext_y, grid, gy, points_per_osc, gl_order)
+    xs, wxs = _axis_rule(ext_x, grid, gx, _POINTS_PER_OSC, _GL_ORDER)
+    ys, wys = _axis_rule(ext_y, grid, gy, _POINTS_PER_OSC, _GL_ORDER)
     wxs = wxs * smooth_bump(xs / R, profile)
     wys = wys * smooth_bump(ys / R, profile)
     floor = _SKIP_REL * amp_scale
@@ -229,7 +231,6 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str,
 
 def oscillatory_integral_2d(ig: OscillatoryIntegrand, R0: float = 2.0,
                             tol: float = 1e-6, profile: str = "exp",
-                            points_per_osc: int = 12, gl_order: int = 16,
                             max_doublings: int = 10) -> OracleResult:
     """Cutoff-regularized value of the 2-D oscillatory integral.
 
@@ -242,7 +243,7 @@ def oscillatory_integral_2d(ig: OscillatoryIntegrand, R0: float = 2.0,
     prev = None
     R = R0
     for _ in range(max_doublings + 1):
-        cur = _integrate_once(ig, R, profile, points_per_osc, gl_order)
+        cur = _integrate_once(ig, R, profile)
         if prev is not None:
             diff = abs(cur - prev)
             if diff <= tol * max(abs(cur), tol):
@@ -403,8 +404,7 @@ class StudyRow:
     relative_error: float
 
 
-def convergence_rate_study(case, lambdas, R0: float = 3.0, tol: float = 1e-6,
-                           **quad_kwargs):
+def convergence_rate_study(case, lambdas, R0: float = 3.0, tol: float = 1e-6):
     """Relative error of the saddle value against the oracle, per lam.
 
     Returns (rows, slope) with slope the fitted exponent of error vs lam.
@@ -415,7 +415,7 @@ def convergence_rate_study(case, lambdas, R0: float = 3.0, tol: float = 1e-6,
     rows = []
     for lam in lambdas:
         ig, asym, _ = case(lam)
-        res = oscillatory_integral_2d(ig, R0=R0, tol=tol, **quad_kwargs)
+        res = oscillatory_integral_2d(ig, R0=R0, tol=tol)
         err = abs(asym - res.value) / abs(res.value)
         rows.append(StudyRow(lam=lam, asymptotic=asym, oracle=res.value,
                              relative_error=err))

@@ -32,6 +32,10 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 _DEGENERACY_RTOL = 1e-10
 _DEDUPE_SEP = 1e-6
+# What a Newton start can raise when it fails; callers that try several
+# starts skip these.
+START_FAILURES = (NoConvergence, LeftPropagatingBand, EvanescentRegime,
+                  ObserverOnTrajectory)
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,7 @@ def hessian(ctx: PhaseContext, omega: float, tau: float) -> np.ndarray:
     return np.array([[h_ww, h_wt], [h_wt, h_tt]])
 
 
-def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
-             ) -> Tuple[float, int]:
+def classify(h: np.ndarray) -> Tuple[float, int]:
     """Determinant and signature of a symmetric 2x2 Hessian.
 
     Degenerate (caustic) matrices raise; the contribution formula divides by
@@ -123,7 +126,7 @@ def classify(h: np.ndarray, degeneracy_rtol: float = _DEGENERACY_RTOL
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
     eigs = np.linalg.eigvalsh(h)
     scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0 or float(np.min(np.abs(eigs))) < degeneracy_rtol * scale:
+    if scale == 0.0 or float(np.min(np.abs(eigs))) < _DEGENERACY_RTOL * scale:
         raise DegeneratePoint(f"near-singular Hessian, eigenvalues {eigs}")
     signature = int(np.sum(np.sign(eigs)))
     return float(det), signature
@@ -367,8 +370,7 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
             try:
                 sp = solve_newton(ctx, seed=(w0, t0), tol=tol,
                                   max_iter=max_iter)
-            except (NoConvergence, LeftPropagatingBand, EvanescentRegime,
-                    ObserverOnTrajectory, DegeneratePoint):
+            except START_FAILURES:
                 continue
             is_new = all(
                 abs(sp.omega_s - q.omega_s) > _DEDUPE_SEP * max(1.0, abs(q.omega_s))

@@ -24,8 +24,8 @@ from .errors import ObserverOnTrajectory
 
 __all__ = [
     "Vec3", "as_vec3", "StraightLine", "OffsetLine", "CustomTrajectory",
-    "Trajectory", "Geometry", "AmplitudeGeometry", "position", "velocity",
-    "acceleration", "geometry", "amplitude_factors", "amplitude_geometry",
+    "Trajectory", "Geometry", "position", "velocity", "acceleration",
+    "geometry", "amplitude_factors",
 ]
 
 Vec3 = np.ndarray
@@ -136,13 +136,6 @@ class Geometry:
     reduced_precision: bool = False
 
 
-@dataclass(frozen=True)
-class AmplitudeGeometry:
-    curl_factor: Vec3
-    graddiv_factor: Vec3
-    reduced_precision: bool = False
-
-
 def _float3(x):
     """x as three finite floats; ValueError as in ``as_vec3`` otherwise."""
     if type(x) is tuple and len(x) == 3:
@@ -183,21 +176,3 @@ def amplitude_factors(u: Vec3, r: float, direction: Vec3):
     direction d, at range r and unit direction u."""
     d_rad = float(direction @ u)
     return np.cross(u, direction), (direction - d_rad * u) / r
-
-
-def amplitude_geometry(traj: Trajectory, x, tau: float) -> AmplitudeGeometry:
-    """The two 3-vector amplitude factors at fixed emission time.
-
-    curl_factor  = grad r x v = u x v
-    graddiv_factor = grad(v . grad r) = (v - v_rad u)/r
-
-    For motion (0, v*tau, H) these reduce componentwise to
-    (-v (x3-H)/r, 0, v x1/r) and
-    v (-x1 (x2-v tau)/r**3, (x1**2+(x3-H)**2)/r**3, -(x3-H)(x2-v tau)/r**3);
-    the coordinate-free forms above are their simplification and cover every
-    trajectory kind, since only fixed-tau spatial derivatives of r enter.
-    """
-    g = geometry(traj, x, tau)
-    curl, graddiv = amplitude_factors(g.unit_dir, g.r, velocity(traj, tau))
-    return AmplitudeGeometry(curl_factor=curl, graddiv_factor=graddiv,
-                             reduced_precision=g.reduced_precision)

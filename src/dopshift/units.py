@@ -17,19 +17,19 @@ DEFAULT_LENGTH_SCALE = 75e-9     # meters
 
 @dataclass(frozen=True)
 class Normalization:
-    """Scales tying the dimensionless internal system to SI."""
+    """The length scale tying the dimensionless internal system to SI; the
+    velocity scale is c0, which the internal units fix to 1."""
 
     length_scale: float = DEFAULT_LENGTH_SCALE
-    velocity_scale: float = C0_SI
 
     def __post_init__(self):
-        if not (self.length_scale > 0 and self.velocity_scale > 0):
-            raise ValueError("all normalization scales must be positive")
+        if not self.length_scale > 0:
+            raise ValueError("the length scale must be positive")
 
     @property
     def time_scale(self) -> float:
         """Seconds per internal time unit."""
-        return self.length_scale / self.velocity_scale
+        return self.length_scale / C0_SI
 
     def omega_from_thz(self, f_thz: float) -> float:
         """Normalized angular frequency for an ordinary frequency in THz."""

@@ -99,52 +99,28 @@ def _check_band_velocities():
         f"(target {REF_V_GROUP} +/- 10%, {'ok' if vg_ok else 'FAIL'})")
 
 
-def _solve_planar_reference():
-    """Best converged stationary point for the planar metamaterial scenario.
-
-    Tries the default seed first, then a wide seed grid over the propagating
-    range; returns (solution or None, list of all converged points).
-    """
-    model = disp.lorentz_from_thz()
-    p = SCENARIO_2D
-    w0 = omega_from_thz(p["f0_thz"])
-    try:
-        sol = fld.metamaterial_doppler_2d(model, w0, p["v"], p["x1"], p["x2"],
-                                          p["t"])
-        return sol, [sol.point]
-    except DopshiftError:
-        pass
-    ctx = sph.PhaseContext(t=p["t"], x=(p["x1"], p["x2"], 0.0), omega0=w0,
-                           trajectory=trj.OffsetLine(v=p["v"], H=0.0),
-                           dispersion=model)
-    found = sph.solve_grid(ctx, (omega_from_thz(350.0), omega_from_thz(1500.0)),
-                           (-4.0, 3.8), n_omega=10, n_tau=10)
-    if not found:
-        return None, []
-    best = min(found, key=lambda q: abs(q.omega_s - omega_from_thz(
-        REF_2D["f_thz"])))
-    sol = fld.metamaterial_doppler_2d(model, w0, p["v"], p["x1"], p["x2"],
-                                      p["t"], seed=(best.omega_s, best.tau_s))
-    return sol, found
-
-
 @_timed
 def _check_planar_reference_point():
     """Planar scenario (v=0.5, f0=420 THz, x=(0.01, 1.595), t=2) against its
     causal stationary point f = 713.783 +/- 0.5 THz, tau = -0.5577 +/- 0.02,
-    stationary residual < 1e-9, t - tau_s > 0."""
-    sol, found = _solve_planar_reference()
-    if sol is None:
-        return False, "no converged stationary point from any seed"
+    stationary residual < 1e-9, t - tau_s > 0, from a 10x10 seed grid (the
+    default seed lies in the left-handed band, where no point is causal)."""
+    p = SCENARIO_2D
+    box = ((omega_from_thz(350.0), omega_from_thz(1500.0)), (-4.0, 3.8))
+    try:
+        sol = fld.metamaterial_doppler_2d(
+            disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
+            p["x1"], p["x2"], p["t"], seed_box=box, n_seeds=(10, 10))
+    except DopshiftError as err:
+        return False, f"no converged stationary point: {err}"
     f = thz_from_omega(sol.omega_s)
     ok = (abs(f - REF_2D["f_thz"]) <= REF_2D["f_tol"]
           and abs(sol.tau_s - REF_2D["tau"]) <= REF_2D["tau_tol"]
           and sol.point.residual_norm < 1e-9
-          and SCENARIO_2D["t"] - sol.tau_s > 0)
-    others = ", ".join(f"({thz_from_omega(q.omega_s):.2f} THz, {q.tau_s:.4f})"
-                       for q in found[:4])
+          and p["t"] - sol.tau_s > 0)
     return ok, (f"solved f = {f:.4f} THz, tau = {sol.tau_s:.5f}, residual = "
-                f"{sol.point.residual_norm:.2e}; converged points: {others}")
+                f"{sol.point.residual_norm:.2e}, w2d_relative_error = "
+                f"{sol.w2d_relative_error:.2e}")
 
 
 @_timed

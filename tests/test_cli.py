@@ -384,6 +384,21 @@ class TestExitCodeTable:
                                  "--f-end-thz", "10", "--n", "3")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    # Each of these once ended in a traceback (the first four) or exited 0
+    # with an empty cell (the last); the range rule now stops them.
+    @pytest.mark.parametrize("argv", [
+        ("dispersion-sweep", "--medium", "lorentz", "--f-start-thz",
+         "1e-300", "--f-end-thz", "inf"),
+        ("dispersion-sweep", "--medium", "plasma", "--f-start-thz", "0.42",
+         "--f-end-thz", "4.8e138"),
+        ("cherenkov", "--eps", "1e300", "--mu", "1e12", "--x3", "2e175"),
+        ("plasma", "--f0-thz", "1e201"),
+        ("cherenkov", "--t", "nan")])
+    def test_out_of_range_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 def test_import_needs_no_scipy():
     # numpy is the only runtime dependency: starting the CLI loads no scipy

@@ -13,6 +13,13 @@ arithmetic: BLAS ``ddot`` fuses multiply-add and a plain sum does not, so
 their last bits moved.  The values recorded before (``*_NUMPY``) stay as a
 check that the two agree within 1e-12 relative, with equal iteration counts
 and signatures.
+
+The moving-source fields were re-recorded once more when the field amplitude
+took its weight from ``stationary_phase.saddle_contribution`` instead of
+its own prefactor: the weight is now formed as 2 pi / sqrt|det| times
+a / (8 pi**2 r), not a / (4 pi r sqrt|det|), so E and H moved in their last
+bits (at most 3.2e-16 of the largest component).  The values recorded before
+(``*_PREFACTOR``) stay as a check within 1e-12.
 """
 
 import ast
@@ -26,6 +33,7 @@ from dopshift import dispersion as disp
 from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
+from dopshift import validation
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -127,6 +135,12 @@ class TestSolverGolden:
             == sp.hessian.tobytes()
 
 
+MOVING_E_PREFACTOR = (
+    "f0290e30f8b010bf91cc92028683dfbe3d6c03e56d3ea6bfa42b7b5aa5ff74bf"
+    "3f8dbdea4a4106bf61880c575902d5be")
+MOVING_H_PREFACTOR = (
+    "e9c015be9ae752bf077a7ef2acd821bf00000000000000000000000000000000"
+    "5ea1201d685b5c3f0ab7bd6b03c52a3f")
 MOVING_E_NUMPY = (
     "f0290e30f8b010bf19cd92028683dfbe3d6c03e56d3ea6bffe2b7b5aa5ff74bf"
     "418dbdea4a4106bfbc880c575902d5be")
@@ -145,15 +159,17 @@ class TestFieldsGolden:
         c = out[0]
         assert repr(float(c.phase_value)) == "11.113033406934996"
         assert c.E.tobytes().hex() == (
-            "f0290e30f8b010bf91cc92028683dfbe3d6c03e56d3ea6bfa42b7b5aa5ff74bf"
-            "3f8dbdea4a4106bf61880c575902d5be")
+            "f1290e30f8b010bf93cc92028683dfbe3f6c03e56d3ea6bfa52b7b5aa5ff74bf"
+            "418dbdea4a4106bf62880c575902d5be")
         assert c.H.tobytes().hex() == (
-            "e9c015be9ae752bf077a7ef2acd821bf00000000000000000000000000000000"
-            "5ea1201d685b5c3f0ab7bd6b03c52a3f")
-        # Within 1e-12 of the numpy-arithmetic values.
+            "ebc015be9ae752bf087a7ef2acd821bf00000000000000000000000000000000"
+            "60a1201d685b5c3f0cb7bd6b03c52a3f")
+        # Within 1e-12 of the own-prefactor and numpy-arithmetic values.
         assert c.phase_value == pytest.approx(11.113033406934997, rel=1e-12)
-        for got, hex_numpy in ((c.E, MOVING_E_NUMPY), (c.H, MOVING_H_NUMPY)):
-            ref = np.frombuffer(bytes.fromhex(hex_numpy), complex)
+        for got, hex_ref in ((c.E, MOVING_E_PREFACTOR),
+                             (c.H, MOVING_H_PREFACTOR),
+                             (c.E, MOVING_E_NUMPY), (c.H, MOVING_H_NUMPY)):
+            ref = np.frombuffer(bytes.fromhex(hex_ref), complex)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_motionless_source_uses_polarization(self):
@@ -169,6 +185,21 @@ class TestFieldsGolden:
         assert c.H.tobytes().hex() == (
             "366fead27cfba03fc7ea29df9ee7803f74854c30fc6064bf88e6cb0b254944bf"
             "00000000000000000000000000000000")
+
+
+def test_planar_seed_box():
+    # Recorded through the planar check's earlier route: a failing
+    # default-seed solve, its own 10x10 solve_grid, then a re-solve seeded
+    # at the grid point nearest the target.
+    p = validation.SCENARIO_2D
+    sol = fld.metamaterial_doppler_2d(
+        disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
+        p["x1"], p["x2"], p["t"], n_seeds=(10, 10),
+        seed_box=((omega_from_thz(350.0), omega_from_thz(1500.0)),
+                  (-4.0, 3.8)))
+    assert repr((sol.omega_s, sol.tau_s)) \
+        == "(1.1219837606586516, -0.557698681907331)"
+    assert sol.w2d_relative_error < 1e-12
 
 
 DOPPLER_FLAGS = ("doppler", "--medium", "plasma", "--f0-thz", "1000",

@@ -243,36 +243,42 @@ class TestCustomTrajectory:
                 assert speed <= sup_speed + 1e-6
 
 
-class TestAmplitudeGeometry:
+def _factors(traj, x, tau):
+    """(curl, graddiv) factors of the source velocity, as the fields use."""
+    g = trj.geometry(traj, x, tau)
+    return trj.amplitude_factors(g.unit_dir, g.r, trj.velocity(traj, tau))
+
+
+class TestAmplitudeFactors:
     def test_static_source_zero_factors(self):
-        a = trj.amplitude_geometry(trj.OffsetLine(v=0.0, H=0.0),
-                                   (1.0, 2.0, 3.0), 0.5)
-        assert not a.curl_factor.any()
-        assert not a.graddiv_factor.any()
+        curl, graddiv = _factors(trj.OffsetLine(v=0.0, H=0.0),
+                                 (1.0, 2.0, 3.0), 0.5)
+        assert not curl.any()
+        assert not graddiv.any()
 
     def test_printed_example_point(self):
-        a = trj.amplitude_geometry(trj.OffsetLine(v=1.0, H=0.0),
-                                   (1.0, 0.0, 0.0), 0.0)
-        assert a.curl_factor == pytest.approx([0.0, 0.0, 1.0])
+        curl, graddiv = _factors(trj.OffsetLine(v=1.0, H=0.0),
+                                 (1.0, 0.0, 0.0), 0.0)
+        assert curl == pytest.approx([0.0, 0.0, 1.0])
 
     def test_curl_second_component_vanishes_for_offset_motion(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            a = trj.amplitude_geometry(
+            curl, graddiv = _factors(
                 trj.OffsetLine(v=float(rng.uniform(-0.9, 0.9)),
                                H=float(rng.normal())),
                 tuple(rng.normal(size=3) * 2), float(rng.normal()))
-            assert a.curl_factor[1] == 0.0
+            assert curl[1] == 0.0
 
     def test_componentwise_offset_closed_forms(self):
         # motion (0, v tau, H): the corrected printed component list
         v, H, tau = 0.6, 0.3, 1.4
         x = np.array([0.8, -1.1, 2.0])
-        a = trj.amplitude_geometry(trj.OffsetLine(v=v, H=H), x, tau)
+        curl, graddiv = _factors(trj.OffsetLine(v=v, H=H), x, tau)
         r = math.sqrt(x[0] ** 2 + (x[1] - v * tau) ** 2 + (x[2] - H) ** 2)
-        assert a.curl_factor == pytest.approx(
+        assert curl == pytest.approx(
             [-v * (x[2] - H) / r, 0.0, v * x[0] / r], rel=1e-14)
-        assert a.graddiv_factor == pytest.approx(
+        assert graddiv == pytest.approx(
             [-v * x[0] * (x[1] - v * tau) / r ** 3,
              v * (x[0] ** 2 + (x[2] - H) ** 2) / r ** 3,
              -v * (x[2] - H) * (x[1] - v * tau) / r ** 3], rel=1e-12)
@@ -290,22 +296,22 @@ class TestAmplitudeGeometry:
                 continue
             if g.r < 0.5:
                 continue
-            a = trj.amplitude_geometry(traj, x, tau)
+            curl, graddiv = _factors(traj, x, tau)
             v = trj.velocity(traj, tau)
             curl_fd = np.cross(_fd_grad_r(traj, x, tau), v)
             graddiv_fd = _fd_graddiv(traj, x, tau)
             scale = max(1.0, float(np.linalg.norm(v)) / g.r)
-            assert np.allclose(a.curl_factor, curl_fd, rtol=1e-5,
+            assert np.allclose(curl, curl_fd, rtol=1e-5,
                                atol=1e-5 * scale)
-            assert np.allclose(a.graddiv_factor, graddiv_fd, rtol=1e-4,
+            assert np.allclose(graddiv, graddiv_fd, rtol=1e-4,
                                atol=1e-4 * scale)
 
     def test_custom_kind_supported_via_velocity(self):
         pos = lambda s: np.array([0.0, 0.5 * s, 0.0])
         traj = trj.CustomTrajectory(position_fn=pos,
                                     velocity_fn=lambda s: np.array([0, 0.5, 0]))
-        a = trj.amplitude_geometry(traj, (1.0, 2.0, 0.0), 0.3)
-        b = trj.amplitude_geometry(trj.OffsetLine(v=0.5, H=0.0),
-                                   (1.0, 2.0, 0.0), 0.3)
-        assert a.curl_factor == pytest.approx(b.curl_factor)
-        assert a.graddiv_factor == pytest.approx(b.graddiv_factor)
+        curl, graddiv = _factors(traj, (1.0, 2.0, 0.0), 0.3)
+        curl_b, graddiv_b = _factors(trj.OffsetLine(v=0.5, H=0.0),
+                                     (1.0, 2.0, 0.0), 0.3)
+        assert curl == pytest.approx(curl_b)
+        assert graddiv == pytest.approx(graddiv_b)
