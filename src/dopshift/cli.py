@@ -30,7 +30,7 @@ from .errors import (BelowCutoff, DegenerateMedium, DopshiftError,
                      NoCherenkovRoot, NoRootInBand, ObserverOnTrajectory,
                      ScenarioError, SuperluminalMach, SuperluminalRadialSpeed,
                      ZeroFrequency)
-from .scenario import Scenario, _in_range, load_scenario
+from .scenario import Scenario, _carrier_in_range, _in_range, load_scenario
 from .units import omega_from_thz, thz_from_omega
 
 EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_NOCONV, EXIT_NOROOT = 0, 1, 2, 3, 4
@@ -130,10 +130,10 @@ def _scenario_from_args(args) -> Scenario:
     return sc.validate()
 
 
-def _check_ranges(args, *names):
-    """The scenario range rule on the named numeric flags."""
+def _check_ranges(args, *names, rule=_in_range):
+    """The scenario range rule (or ``rule``) on the named numeric flags."""
     for name in names:
-        _in_range("--" + name.replace("_", "-"), getattr(args, name))
+        rule("--" + name.replace("_", "-"), getattr(args, name))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -205,6 +205,7 @@ def cmd_doppler(args) -> int:
 
 
 def cmd_doppler_sweep(args) -> int:
+    _check_ranges(args, "f0_start_thz", "f0_end_thz", rule=_carrier_in_range)
     sc = _scenario_from_args(args)
     if not (args.f0_start_thz < args.f0_end_thz) or args.n < 2:
         print("error: need f0_start < f0_end and n >= 2", file=sys.stderr)

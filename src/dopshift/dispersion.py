@@ -33,8 +33,8 @@ from .units import omega_from_thz
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
     "DispersionSample", "branch_sqrt_product", "permittivity", "permeability",
-    "refraction_index", "sample", "index_and_mask", "lorentz_from_thz",
-    "LORENTZ_DEFAULTS_THZ",
+    "refraction_index", "sample", "index_and_flag", "index_and_mask",
+    "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
 ]
 
 
@@ -173,6 +173,19 @@ def _plasma_k2(model: ColdPlasma, omega):
     return omega * omega - model.omega_p * model.omega_p
 
 
+def _plasma_index(model: ColdPlasma, omega: float):
+    """k**2, k and n = k/omega at one frequency: k real with the sign of
+    omega where k**2 > 0, else the limiting-absorption k = i sqrt(-k**2)."""
+    if omega == 0:
+        raise ZeroFrequency("plasma index diverges at omega = 0")
+    k2 = _plasma_k2(model, omega)
+    if k2 > 0:
+        k = math.copysign(math.sqrt(k2), omega)
+    else:
+        k = 1j * math.sqrt(-k2)
+    return k2, k, k / omega
+
+
 def permittivity(model: DispersionModel, omega: float) -> complex:
     """Relative permittivity eps(omega)."""
     _check_finite(omega)
@@ -206,10 +219,16 @@ def _check_finite(omega: float):
         raise ValueError("frequency must be finite")
 
 
-def _lorentz_chain(model: LorentzMetamaterial, w: float):
-    """eps, mu, n and their first two omega-derivatives (all complex)."""
+def _lorentz_index(model: LorentzMetamaterial, w: float):
+    """eps, mu, n = sqrt(eps*mu) and the two resonance denominators."""
     eps, de = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)
     mu, dm = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)
+    return eps, mu, branch_sqrt_product(eps, mu), de, dm
+
+
+def _lorentz_chain(model: LorentzMetamaterial, w: float):
+    """eps, mu, n and their first two omega-derivatives (all complex)."""
+    eps, mu, n, de, dm = _lorentz_index(model, w)
     pe2, pm2 = model.omega_pe ** 2, model.omega_pm ** 2
     ge = 2.0 * w + 1j * model.gamma_e   # -d(de)/dw
     gm = 2.0 * w + 1j * model.gamma_m
@@ -217,7 +236,6 @@ def _lorentz_chain(model: LorentzMetamaterial, w: float):
     dmu = pm2 * gm / dm ** 2
     d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / de ** 3)
     d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / dm ** 3)
-    n = branch_sqrt_product(eps, mu)
     p1 = deps * mu + eps * dmu                       # (eps*mu)'
     p2 = d2eps * mu + 2.0 * deps * dmu + eps * d2mu  # (eps*mu)''
     dn = p1 / (2.0 * n)
@@ -233,7 +251,8 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
     two routes' n differ by up to about 5e-13 of |n|.  Such a difference can
     flip the propagating rule where Re n**2 and Im n**2 nearly tie, as at a
     bisected band edge, so points within 1e-6 |n|**2 of the tie are taken
-    from ``sample`` (flag and Re n).  The flag then equals
+    from the scalar ``index_and_flag`` (flag and Re n, both equal to
+    ``sample``'s).  The flag then equals
     ``sample(model, w).propagating`` wherever the two routes' n agree to
     well within 1e-6 of |n|, which fails only next to an exact zero of a
     nearly lossless eps or mu.  Where ``sample`` raises (eps or mu exactly
@@ -257,9 +276,27 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
     n_real, propagating = n.real, _wave_dominated(n)
     tie = n.real ** 2 - n.imag ** 2
     for i in np.flatnonzero((np.abs(tie) <= 1e-6 * np.abs(n) ** 2) & (n != 0)):
-        s = sample(model, float(w.flat[i]))
-        n_real.flat[i], propagating.flat[i] = s.n.real, s.propagating
+        n_real.flat[i], propagating.flat[i] = index_and_flag(
+            model, float(w.flat[i]))
     return n_real, propagating
+
+
+def index_and_flag(model: DispersionModel, omega: float) -> tuple:
+    """Re n and the propagating flag at one frequency, with no derivatives.
+
+    The same float operations as ``sample``, so both values equal
+    ``sample(model, omega).n.real`` and ``.propagating`` bit for bit, and
+    the same errors: ValueError on a non-finite omega, ZeroFrequency for a
+    plasma at 0, DegenerateMedium where eps or mu is exactly 0.
+    """
+    _check_finite(omega)
+    if isinstance(model, NonDispersive):
+        return model.index, True
+    if isinstance(model, ColdPlasma):
+        k2, _, n = _plasma_index(model, omega)
+        return n.real, k2 > 0
+    n = _lorentz_index(model, omega)[2]
+    return n.real, _wave_dominated(n)
 
 
 def sample(model: DispersionModel, omega: float) -> DispersionSample:
@@ -278,13 +315,11 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
             k_second=0.0, propagating=True)
 
     if isinstance(model, ColdPlasma):
+        k2, k, n = _plasma_index(model, omega)
         eps = permittivity(model, omega)
         wp = model.omega_p
-        k2 = _plasma_k2(model, omega)
         if k2 > 0:
             aw = abs(omega)
-            k = math.copysign(math.sqrt(k2), omega)
-            n = k / omega
             vp = aw / math.sqrt(k2)
             vg = math.sqrt(k2) / aw
             kpp = -wp * wp / k2 ** 1.5
@@ -292,9 +327,6 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
                 omega=omega, eps=eps, mu=1.0 + 0.0j, n=complex(n),
                 k=complex(k), v_phase=vp, v_group=vg, k_second=kpp,
                 propagating=True)
-        # Evanescent: limiting-absorption rule gives a purely imaginary k.
-        k = 1j * math.sqrt(-k2)
-        n = k / omega if omega != 0 else complex(0.0)
         return DispersionSample(
             omega=omega, eps=eps, mu=1.0 + 0.0j, n=n, k=k,
             v_phase=None, v_group=None, k_second=None, propagating=False)

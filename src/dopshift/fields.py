@@ -262,8 +262,10 @@ def _band_edge(model, omega0: float, step: float, cap: float) -> float:
     Marches omega0 + step + step + ... (the same float sums as a scalar
     loop) while the points propagate and lie strictly inside ``cap``, in
     blocks that double in length so a narrow band costs few samples, then
-    bisects the step that leaves the band 50 times so roots hugging the
-    edge are not cut off.  Returns the last march point when it hits the cap.
+    bisects the step that leaves the band on the scalar
+    ``dispersion.index_and_flag`` so roots hugging the edge are not cut off:
+    at most 50 halvings, stopping once the two ends are adjacent floats.
+    Returns the last march point when it hits the cap.
     """
     good, block = omega0, 32
     while True:
@@ -280,7 +282,9 @@ def _band_edge(model, omega0: float, step: float, cap: float) -> float:
         good, bad = (float(cand[k - 1]) if k else good), float(cand[k])
         for _ in range(50):
             mid = 0.5 * (good + bad)
-            if disp.sample(model, mid).propagating:
+            if mid == good or mid == bad:
+                break
+            if disp.index_and_flag(model, mid)[1]:
                 good = mid
             else:
                 bad = mid
@@ -290,7 +294,7 @@ def _band_edge(model, omega0: float, step: float, cap: float) -> float:
 def _band_interval(model, omega0: float):
     """Contiguous propagating interval containing omega0, within
     [1e-3 omega0, 10 omega0], from a march in 1e-3 omega0 steps."""
-    if not disp.sample(model, omega0).propagating:
+    if not disp.index_and_flag(model, omega0)[1]:
         return None
     step = omega0 * 1e-3
     return (_band_edge(model, omega0, -step, omega0 * 1e-3),
@@ -303,7 +307,8 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
 
     Scans the band containing omega0 (or the given range) on a 4001-point
     grid evaluated in one array call, brackets the sign changes, and polishes
-    each bracket with Brent's method on the scalar ``dispersion.sample``.
+    each bracket with Brent's method on the scalar
+    ``dispersion.index_and_flag``.
     Returns every root found (ascending); callers select among multiple.
     """
     if not -1.0 < v < 1.0:
@@ -317,10 +322,8 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
         return w * (1.0 + sign * n_real * v) - omega0
 
     def g(w):
-        s = disp.sample(model, w)
-        if not s.propagating:
-            return math.nan
-        return residual(w, s.n.real)
+        n_real, propagating = disp.index_and_flag(model, w)
+        return residual(w, n_real) if propagating else math.nan
 
     grid = np.linspace(omega_range[0], omega_range[1], 4001)
     n_real, propagating = disp.index_and_mask(model, grid)

@@ -82,12 +82,11 @@ class Scenario:
             raise ScenarioError(f"unknown method {self.method!r}")
         if self.out_format not in _FORMATS:
             raise ScenarioError(f"unknown output format {self.out_format!r}")
-        for name in ("f0_thz", "h", "x1", "x2", "x3", "t"):
+        _carrier_in_range("f0_thz", self.f0_thz)
+        for name in ("h", "x1", "x2", "x3", "t"):
             _in_range(name, getattr(self, name))
         if not -1.0 < self.v < 1.0:
             raise ScenarioError("source speed must lie in (-1, 1)")
-        if self.f0_thz < 0:
-            raise ScenarioError("f0_thz must be >= 0")
         if not 0 < self.tol < math.inf or self.max_iter < 1:
             raise ScenarioError("tol must be finite and > 0, max_iter >= 1")
         self.medium()           # rejects invalid medium parameters
@@ -115,6 +114,13 @@ def _in_range(name: str, value: float) -> float:
     squares ranges and raises frequencies to the sixth power in doubles."""
     if not (value == 0 or 1e-12 <= abs(value) <= 1e12):
         raise ScenarioError(f"{name} must be 0 or of magnitude 1e-12 to 1e12")
+    return value
+
+
+def _carrier_in_range(name: str, value: float) -> float:
+    """The range rule plus the carrier's sign rule, value >= 0."""
+    if _in_range(name, value) < 0:
+        raise ScenarioError(f"{name} must be >= 0")
     return value
 
 

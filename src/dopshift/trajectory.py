@@ -70,8 +70,7 @@ class CustomTrajectory:
 
     The callables must be pure and safe to call concurrently.  Missing
     velocity/acceleration callables are replaced by central finite
-    differences (one Richardson level) and the resulting geometry is marked
-    reduced-precision.
+    differences (one Richardson level).
     """
 
     position_fn: Callable[[float], Vec3]
@@ -133,7 +132,6 @@ class Geometry:
     unit_dir: Vec3
     v_rad: float
     dv_rad_dtau: float
-    reduced_precision: bool = False
 
 
 def _float3(x):
@@ -166,9 +164,7 @@ def geometry(traj: Trajectory, x, tau: float) -> Geometry:
     v_rad = v0 * u0 + v1 * u1 + v2 * u2
     dv_rad = (a0 * u0 + a1 * u1 + a2 * u2) \
         + (v_rad * v_rad - (v0 * v0 + v1 * v1 + v2 * v2)) / r
-    reduced = isinstance(traj, CustomTrajectory) and (
-        traj.velocity_fn is None or traj.acceleration_fn is None)
-    return Geometry(r, np.array((u0, u1, u2)), v_rad, dv_rad, reduced)
+    return Geometry(r, np.array((u0, u1, u2)), v_rad, dv_rad)
 
 
 def amplitude_factors(u: Vec3, r: float, direction: Vec3):

@@ -384,8 +384,8 @@ class TestExitCodeTable:
                                  "--f-end-thz", "10", "--n", "3")
         assert code == 2 and out == "" and err.startswith("error:")
 
-    # Each of these once ended in a traceback (the first four) or exited 0
-    # with an empty cell (the last); the range rule now stops them.
+    # Each of these once ended in a traceback or exited 0 with an empty
+    # cell or denormal rows; the range rule now stops them.
     @pytest.mark.parametrize("argv", [
         ("dispersion-sweep", "--medium", "lorentz", "--f-start-thz",
          "1e-300", "--f-end-thz", "inf"),
@@ -393,7 +393,12 @@ class TestExitCodeTable:
          "--f-end-thz", "4.8e138"),
         ("cherenkov", "--eps", "1e300", "--mu", "1e12", "--x3", "2e175"),
         ("plasma", "--f0-thz", "1e201"),
-        ("cherenkov", "--t", "nan")])
+        ("cherenkov", "--t", "nan"),
+        # a bare ValueError, a ValueError from the band march, denormal rows
+        ("doppler-sweep", "--f0-start-thz=-5", "--f0-end-thz=5", "--n=3"),
+        ("doppler-sweep", "--f0-start-thz=400", "--f0-end-thz=1e300", "--n=3",
+         "--method=closed-form", "--x1=0"),
+        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=1e-320")])
     def test_out_of_range_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")

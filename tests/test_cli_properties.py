@@ -1,6 +1,6 @@
-"""Property tests: the ``doppler``, ``dispersion-sweep``, ``plasma`` and
-``cherenkov`` commands end every input with a documented exit code and never
-let an exception escape."""
+"""Property tests: the ``doppler``, ``doppler-sweep``, ``dispersion-sweep``,
+``plasma`` and ``cherenkov`` commands end every input with a documented exit
+code and never let an exception escape."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,6 +46,23 @@ def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
         argv.append(f"--method={method}")
     if max_iter is not None:
         argv.append(f"--max-iter={max_iter}")
+    check_exit(capsys, argv + float_flags(floats))
+
+
+@SETTINGS
+@given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
+       method=st.sampled_from([None, "newton", "fixed-point", "closed-form"]),
+       start=VALUES, end=VALUES, n=st.integers(-2, 6),
+       floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS[1:]), VALUES))
+def test_doppler_sweep_returns_a_documented_code(capsys, medium, method, start,
+                                                 end, n, floats):
+    # --n stays small: every point is a full solve
+    argv = ["doppler-sweep", f"--f0-start-thz={start!r}",
+            f"--f0-end-thz={end!r}", f"--n={n}"]
+    if medium is not None:
+        argv.append(f"--medium={medium}")
+    if method is not None:
+        argv.append(f"--method={method}")
     check_exit(capsys, argv + float_flags(floats))
 
 

@@ -139,14 +139,21 @@ class TestSample:
 
 def _scalar_route(model, omegas):
     """Re n, |n| and the propagating flag from scalar ``sample`` calls; a
-    point where ``sample`` raises counts as not propagating with n = 0."""
+    point where ``sample`` raises counts as not propagating with n = 0.
+    Checks on the way that the scalar ``index_and_flag`` gives Re n and the
+    flag bit for bit as ``sample`` does, and raises where it raises."""
     re, mag, flag = [], [], []
-    for w in omegas:
+    for w in map(float, omegas):
         try:
-            s = disp.sample(model, float(w))
-        except (DegenerateMedium, ZeroFrequency):
+            s = disp.sample(model, w)
+        except (DegenerateMedium, ZeroFrequency) as err:
+            with pytest.raises(type(err)):
+                disp.index_and_flag(model, w)
             re.append(0.0), mag.append(0.0), flag.append(False)
             continue
+        n_real, propagating = disp.index_and_flag(model, w)
+        assert type(propagating) is bool and propagating == s.propagating
+        assert repr(n_real) == repr(s.n.real), w
         re.append(s.n.real), mag.append(abs(s.n)), flag.append(s.propagating)
     return np.array(re), np.array(mag), np.array(flag)
 
@@ -156,9 +163,10 @@ def _edge_grid(omega_edge, n=2001):
 
 
 class TestIndexAndMask:
-    """The array route equals the scalar route: the propagating mask
+    """The array route equals the scalar routes: the propagating mask
     exactly, Re n to 1e-12 of |n| (numpy and Python divide complex numbers
-    with different roundings)."""
+    with different roundings).  The scalar ``index_and_flag`` equals
+    ``sample`` bit for bit and raises what it raises."""
 
     @pytest.mark.parametrize("model,omegas", [
         (LORENTZ, omega_from_thz(np.linspace(380.0, 520.0, 14001))),
@@ -195,6 +203,24 @@ class TestIndexAndMask:
         flag = _scalar_route(LORENTZ, omegas)[2]
         assert flag.any() and not flag.all()
         np.testing.assert_array_equal(mask, flag)
+
+    @pytest.mark.parametrize("model,omega,error", [
+        (LORENTZ, math.nan, ValueError),
+        (disp.ColdPlasma(omega_p=1.0), math.inf, ValueError),
+        (disp.NonDispersive(), -math.inf, ValueError),
+        (disp.ColdPlasma(omega_p=1.0), 0.0, ZeroFrequency),
+        (disp.ColdPlasma(omega_p=1.0), -0.0, ZeroFrequency),
+        # lossless resonances with w**2 = omega_t**2 + omega_p**2 exactly
+        (disp.LorentzMetamaterial(4.0, 3.0, 0.0, 1.0, 1.0, 0.0), 5.0,
+         DegenerateMedium),
+        (disp.LorentzMetamaterial(1.0, 1.0, 0.0, 4.0, 3.0, 0.0), 5.0,
+         DegenerateMedium),
+    ])
+    def test_scalar_routes_raise_alike(self, model, omega, error):
+        with pytest.raises(error):
+            disp.sample(model, omega)
+        with pytest.raises(error):
+            disp.index_and_flag(model, omega)
 
     def test_zero_frequency_plasma_not_propagating(self):
         n_real, mask = disp.index_and_mask(disp.ColdPlasma(omega_p=1.0),

@@ -20,6 +20,11 @@ its own prefactor: the weight is now formed as 2 pi / sqrt|det| times
 a / (8 pi**2 r), not a / (4 pi r sqrt|det|), so E and H moved in their last
 bits (at most 3.2e-16 of the largest component).  The values recorded before
 (``*_PREFACTOR``) stay as a check within 1e-12.
+
+The band scan (``fields._band_interval`` and the roots of
+``fields.metamaterial_doppler_1d``) was recorded before its band-edge
+bisection and root polish moved from ``dispersion.sample`` to the
+derivative-free ``dispersion.index_and_flag``.
 """
 
 import ast
@@ -34,6 +39,7 @@ from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift import validation
+from dopshift.errors import DopshiftError
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -239,3 +245,32 @@ def test_dispersion_sweep_stdout(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fbdbc2f2a4b2b57c5204cde74cc192762cd7bd51c02e18fc11a751e26ff559e0")
+
+
+BAND_SCAN_NO_ROOT = 255
+BAND_SCAN = "721265c0d8428487ee5ad3e8cac9cb2b7f36ec660cd5b93adbd8ef01e40613ea"
+
+
+def test_band_scan():
+    # repr of the band interval and of the roots for both signs at three
+    # speeds, or the error type, per carrier
+    lorentz = disp.lorentz_from_thz()
+    carriers = [(lorentz, omega_from_thz(f)) for f in np.r_[
+        np.linspace(380.0, 1000.0, 125), np.linspace(409.5, 433.5, 25)]]
+    carriers += [(disp.NonDispersive(eps=2.25, mu=1.0), float(w))
+                 for w in np.linspace(0.2, 5.0, 5)]
+    carriers += [(disp.ColdPlasma(omega_p=1.0), float(w))
+                 for w in np.linspace(0.5, 4.5, 9)]
+    out = []
+    for model, w0 in carriers:
+        out.append(repr(fld._band_interval(model, w0)))
+        for v in (0.3, 0.5, 0.9):
+            for sign in (+1, -1):
+                try:
+                    out.append(repr(fld.metamaterial_doppler_1d(
+                        model, w0, v, sign)))
+                except DopshiftError as err:
+                    out.append(type(err).__name__)
+    assert len(out) == 7 * len(carriers)
+    assert out.count("NoRootInBand") == BAND_SCAN_NO_ROOT
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == BAND_SCAN

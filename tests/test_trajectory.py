@@ -180,7 +180,6 @@ class TestFloatKernelAgainstNumpy:
             assert abs(g.v_rad - v_rad) <= self.RTOL * speed
             assert abs(g.dv_rad_dtau - dv_rad) <= self.RTOL * rate
             assert isinstance(g.unit_dir, np.ndarray)
-            assert g.reduced_precision == (kind == "custom-position-only")
             checked += 1
         assert checked > 150
 
@@ -215,19 +214,17 @@ class TestCustomTrajectory:
         traj = trj.CustomTrajectory(position_fn=pos, velocity_fn=vel,
                                     acceleration_fn=acc)
         g = trj.geometry(traj, (5.0, 1.0, 0.5), 0.9)
-        assert not g.reduced_precision
         # independent finite difference of v_rad over tau
         h = 1e-6
         fd = (trj.geometry(traj, (5.0, 1.0, 0.5), 0.9 + h).v_rad
               - trj.geometry(traj, (5.0, 1.0, 0.5), 0.9 - h).v_rad) / (2 * h)
         assert g.dv_rad_dtau == pytest.approx(fd, rel=1e-6)
 
-    def test_position_only_is_reduced_precision(self):
+    def test_position_only_velocity_by_finite_differences(self):
         pos, vel, _ = _circle()
         traj = trj.CustomTrajectory(position_fn=pos)
         full = trj.CustomTrajectory(position_fn=pos, velocity_fn=vel)
         g = trj.geometry(traj, (5.0, 1.0, 0.5), 0.9)
-        assert g.reduced_precision
         assert g.v_rad == pytest.approx(
             trj.geometry(full, (5.0, 1.0, 0.5), 0.9).v_rad, rel=1e-8)
 
