@@ -27,9 +27,9 @@ from . import stationary_phase as sph
 from . import trajectory as trj
 from . import validation
 from .errors import (BelowCutoff, DegenerateMedium, DopshiftError,
-                     NoCherenkovRoot, NoRootInBand, ObserverOnTrajectory,
-                     ScenarioError, SuperluminalMach, SuperluminalRadialSpeed,
-                     ZeroFrequency)
+                     FrequencyOutOfRange, NoCherenkovRoot, NoRootInBand,
+                     ObserverOnTrajectory, ScenarioError, SuperluminalMach,
+                     SuperluminalRadialSpeed, ZeroFrequency)
 from .scenario import Scenario, _carrier_in_range, _in_range, load_scenario
 from .units import omega_from_thz, thz_from_omega
 
@@ -37,8 +37,9 @@ EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_NOCONV, EXIT_NOROOT = 0, 1, 2, 3, 4
 
 # (error types, exit code, message prefix); the first matching row wins.
 EXIT_CODES = (
-    ((ScenarioError, ZeroFrequency, DegenerateMedium, BelowCutoff,
-      SuperluminalMach, SuperluminalRadialSpeed, ObserverOnTrajectory),
+    ((ScenarioError, ZeroFrequency, DegenerateMedium, FrequencyOutOfRange,
+      BelowCutoff, SuperluminalMach, SuperluminalRadialSpeed,
+      ObserverOnTrajectory),
      EXIT_USAGE, "error"),
     ((NoRootInBand, NoCherenkovRoot), EXIT_NOROOT, "error: no root"),
     (DopshiftError, EXIT_NOCONV, "error: no convergence"),

@@ -27,14 +27,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateMedium, EvanescentRegime, ZeroFrequency
+from .errors import (DegenerateMedium, EvanescentRegime, FrequencyOutOfRange,
+                     ZeroFrequency)
 from .units import omega_from_thz
 
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
     "DispersionSample", "branch_sqrt_product", "permittivity", "permeability",
     "refraction_index", "sample", "index_and_flag", "index_and_mask",
-    "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
+    "wavenumber_and_group", "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
 ]
 
 
@@ -226,21 +227,33 @@ def _lorentz_index(model: LorentzMetamaterial, w: float):
     return eps, mu, branch_sqrt_product(eps, mu), de, dm
 
 
-def _lorentz_chain(model: LorentzMetamaterial, w: float):
-    """eps, mu, n and their first two omega-derivatives (all complex)."""
+_LORENTZ_MAX_OMEGA = 1e50   # beyond it _lorentz_chain's cubes overflow
+
+
+def _check_lorentz_range(w_max: float):
+    if w_max > _LORENTZ_MAX_OMEGA:
+        raise FrequencyOutOfRange(
+            f"|omega| = {w_max:g} > {_LORENTZ_MAX_OMEGA:g} (normalized)")
+
+
+def _lorentz_chain(model: LorentzMetamaterial, w):
+    """eps, mu, n, Re k = w Re n, k' and k'' (scalar or array w)."""
     eps, mu, n, de, dm = _lorentz_index(model, w)
     pe2, pm2 = model.omega_pe ** 2, model.omega_pm ** 2
     ge = 2.0 * w + 1j * model.gamma_e   # -d(de)/dw
     gm = 2.0 * w + 1j * model.gamma_m
     deps = pe2 * ge / de ** 2
     dmu = pm2 * gm / dm ** 2
-    d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / de ** 3)
-    d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / dm ** 3)
+    # x * (x * x) is the product Python's x ** 3 forms, and numpy's x ** 3
+    # on complex arrays is several times slower
+    d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / (de * (de * de)))
+    d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / (dm * (dm * dm)))
     p1 = deps * mu + eps * dmu                       # (eps*mu)'
     p2 = d2eps * mu + 2.0 * deps * dmu + eps * d2mu  # (eps*mu)''
     dn = p1 / (2.0 * n)
     d2n = (p2 - 2.0 * dn * dn) / (2.0 * n)
-    return eps, mu, n, dn, d2n
+    return (eps, mu, n, w * n.real, n.real + w * dn.real,
+            2.0 * dn.real + w * d2n.real)
 
 
 def index_and_mask(model: DispersionModel, omega) -> tuple:
@@ -279,6 +292,23 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
         n_real.flat[i], propagating.flat[i] = index_and_flag(
             model, float(w.flat[i]))
     return n_real, propagating
+
+
+def wavenumber_and_group(model: DispersionModel, omega) -> tuple:
+    """Re k and v_g on an array of frequencies, from the helpers ``sample``
+    uses; v_g is NaN where ``sample``'s ``v_group`` is None, which right at
+    a band edge may differ by rounding (no tie re-check as in
+    ``index_and_mask``)."""
+    w = np.asarray(omega, dtype=float)
+    if isinstance(model, LorentzMetamaterial):
+        _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
+        _, _, n, k, kp, _ = _lorentz_chain(model, w)
+        ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
+        return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
+    n_real, propagating = index_and_mask(model, w)
+    # v_g = 1/n without dispersion; v_g v_p = 1 in a cold plasma, so v_g = n
+    vg = 1.0 / n_real if isinstance(model, NonDispersive) else n_real
+    return w * n_real, np.where(propagating, vg, np.nan)
 
 
 def index_and_flag(model: DispersionModel, omega: float) -> tuple:
@@ -331,11 +361,10 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
             omega=omega, eps=eps, mu=1.0 + 0.0j, n=n, k=k,
             v_phase=None, v_group=None, k_second=None, propagating=False)
 
-    eps, mu, n, dn, d2n = _lorentz_chain(model, omega)
+    _check_lorentz_range(abs(omega))
+    eps, mu, n, k, kp, kpp = _lorentz_chain(model, omega)
     propagating = _wave_dominated(n)
-    k = complex(omega * n.real)
-    kp = n.real + omega * dn.real
-    kpp = 2.0 * dn.real + omega * d2n.real
+    k = complex(k)
     if propagating and n.real != 0 and kp != 0:
         vp = 1.0 / n.real
         vg = 1.0 / kp

@@ -20,6 +20,10 @@ class DegenerateMedium(DopshiftError):
     """Permittivity or permeability is exactly zero; no refraction index."""
 
 
+class FrequencyOutOfRange(DopshiftError):
+    """A frequency so large that the model's float arithmetic overflows."""
+
+
 class EvanescentRegime(DopshiftError):
     """A propagating-band quantity (group velocity, real wavenumber) was
     requested at a frequency where the wave is evanescent."""
@@ -42,7 +46,8 @@ class NoConvergence(DopshiftError):
     """Solver exhausted its iterations or the line search stalled.
 
     Carries the last iterate as ``diagnostics`` (a StationaryPoint with
-    ``converged=False``) when available.
+    ``converged=False``) when available; from ``solve_line``, the bracket
+    (omega_lo, omega_hi, seed omega, seed tau) whose polish failed.
     """
 
     def __init__(self, message, diagnostics=None):

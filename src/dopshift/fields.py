@@ -122,13 +122,20 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
                          ) -> list[FieldContribution]:
     """Leading-order contributions at observer (t, x), sorted by emission time.
 
+    Without ``seed_box``, one Newton solve from ``seed`` or ``default_seed``.
+    On a line kind a ``seed_box`` selects every causal point
+    (``stationary_phase.solve_line``) and ``n_seeds`` is unused; both stay
+    only because the benchmark passes them.  On a ``CustomTrajectory``
+    Newton runs from an ``n_seeds`` grid over the box.
     No stationary point yields an empty list.  Degenerate (caustic) points
     are kept in the list with zero fields and ``point.degenerate`` set.
     """
     ctx = sph.PhaseContext(t=t, x=tuple(trj.as_vec3(x)), omega0=source.omega0,
                            trajectory=traj, dispersion=model)
     points = []
-    if seed_box is not None:
+    if seed_box is not None and not isinstance(traj, trj.CustomTrajectory):
+        points = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
+    elif seed_box is not None:
         points = sph.solve_grid(ctx, seed_box[0], seed_box[1],
                                 n_omega=n_seeds[0], n_tau=n_seeds[1],
                                 tol=tol, max_iter=max_iter)
@@ -381,28 +388,21 @@ class PlanarDopplerSolution:
 
 def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
                             x2: float, t: float, tol: float = 1e-10,
-                            max_iter: int = 80, seed=None, seed_box=None,
-                            n_seeds=(8, 8)) -> PlanarDopplerSolution:
+                            max_iter: int = 80) -> PlanarDopplerSolution:
     """Joint (omega, tau) solve for planar geometry (x3 = 0, offset H = 0).
 
-    The primary path is the damped Newton solve of the full stationary
-    system; the planar closed form is evaluated afterwards as a consistency
-    check and reported in the result.
+    Of every causal stationary point (``stationary_phase.solve_line``) it
+    takes the one closest in frequency to the carrier, and raises
+    NoConvergence when there is none; the planar closed form is evaluated
+    afterwards as a consistency check and reported in the result.
     """
     traj = trj.OffsetLine(v=v, H=0.0)
     ctx = sph.PhaseContext(t=t, x=(x1, x2, 0.0), omega0=omega0,
                            trajectory=traj, dispersion=model)
-    sp = None
-    if seed_box is None:
-        sp = sph.solve_newton(ctx, seed=seed, tol=tol, max_iter=max_iter)
-    else:
-        found = sph.solve_grid(ctx, seed_box[0], seed_box[1],
-                               n_omega=n_seeds[0], n_tau=n_seeds[1],
-                               tol=tol, max_iter=max_iter)
-        if not found:
-            raise NoConvergence("no stationary point from the seed grid", None)
-        # closest in frequency to the carrier
-        sp = min(found, key=lambda p: abs(p.omega_s - omega0))
+    found = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
+    if not found:
+        raise NoConvergence("no causal stationary point", None)
+    sp = min(found, key=lambda p: abs(p.omega_s - omega0))
     s = disp.sample(model, sp.omega_s)
     r = math.hypot(x1, x2 - v * sp.tau_s)
     denom = r - s.n.real * v * (x2 - v * sp.tau_s)

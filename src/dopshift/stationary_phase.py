@@ -12,7 +12,7 @@ the amplitude normalization of the leading-order contribution.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,13 +25,16 @@ from .errors import (DegeneratePoint, EvanescentRegime, LeftPropagatingBand,
 __all__ = [
     "PhaseContext", "StationaryPoint", "phase", "gradient", "hessian",
     "classify", "default_seed", "solve_newton", "solve_fixed_point",
-    "solve_grid", "contribution", "saddle_contribution",
+    "solve_grid", "solve_line", "contribution", "saddle_contribution",
 ]
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 _DEGENERACY_RTOL = 1e-10
 _DEDUPE_SEP = 1e-6
+# solve_line: base grid nodes per propagating band, sub-cells per split
+# cell, and the relative width below which no cell is split.
+_LINE_GRID, _LINE_SPLIT, _LINE_MIN_CELL = 513, 16, 1e-11
 # What a Newton start can raise when it fails; callers that try several
 # starts skip these.
 START_FAILURES = (NoConvergence, LeftPropagatingBand, EvanescentRegime,
@@ -372,13 +375,171 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
                                   max_iter=max_iter)
             except START_FAILURES:
                 continue
-            is_new = all(
-                abs(sp.omega_s - q.omega_s) > _DEDUPE_SEP * max(1.0, abs(q.omega_s))
-                or abs(sp.tau_s - q.tau_s) > _DEDUPE_SEP * max(1.0, abs(q.tau_s))
-                for q in found)
-            if is_new:
+            if not any(_repeats(sp, q) for q in found):
                 found.append(sp)
     return sorted(found, key=lambda p: p.tau_s)
+
+
+def _line_roots(ctx, geo, w):
+    """tau and D = omega - omega0 - k v_rad on the near and the far causal
+    root of the retardation equation at each omega (NaN where there is
+    none), and its discriminant disc (NaN where v_g <= 0).  With u = t - tau
+    and e = x - x0(t), r = v_g u reads (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2
+    = 0, so u = |e|^2 / (sqrt(disc) - e.v) and, where v_g < |v|, u =
+    (sqrt(disc) - e.v) / (|v|^2 - v_g^2); they join where disc = 0 (a fold).
+    """
+    ee, ev, vv = geo
+    k, vg = disp.wavenumber_and_group(ctx.dispersion, w)
+    disc = np.where(vg > 0, vg * vg * ee - (vv * ee - ev * ev), np.nan)
+    den = np.sqrt(np.where(disc > 0, disc, 0.0)) - ev
+    near = (disc >= 0) & (den > 0)
+    rows = []
+    for ok, num, div in ((near, ee, den),
+                         (near & (vv > vg * vg), den, vv - vg * vg)):
+        u = np.divide(num, div, out=np.full(w.shape, np.nan), where=ok)
+        rows += [ctx.t - u, w - ctx.omega0 - k * (ev + vv * u) / (vg * u)]
+    return rows, disc
+
+
+def _turns(d):
+    """Nodes 1..n-2 where the discrete slope of D turns towards zero and D
+    is within the turn's size of zero, so D may cross zero near them."""
+    s = np.diff(d)
+    return (np.sign(s[:-1]) * np.sign(s[1:]) < 0) \
+        & ((s[:-1] > 0) == (d[1:-1] < 0)) \
+        & (np.abs(d[1:-1]) <= np.abs(s[:-1]) + np.abs(s[1:]))
+
+
+def _joints(w, rows, disc):
+    """(j, m): both roots exist at node j with D of opposite signs, and
+    join before its neighbour m, where the near root is gone: disc < 0 at
+    m, or disc carried on from j's other neighbour reaches zero by m."""
+    dn, df = rows[1], rows[3]
+    split = (np.signbit(dn) != np.signbit(df)) & ~np.isnan(df)
+    gone = np.isnan(dn)
+    out = []
+    for j, m in [(i + 1, i) for i in np.flatnonzero(gone[:-1] & split[1:])] \
+            + [(i, i + 1) for i in np.flatnonzero(split[:-1] & gone[1:])]:
+        b = 2 * j - m
+        reach = disc[j] + (disc[j] - disc[b]) * (w[m] - w[j]) \
+            / (w[j] - w[b]) if 0 <= b < len(w) else math.nan
+        if disc[m] < 0 or not reach > 0:
+            out.append((j, m))
+    return out
+
+
+def _hidden(w, rows, disc, ev):
+    """Cells that may hide a root: the cells around a turn; a cell where a
+    root ends, unless D carried on across it keeps its sign; for e.v < 0,
+    one where the near root ends with no far root (it ends at a fold, which
+    the far root reaches first); a joint with no node past its fold yet."""
+    cells = np.zeros(len(w) - 1, dtype=bool)
+    for d in rows[1::2]:
+        turn = _turns(d)
+        cells[:-1] |= turn
+        cells[1:] |= turn
+        valid = ~np.isnan(d)
+        for j in np.flatnonzero(valid[:-1] != valid[1:]):
+            a, b = (j, j - 1) if valid[j] else (j + 1, j + 2)
+            ahead = 2.0 * d[a] - d[b] if 0 <= b < len(d) else math.nan
+            cells[j] |= not ahead * d[a] > 0
+    near, far = ~np.isnan(rows[1]), ~np.isnan(rows[3])
+    if ev < 0:
+        cells |= near[:-1] & ~near[1:] & ~far[:-1] \
+            | ~near[:-1] & near[1:] & ~far[1:]
+    for j, m in _joints(w, rows, disc):
+        cells[min(j, m)] |= not disc[m] < 0
+    return cells
+
+
+def solve_line(ctx: PhaseContext, tol: float = 1e-10,
+               max_iter: int = 60) -> list:
+    """Every causal stationary point with omega in [1e-3, 10] omega0 on a
+    ``StraightLine`` or ``OffsetLine``, sorted by tau_s.
+
+    A geometric scan of ``dispersion.index_and_mask`` finds the propagating
+    bands.  On a grid of each, ``_line_roots`` gives D on the near and far
+    branch; cells that may hide a root (``_hidden``) are split until none
+    wider than 1e-11 omega is left.  Each sign change of D, on a branch or
+    across a fold, is polished by ``solve_newton`` from inside its bracket,
+    and raises NoConvergence (the bracket as diagnostics) unless it ends at
+    a causal point in the bracket.  A point that two brackets share, or
+    where D touches zero without a sign change, has ``degenerate=True``.
+    """
+    traj = ctx.trajectory
+    if not isinstance(traj, (trj.StraightLine, trj.OffsetLine)):
+        raise TypeError("solve_line needs a StraightLine or OffsetLine")
+    e = np.subtract(ctx.x, trj.position(traj, ctx.t))
+    v = trj.velocity(traj, ctx.t)
+    geo = (float(e @ e), float(e @ v), float(v @ v))
+    if ctx.omega0 == 0 or geo[0] == 0:
+        return []       # an empty range, or the source at x at time t
+    scan = np.geomspace(1e-3 * ctx.omega0, 10.0 * ctx.omega0, 4 * _LINE_GRID)
+    runs = np.flatnonzero(np.diff(np.r_[
+        False, disp.index_and_mask(ctx.dispersion, scan)[1], False]))
+    w = np.unique(np.concatenate([np.linspace(
+        scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)], _LINE_GRID)
+        for a, b in zip(runs[::2], runs[1::2])] or [scan[:0]]))
+    rows, disc = _line_roots(ctx, geo, w)
+    while len(w) > 1:
+        i = np.flatnonzero(_hidden(w, rows, disc, geo[1])
+                           & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
+        if not len(i):
+            break
+        new = (w[i, None] + np.diff(w)[i, None]
+               * np.arange(1, _LINE_SPLIT) / _LINE_SPLIT).ravel()
+        new_rows, new_disc = _line_roots(ctx, geo, new)
+        order = np.argsort(np.r_[w, new], kind="stable")
+        w = np.r_[w, new][order]
+        rows = [np.r_[r, n][order] for r, n in zip(rows, new_rows)]
+        disc = np.r_[disc, new_disc][order]
+    # (lo, hi, seed omega, seed tau, tangent): sign changes, joints, and one
+    # try per run of turns left in the finest cells, from its node nearest
+    # zero (D touches zero there, or rounding makes the run)
+    tries = [(min(w[j], w[m]), max(w[j], w[m]), w[j],
+              0.5 * (rows[0][j] + rows[2][j]), False)
+             for j, m in _joints(w, rows, disc)]
+    for tau, d in zip(rows[::2], rows[1::2]):
+        sb = np.signbit(d)
+        tries += [(w[j], w[j + 1], 0.5 * (w[j] + w[j + 1]),
+                   0.5 * (tau[j] + tau[j + 1]), False) for j in np.flatnonzero(
+                       (sb[:-1] != sb[1:]) & ~np.isnan(d[:-1] + d[1:]))]
+        turns = np.flatnonzero(_turns(d)) + 1
+        for run in np.split(turns, np.flatnonzero(
+                np.diff(w[turns]) > _DEDUPE_SEP * w[turns[1:]]) + 1):
+            if len(run):
+                j = run[np.argmin(np.abs(d[run]))]
+                tries.append((w[run[0] - 1], w[run[-1] + 1], w[j], tau[j],
+                              True))
+    found = []
+    for lo, hi, omega, tau, tangent in sorted(tries, key=lambda q: q[4]):
+        try:
+            sp = solve_newton(ctx, seed=(omega, tau), tol=tol,
+                              max_iter=max_iter)
+        except START_FAILURES:
+            sp = None
+        pad = _DEDUPE_SEP * hi
+        if sp is None or not (lo - pad <= sp.omega_s <= hi + pad
+                              and ctx.t - sp.tau_s > 0):
+            if tangent:
+                continue            # the extremum stays clear of zero
+            raise NoConvergence(
+                f"no causal stationary point polished from the bracket "
+                f"omega in [{lo:.17g}, {hi:.17g}]",
+                diagnostics=(float(lo), float(hi), float(omega), float(tau)))
+        i = next((i for i, q in enumerate(found) if _repeats(sp, q)), None)
+        if i is None:
+            found.append(replace(sp, degenerate=True) if tangent else sp)
+        elif not tangent:
+            found[i] = replace(found[i], degenerate=True)
+    return sorted(found, key=lambda p: p.tau_s)
+
+
+def _repeats(p, q) -> bool:
+    """p is q to within _DEDUPE_SEP max(1, |q|), per component."""
+    return (abs(p.omega_s - q.omega_s)
+            <= _DEDUPE_SEP * max(1.0, abs(q.omega_s))
+            and abs(p.tau_s - q.tau_s) <= _DEDUPE_SEP * max(1.0, abs(q.tau_s)))
 
 
 def saddle_contribution(lam: float, phase_value: float, det: float,

@@ -371,6 +371,7 @@ class TestExitCodeTable:
 
     @pytest.mark.parametrize("cls, code", [
         (errors.ZeroFrequency, 2), (errors.DegenerateMedium, 2),
+        (errors.FrequencyOutOfRange, 2),
         (errors.BelowCutoff, 2), (errors.SuperluminalMach, 2),
         (errors.SuperluminalRadialSpeed, 2), (errors.ScenarioError, 2),
         (errors.NoRootInBand, 4), (errors.NoCherenkovRoot, 4),

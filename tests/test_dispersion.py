@@ -2,13 +2,15 @@
 consistency and the plasma identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
-from dopshift.errors import DegenerateMedium, EvanescentRegime, ZeroFrequency
+from dopshift.errors import (DegenerateMedium, EvanescentRegime,
+                             FrequencyOutOfRange, ZeroFrequency)
 from dopshift.units import omega_from_thz
 
 LORENTZ = disp.lorentz_from_thz()
@@ -243,6 +245,41 @@ class TestIndexAndMask:
         zero = disp.branch_sqrt_product(np.array([0j, 1 + 0j]),
                                         np.array([1 + 0j, 0j]))
         assert zero.tolist() == [0j, 0j]
+
+
+class TestWavenumberAndGroup:
+    @pytest.mark.parametrize("model,omegas", [
+        (LORENTZ, omega_from_thz(np.linspace(380.0, 520.0, 1401))),
+        (LORENTZ, omega_from_thz(np.geomspace(0.42, 4200.0, 401))),
+        (disp.ColdPlasma(omega_p=1.0), np.linspace(0.5, 8.0, 301)),
+        (disp.NonDispersive(eps=2.0, mu=1.5), np.linspace(0.1, 10.0, 101)),
+    ])
+    def test_equals_scalar_sample(self, model, omegas):
+        k, vg = disp.wavenumber_and_group(model, omegas)
+        for w, k_w, vg_w in zip(map(float, omegas), k, vg):
+            s = disp.sample(model, w)
+            assert abs(k_w - s.k.real) <= 1e-12 * w * abs(s.n)
+            if s.v_group is None:
+                assert math.isnan(vg_w)
+            else:
+                assert abs(vg_w - s.v_group) <= 1e-11 * abs(s.v_group)
+
+    def test_no_warning_up_to_a_carrier_of_1e12(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w0 in (1e-12, 1.0, 1e12):
+                disp.wavenumber_and_group(
+                    LORENTZ, np.geomspace(1e-3 * w0, 10.0 * w0, 2001))
+
+
+class TestLorentzOverflow:
+    def test_typed_error_where_the_chain_overflows(self):
+        assert disp.sample(LORENTZ, 1e50).v_group == pytest.approx(1.0)
+        for route in (lambda w: disp.sample(LORENTZ, w),
+                      lambda w: disp.wavenumber_and_group(LORENTZ, [1.0, w])):
+            for w in (1e52, -1e52, 1e200):
+                with pytest.raises(FrequencyOutOfRange):
+                    route(w)
 
 
 class TestGroupVelocityDerivatives:

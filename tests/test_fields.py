@@ -285,11 +285,11 @@ class TestMetamaterialReferenceTargets:
         return 0.5 * (a + b)
 
     @staticmethod
-    def _v_group(w):
+    def _v_group(w, rel_step=1e-5):
         def k(x):
             return x * disp.refraction_index(LORENTZ, x).real
 
-        h = 1e-5 * w
+        h = rel_step * w
         return 2.0 * h / (k(w + h) - k(w - h))
 
     def test_marker_group_velocity(self):
@@ -378,25 +378,57 @@ class TestMovingSourceFields:
             (0.01, 1.595, 0.0), 2.0)
         assert out == []
 
+    # The fold event's five causal points by the route of
+    # TestMetamaterialReferenceTargets (Re n from refraction_index, v_g by a
+    # central difference of omega Re n, here with step 1e-7 omega): at each
+    # tau the Doppler equation is bisected in omega, and the retardation
+    # mismatch then in tau, within (THz, tau) brackets that hold one point.
+    FOLD_BRACKETS = [(415.5, 416.5, -24.0, -21.0),
+                     (409.9, 410.5, 14.197, 14.217),
+                     (397.1, 397.7, 14.38, 14.44),
+                     (395.2, 395.6, 17.2, 17.6),
+                     (429.5, 430.2, 32.0, 33.0)]
+
+    @staticmethod
+    def _fold_reference_point(w0, v, x, t, f_lo, f_hi, tau_lo, tau_hi):
+        ref = TestMetamaterialReferenceTargets
+
+        def doppler_root(tau):
+            d2 = x[1] - v * tau
+            v_rad = v * d2 / math.hypot(x[0], d2)
+            return ref._bisect(lambda w: w - w0 - w * disp.refraction_index(
+                LORENTZ, w).real * v_rad, omega_from_thz(f_lo),
+                omega_from_thz(f_hi))
+
+        def retardation(tau):
+            r = math.hypot(x[0], x[1] - v * tau)
+            return r / ref._v_group(doppler_root(tau), 1e-7) - (t - tau)
+
+        tau = ref._bisect(retardation, tau_lo, tau_hi)
+        return doppler_root(tau), tau
+
     def test_two_arrivals_near_group_velocity_fold(self):
         # a source slightly faster than the band's group-velocity minimum:
-        # the carrier map omega0(omega) folds and two frequencies arrive
+        # the carrier map omega0(omega) folds and several frequencies arrive
         # simultaneously; contributions come back sorted by emission time
-        v = 0.007
+        v, x, t = 0.007, (0.002, 0.1, 0.0), 40.0
         w0 = omega_from_thz(427.8)
         src = fld.SourceModel(omega0=w0)
         out = fld.moving_source_fields(
-            src, trj.OffsetLine(v=v, H=0.0), LORENTZ, (0.002, 0.1, 0.0), 40.0,
+            src, trj.OffsetLine(v=v, H=0.0), LORENTZ, x, t,
             seed_box=((omega_from_thz(411.0), omega_from_thz(432.9)),
                       (-60.0, 39.0)), n_seeds=(12, 8))
-        assert len(out) >= 2
+        assert len(out) == 5
         taus = [c.point.tau_s for c in out]
         assert taus == sorted(taus)
         for c in out:
             s = disp.sample(LORENTZ, c.point.omega_s)
-            g = trj.geometry(trj.OffsetLine(v=v, H=0.0), (0.002, 0.1, 0.0),
-                             c.point.tau_s)
+            g = trj.geometry(trj.OffsetLine(v=v, H=0.0), x, c.point.tau_s)
             assert abs(c.doppler_shift - s.k.real * g.v_rad) <= 1e-9
+        for bracket in self.FOLD_BRACKETS:
+            w, tau = self._fold_reference_point(w0, v, x, t, *bracket)
+            assert len([c for c in out if (c.point.omega_s, c.point.tau_s)
+                        == pytest.approx((w, tau), rel=1e-8)]) == 1
 
 
 class TestCherenkov:

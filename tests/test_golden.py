@@ -193,19 +193,52 @@ class TestFieldsGolden:
             "00000000000000000000000000000000")
 
 
-def test_planar_seed_box():
-    # Recorded through the planar check's earlier route: a failing
-    # default-seed solve, its own 10x10 solve_grid, then a re-solve seeded
-    # at the grid point nearest the target.
+PLANAR_SEED_BOX = (1.1219837606586516, -0.557698681907331)
+
+
+def test_planar_enumerated_point():
+    # Re-pinned when the planar solve moved from a 10x10 seed box (a failing
+    # default-seed solve, its own solve_grid, a re-solve seeded at the grid
+    # point nearest the target) to the enumerated point nearest the carrier;
+    # the seed-box value stays as a check within 1e-10 relative.
     p = validation.SCENARIO_2D
     sol = fld.metamaterial_doppler_2d(
         disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
-        p["x1"], p["x2"], p["t"], n_seeds=(10, 10),
-        seed_box=((omega_from_thz(350.0), omega_from_thz(1500.0)),
-                  (-4.0, 3.8)))
+        p["x1"], p["x2"], p["t"])
     assert repr((sol.omega_s, sol.tau_s)) \
-        == "(1.1219837606586516, -0.557698681907331)"
+        == "(1.1219837606586465, -0.5576986819093854)"
+    assert [sol.omega_s, sol.tau_s] == pytest.approx(
+        list(PLANAR_SEED_BOX), rel=1e-10, abs=0)
     assert sol.w2d_relative_error < 1e-12
+
+
+# repr of (omega_s, tau_s, degenerate) of every point stationary_phase.
+# solve_line returns on the planar and collinear (x1 = 0) reference events
+# (validation.SCENARIO_2D) and on the group-velocity fold event of
+# test_fields (427.8 THz, v 0.007, x (0.002, 0.1, 0), t 40).
+ENUMERATED = {
+    0.01: "[(1.1219837606586465, -0.5576986819093854, False)]",
+    0.0: "[(1.122004468655763, -0.5573969486555227, False)]",
+    "fold": "[(0.6537325736574181, -22.704804922484378, False), "
+            "(0.6448135262666859, 14.206657579125919, False), "
+            "(0.6246849479010764, 14.408074796522387, False), "
+            "(0.6215464254906853, 17.41017136276036, False), "
+            "(0.6756571133999928, 32.61566897322281, False)]",
+}
+
+
+@pytest.mark.parametrize("event", [0.01, 0.0, "fold"])
+def test_enumerated_sets(event):
+    p = validation.SCENARIO_2D
+    if event == "fold":
+        t, x, f0, v = 40.0, (0.002, 0.1, 0.0), 427.8, 0.007
+    else:
+        t, x, f0, v = p["t"], (event, p["x2"], 0.0), p["f0_thz"], p["v"]
+    ctx = sph.PhaseContext(t=t, x=x, omega0=omega_from_thz(f0),
+                           trajectory=trj.OffsetLine(v=v, H=0.0),
+                           dispersion=disp.lorentz_from_thz())
+    assert repr([(p.omega_s, p.tau_s, p.degenerate)
+                 for p in sph.solve_line(ctx)]) == ENUMERATED[event]
 
 
 DOPPLER_FLAGS = ("doppler", "--medium", "plasma", "--f0-thz", "1000",

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
@@ -12,6 +14,7 @@ from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift.errors import (DegeneratePoint, EvanescentRegime, NoConvergence,
                              NotAContraction)
+from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
 VACUUM = disp.NonDispersive(eps=1.0, mu=1.0)
@@ -248,6 +251,150 @@ class TestSolvers:
         g = trj.geometry(ctx.trajectory, ctx.x, sp.tau_s)
         assert ctx.t - sp.tau_s > 0
         assert ctx.t - sp.tau_s == pytest.approx(g.r / s.v_group, rel=1e-10)
+
+
+LORENTZ = disp.lorentz_from_thz()
+
+
+def line_event(t, x, f0_thz, v, H=0.0):
+    """A Lorentz-metamaterial event on an OffsetLine."""
+    return sph.PhaseContext(t=t, x=x, omega0=omega_from_thz(f0_thz),
+                            trajectory=trj.OffsetLine(v=v, H=H),
+                            dispersion=LORENTZ)
+
+
+# The planar and collinear reference events and the group-velocity fold
+# event of test_fields, plus one off-plane event of each medium.
+LINE_EVENTS = {
+    "planar": line_event(2.0, (0.01, 1.595, 0.0), 420.0, 0.5),
+    "collinear": line_event(2.0, (0.0, 1.595, 0.0), 420.0, 0.5),
+    "fold": line_event(40.0, (0.002, 0.1, 0.0), 427.8, 0.007),
+    "lorentz-offset": line_event(22.8, (0.038, 1.797, 0.014), 503.7, 0.114,
+                                 H=0.0043),
+    "plasma-behind": sph.PhaseContext(
+        t=1.0, x=(0.3, -4.0, 0.2), omega0=2.0, dispersion=PLASMA,
+        trajectory=trj.StraightLine(origin=(0.1, 0.0, -0.2),
+                                    velocity=(0.0, 0.6, 0.1))),
+}
+
+
+def assert_causal_stationary(ctx, points, rtol=1e-9):
+    for p in points:
+        assert p.converged and ctx.t - p.tau_s > 0
+        s = disp.sample(ctx.dispersion, p.omega_s)
+        g = trj.geometry(ctx.trajectory, ctx.x, p.tau_s)
+        assert abs(p.omega_s - ctx.omega0 - s.k.real * g.v_rad) \
+            <= rtol * max(1.0, ctx.omega0)
+
+
+class TestSolveLine:
+    @pytest.mark.parametrize("name", sorted(LINE_EVENTS))
+    def test_set_unchanged_when_base_grid_doubles(self, monkeypatch, name):
+        ctx = LINE_EVENTS[name]
+        base = sph.solve_line(ctx)
+        assert base
+        assert_causal_stationary(ctx, base)
+        monkeypatch.setattr(sph, "_LINE_GRID", 2 * sph._LINE_GRID)
+        doubled = sph.solve_line(ctx)
+        assert len(doubled) == len(base)
+        for p, q in zip(base, doubled):
+            assert (q.omega_s, q.tau_s) == pytest.approx(
+                (p.omega_s, p.tau_s), rel=1e-9)
+            assert q.degenerate == p.degenerate
+
+    @settings(max_examples=40, deadline=None)
+    @given(plasma=st.booleans(), f0=st.floats(0.0, 1.0),
+           t=st.floats(-2.0, 40.0), x=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           v=st.floats(-4.0, -0.05), direction=st.floats(0.0, 2 * math.pi))
+    def test_every_point_is_causal_and_stationary(self, plasma, f0, t, x, v,
+                                                  direction):
+        # plasma events: omega0 in (1.05, 5) omega_p, speed up to 0.9,
+        # observer within 6 units; Lorentz: 380-800 THz, speed 1e-4 to 0.9
+        speed = 10.0 ** v
+        if plasma:
+            ctx = sph.PhaseContext(
+                t=t / 8.0, x=tuple(6.0 * c for c in x), omega0=1.05 + 4 * f0,
+                dispersion=PLASMA, trajectory=trj.StraightLine(velocity=(
+                    speed * math.cos(direction), speed * math.sin(direction),
+                    0.1 * speed)))
+        else:
+            ctx = line_event(t, (0.05 * abs(x[0]), 2.0 * x[1],
+                                 0.02 * abs(x[2])), 380.0 + 420.0 * f0, speed,
+                             H=0.01 * abs(x[2]))
+        try:
+            points = sph.solve_line(ctx)
+        except NoConvergence as err:
+            # a bracket whose polish failed is reported, not dropped
+            lo, hi, _, _ = err.diagnostics
+            assert lo <= hi
+            return
+        assert_causal_stationary(ctx, points)
+        taus = [p.tau_s for p in points]
+        assert taus == sorted(taus)
+
+    def test_failed_polish_raises_with_the_bracket(self, monkeypatch):
+        def fail(ctx, seed=None, tol=1e-10, max_iter=60):
+            raise NoConvergence("stalled", None)
+
+        monkeypatch.setattr(sph, "solve_newton", fail)
+        with pytest.raises(NoConvergence) as info:
+            sph.solve_line(LINE_EVENTS["planar"])
+        lo, hi, omega, _ = info.value.diagnostics
+        assert lo <= omega <= hi
+        assert lo == pytest.approx(omega_from_thz(713.78), rel=1e-2)
+
+    def test_tangent_root_is_degenerate(self):
+        # Raise the carrier of the fold event to the top of the near
+        # branch's local maximum of omega - k v_rad near 397.18 THz, so that
+        # D = omega - omega0 - k v_rad touches zero there.
+        ctx = LINE_EVENTS["fold"]
+        e = np.subtract(ctx.x, trj.position(ctx.trajectory, ctx.t))
+        v = trj.velocity(ctx.trajectory, ctx.t)
+        geo = (e @ e, e @ v, v @ v)
+
+        def top(w):
+            return sph._line_roots(ctx, geo, np.array([w]))[0][1][0]
+
+        lo, hi = omega_from_thz(396.8), omega_from_thz(397.3)
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        while hi - lo > 1e-15:
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            if top(a) > top(b):
+                hi = b
+            else:
+                lo = a
+        w_top = 0.5 * (lo + hi)
+        tangent = sph.PhaseContext(
+            t=ctx.t, x=ctx.x, omega0=ctx.omega0 + top(w_top),
+            trajectory=ctx.trajectory, dispersion=ctx.dispersion)
+        points = sph.solve_line(tangent)
+        assert_causal_stationary(tangent, points)
+        touching = [p for p in points
+                    if p.omega_s == pytest.approx(w_top, rel=1e-6)]
+        assert len(touching) == 1 and touching[0].degenerate
+        assert sum(p.degenerate for p in points) == 1
+
+    def test_needs_a_straight_line(self):
+        ctx = sph.PhaseContext(
+            t=1.0, x=(0.0, 4.0, 0.0), omega0=2.0, dispersion=PLASMA,
+            trajectory=trj.CustomTrajectory(lambda s: np.array([0, s, 0.0])))
+        with pytest.raises(TypeError):
+            sph.solve_line(ctx)
+
+    def test_zero_carrier_has_no_range(self):
+        ctx = plasma_ctx(w0=0.0)
+        assert sph.solve_line(ctx) == []
+
+    def test_seed_box_on_custom_trajectory_keeps_the_grid(self):
+        src = fld.SourceModel(omega0=2.0)
+        custom = trj.CustomTrajectory(lambda s: np.array([0.0, 0.5 * s, 0.0]),
+                                      lambda s: np.array([0.0, 0.5, 0.0]))
+        box = ((1.5, 6.0), (-8.0, 0.9))
+        out = fld.moving_source_fields(src, custom, PLASMA, (0.0, 4.0, 0.0),
+                                       1.0, seed_box=box, n_seeds=(5, 5))
+        grid = sph.solve_grid(plasma_ctx(), *box, n_omega=5, n_tau=5)
+        assert [c.point.omega_s for c in out] == pytest.approx(
+            [p.omega_s for p in grid], rel=1e-12)
 
 
 class TestEnvelopeIdentity:
