@@ -165,15 +165,7 @@ def _solve_scenario_point(sc: Scenario):
         if sc.x1 != 0 or sc.x3 != 0 or sc.h != 0:
             raise ScenarioError(
                 "closed-form method needs collinear geometry (x1=x3=h=0)")
-        if sc.medium_kind == "plasma":
-            w = fld.plasma_doppler_closed_form(
-                w0, model.omega_p, abs(sc.v), approaching=sc.v >= 0)
-        else:
-            w = fld.metamaterial_doppler_1d(model, w0, sc.v, +1)[0]
-        s = disp.sample(model, w)
-        tau = fld.retard_1d(sc.v, s.v_group, sc.x2, sc.t)
-        resid = float(np.hypot(*sph.gradient(ctx, w, tau))) \
-            if s.propagating else math.nan
+        w, tau, resid = fld._collinear_point(model, w0, sc.v, sc.x2, sc.t)
         det = sig = None
     else:
         solver = sph.solve_newton if sc.method == "newton" \
@@ -181,7 +173,7 @@ def _solve_scenario_point(sc: Scenario):
         sp = solver(ctx, tol=sc.tol, max_iter=sc.max_iter)
         w, tau = sp.omega_s, sp.tau_s
         resid, det, sig = sp.residual_norm, sp.det, sp.signature
-        s = disp.sample(model, w)
+    s = disp.sample(model, w)
     vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
     cls = fld.doppler_classification(s.k.real, vrad)
     return {

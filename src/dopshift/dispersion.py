@@ -193,9 +193,7 @@ def permittivity(model: DispersionModel, omega: float) -> complex:
     if isinstance(model, NonDispersive):
         return complex(model.eps)
     if isinstance(model, ColdPlasma):
-        if omega == 0:
-            raise ZeroFrequency("plasma permittivity diverges at omega = 0")
-        return complex(1.0 - (model.omega_p / omega) ** 2)
+        return complex(_wave(model, omega)[0])
     return _resonance(model.omega_pe, model.omega_te, model.gamma_e, omega)[0]
 
 
@@ -270,7 +268,8 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
     well within 1e-6 of |n|, which fails only next to an exact zero of a
     nearly lossless eps or mu.  Where ``sample`` raises (eps or mu exactly
     zero, where n = 0; a plasma at omega = 0) the point is marked not
-    propagating.
+    propagating; a metamaterial |omega| above 1e50 raises
+    FrequencyOutOfRange, as in ``sample``.
     """
     w = np.asarray(omega, dtype=float)
     if not np.isfinite(w).all():
@@ -283,6 +282,7 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
         k = np.copysign(np.sqrt(np.where(propagating, k2, 0.0)), w)
         return np.divide(k, w, out=np.zeros_like(w),
                          where=propagating), propagating
+    _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
     eps = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)[0]
     mu = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)[0]
     n = branch_sqrt_product(eps, mu)
@@ -317,7 +317,8 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     The same float operations as ``sample``, so both values equal
     ``sample(model, omega).n.real`` and ``.propagating`` bit for bit, and
     the same errors: ValueError on a non-finite omega, ZeroFrequency for a
-    plasma at 0, DegenerateMedium where eps or mu is exactly 0.
+    plasma at 0, DegenerateMedium where eps or mu is exactly 0, and
+    FrequencyOutOfRange for a metamaterial |omega| above 1e50.
     """
     _check_finite(omega)
     if isinstance(model, NonDispersive):
@@ -325,8 +326,32 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     if isinstance(model, ColdPlasma):
         k2, _, n = _plasma_index(model, omega)
         return n.real, k2 > 0
+    _check_lorentz_range(abs(omega))
     n = _lorentz_index(model, omega)[2]
     return n.real, _wave_dominated(n)
+
+
+def _wave(model: DispersionModel, omega: float) -> tuple:
+    """eps, mu, n, Re k, v_p, v_g, k'' and the propagating flag at one
+    frequency; the speeds and k'' are None outside the band, and where k'
+    is stationary (infinite group speed; the point keeps its flag)."""
+    _check_finite(omega)
+    if isinstance(model, NonDispersive):
+        n = model.index
+        return model.eps, model.mu, n, omega * n, 1.0 / n, 1.0 / n, 0.0, True
+    if isinstance(model, ColdPlasma):
+        k2, k, n = _plasma_index(model, omega)
+        eps = 1.0 - (model.omega_p / omega) ** 2
+        if not k2 > 0:
+            return eps, 1.0, n, k, None, None, None, False
+        aw, ak, wp = abs(omega), math.sqrt(k2), model.omega_p     # ak = |k|
+        return eps, 1.0, n, k, aw / ak, ak / aw, -wp * wp / k2 ** 1.5, True
+    _check_lorentz_range(abs(omega))
+    eps, mu, n, k, kp, kpp = _lorentz_chain(model, omega)
+    propagating = _wave_dominated(n)
+    if propagating and n.real != 0 and kp != 0:
+        return eps, mu, n, k, 1.0 / n.real, 1.0 / kp, kpp, True
+    return eps, mu, n, k, None, None, None, bool(propagating)
 
 
 def sample(model: DispersionModel, omega: float) -> DispersionSample:
@@ -334,45 +359,17 @@ def sample(model: DispersionModel, omega: float) -> DispersionSample:
 
     Pure function: identical inputs give bit-identical outputs.
     """
-    _check_finite(omega)
-
-    if isinstance(model, NonDispersive):
-        n = model.index
-        k = omega * n
-        return DispersionSample(
-            omega=omega, eps=complex(model.eps), mu=complex(model.mu),
-            n=complex(n), k=complex(k), v_phase=1.0 / n, v_group=1.0 / n,
-            k_second=0.0, propagating=True)
-
-    if isinstance(model, ColdPlasma):
-        k2, k, n = _plasma_index(model, omega)
-        eps = permittivity(model, omega)
-        wp = model.omega_p
-        if k2 > 0:
-            aw = abs(omega)
-            vp = aw / math.sqrt(k2)
-            vg = math.sqrt(k2) / aw
-            kpp = -wp * wp / k2 ** 1.5
-            return DispersionSample(
-                omega=omega, eps=eps, mu=1.0 + 0.0j, n=complex(n),
-                k=complex(k), v_phase=vp, v_group=vg, k_second=kpp,
-                propagating=True)
-        return DispersionSample(
-            omega=omega, eps=eps, mu=1.0 + 0.0j, n=n, k=k,
-            v_phase=None, v_group=None, k_second=None, propagating=False)
-
-    _check_lorentz_range(abs(omega))
-    eps, mu, n, k, kp, kpp = _lorentz_chain(model, omega)
-    propagating = _wave_dominated(n)
-    k = complex(k)
-    if propagating and n.real != 0 and kp != 0:
-        vp = 1.0 / n.real
-        vg = 1.0 / kp
-        return DispersionSample(
-            omega=omega, eps=eps, mu=mu, n=n, k=k, v_phase=vp, v_group=vg,
-            k_second=kpp, propagating=True)
-    # Wave-like but with stationary k' (infinite group speed) keeps its
-    # propagating flag; the velocities are simply unavailable.
+    eps, mu, n, k, vp, vg, kpp, propagating = _wave(model, omega)
     return DispersionSample(
-        omega=omega, eps=eps, mu=mu, n=n, k=k, v_phase=None, v_group=None,
-        k_second=None, propagating=bool(propagating))
+        omega=omega, eps=complex(eps), mu=complex(mu), n=complex(n),
+        k=complex(k), v_phase=vp, v_group=vg, k_second=kpp,
+        propagating=propagating)
+
+
+def _wave_floats(model: DispersionModel, omega: float) -> tuple:
+    """``sample``'s (k.real, v_group, k_second) without building it; raises
+    what ``sample`` raises, and EvanescentRegime where v_group is None."""
+    _, _, _, k, _, vg, kpp, _ = _wave(model, omega)
+    if vg is None:
+        raise EvanescentRegime(f"no group velocity at omega={omega:g}")
+    return k, vg, kpp

@@ -370,6 +370,37 @@ def retard_1d(v: float, v_g: float, x2: float, t: float) -> float:
     return (x2 - v_g * t) / denom
 
 
+def _collinear_point(model, omega0: float, v: float, x2: float, t: float):
+    """(omega, tau, |grad S|) of the causal closed-form point nearest the
+    carrier; source on x2 through the origin, observer at (0, x2, 0), t.
+    Each root of ``metamaterial_doppler_1d`` (either sign, each band of
+    ``stationary_phase._bands``) is retarded with its side's geometry:
+    ``retard_1d`` ahead of the source (sign -1), mirrored (-v, -x2) behind
+    it.  Keeps t - tau > 0 and |grad S| <= 1e-9; none raises NoRootInBand."""
+    ctx = sph.PhaseContext(t=t, x=(0.0, x2, 0.0), omega0=omega0,
+                           trajectory=trj.OffsetLine(v=v, H=0.0),
+                           dispersion=model)
+    pairs = []
+    for band in sph._bands(model, omega0) if omega0 > 0 else ():
+        for sign in (+1, -1):
+            try:
+                roots = metamaterial_doppler_1d(model, omega0, v, sign, band)
+            except NoRootInBand:
+                continue
+            for w in roots:
+                vg = disp.sample(model, w).v_group
+                if vg is None or vg == -sign * v:
+                    continue
+                tau = retard_1d(-sign * v, vg, -sign * x2, t)
+                if t - tau > 0:
+                    res = math.hypot(*sph.gradient(ctx, w, tau))
+                    if res <= 1e-9:
+                        pairs.append((w, tau, res))
+    if not pairs:
+        raise NoRootInBand("no causal collinear closed-form point")
+    return min(pairs, key=lambda p: abs(p[0] - omega0))
+
+
 @dataclass(frozen=True)
 class PlanarDopplerSolution:
     """Converged planar stationary point plus the closed-form cross-check.

@@ -82,30 +82,21 @@ class StationaryPoint:
     degenerate: bool = False
 
 
-def _eval_pieces(ctx: PhaseContext, omega: float, tau: float):
-    s = disp.sample(ctx.dispersion, omega).require_propagating()
-    if s.v_group is None:
-        raise EvanescentRegime(
-            f"group velocity undefined at omega={omega:g} (stationary k')")
-    g = trj.geometry(ctx.trajectory, ctx.x, tau)
-    return s, g
-
-
 def phase(ctx: PhaseContext, omega: float, tau: float) -> float:
     """S = k r - omega (t - tau) - omega0 tau (real part of k)."""
-    s, g = _eval_pieces(ctx, omega, tau)
-    return s.k.real * g.r - omega * (ctx.t - tau) - ctx.omega0 * tau
+    k = disp._wave_floats(ctx.dispersion, omega)[0]
+    r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+    return k * r - omega * (ctx.t - tau) - ctx.omega0 * tau
 
 
 def _grad_and_hess(ctx, omega, tau):
     """grad S and the Hessian of S in (omega, tau), from one dispersion
-    sample and one geometry evaluation, as five floats:
+    and one geometry evaluation, as five floats:
     (S_w, S_tau, S_ww, S_wtau, S_tautau)."""
-    s, g = _eval_pieces(ctx, omega, tau)
-    k = s.k.real
-    return (g.r / s.v_group - (ctx.t - tau),
-            -k * g.v_rad + (omega - ctx.omega0), s.k_second * g.r,
-            1.0 - g.v_rad / s.v_group, -k * g.dv_rad_dtau)
+    k, vg, kpp = disp._wave_floats(ctx.dispersion, omega)
+    r, _, v_rad, dv_rad = trj._geometry_floats(ctx.trajectory, ctx.x, tau)
+    return (r / vg - (ctx.t - tau), -k * v_rad + (omega - ctx.omega0),
+            kpp * r, 1.0 - v_rad / vg, -k * dv_rad)
 
 
 def gradient(ctx: PhaseContext, omega: float, tau: float) -> Tuple[float, float]:
@@ -122,16 +113,19 @@ def hessian(ctx: PhaseContext, omega: float, tau: float) -> np.ndarray:
 def classify(h: np.ndarray) -> Tuple[float, int]:
     """Determinant and signature of a symmetric 2x2 Hessian.
 
-    Degenerate (caustic) matrices raise; the contribution formula divides by
-    sqrt(|det|) and must not be applied there.
+    Eigenvalues (a + c)/2 -+ hypot((a - c)/2, b) of the lower triangle, as
+    ``eigvalsh`` reads it.  Degenerate (caustic) matrices raise: the
+    contribution formula divides by sqrt(|det|).
     """
     h = np.asarray(h, dtype=float)
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    eigs = np.linalg.eigvalsh(h)
-    scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0 or float(np.min(np.abs(eigs))) < _DEGENERACY_RTOL * scale:
+    a, b, c = float(h[0, 0]), float(h[1, 0]), float(h[1, 1])
+    mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    eigs = (mid - rad, mid + rad)
+    scale = max(map(abs, eigs))
+    if scale == 0.0 or min(map(abs, eigs)) < _DEGENERACY_RTOL * scale:
         raise DegeneratePoint(f"near-singular Hessian, eigenvalues {eigs}")
-    signature = int(np.sum(np.sign(eigs)))
+    signature = int(math.copysign(1.0, eigs[0]) + math.copysign(1.0, eigs[1]))
     return float(det), signature
 
 
@@ -159,24 +153,26 @@ def _norm(d) -> float:
 def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
     """Non-dispersive closed-form seed evaluated with the carrier's speeds.
 
-    tau from the retardation equation by bisection on [t - 10 r(t), t] at the
-    carrier group velocity, then omega = omega0/(1 - v_rad/c(omega0)).  Falls
-    back to (omega0, t - r/v_g) when there is no retarded sign change.
+    tau is the root of the retardation equation at the carrier group
+    velocity in [t - 10 r(t), t] when its ends differ in sign: in closed
+    form on a line kind (a quadratic with one root there), by bisection on
+    a ``CustomTrajectory``; then omega = omega0/(1 - v_rad/c(omega0)).
+    Falls back to (omega0, t - r/v_g) when there is no retarded sign change.
     """
     w0 = ctx.omega0
     s0 = disp.sample(ctx.dispersion, w0).require_propagating()
     vg0, c0 = s0.v_group, s0.v_phase
 
     def ret(tau):
-        g = trj.geometry(ctx.trajectory, ctx.x, tau)
-        return g.r / vg0 - (ctx.t - tau)
+        r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+        return r / vg0 - (ctx.t - tau)
 
-    r_now = trj.geometry(ctx.trajectory, ctx.x, ctx.t).r
+    r_now = trj._geometry_floats(ctx.trajectory, ctx.x, ctx.t)[0]
     lo, hi = ctx.t - 10.0 * r_now, ctx.t
     tau_seed = None
     try:
         flo, fhi = ret(lo), ret(hi)
-        if flo * fhi < 0:
+        if flo * fhi < 0 and isinstance(ctx.trajectory, trj.CustomTrajectory):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = ret(mid)
@@ -187,25 +183,28 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
                 else:
                     lo, flo = mid, fm
             tau_seed = 0.5 * (lo + hi)
+        elif flo * fhi < 0:     # ret(hi) > 0 > ret(lo): the near root
+            geo = _line_geometry(ctx)
+            tau_seed = ctx.t - geo[0] / float(_retardation(geo, vg0)[1])
     except ObserverOnTrajectory:
         pass
     if tau_seed is None:
         tau_seed = ctx.t - r_now / vg0
     try:
-        v_rad = trj.geometry(ctx.trajectory, ctx.x, tau_seed).v_rad
+        v_rad = trj._geometry_floats(ctx.trajectory, ctx.x, tau_seed)[2]
     except ObserverOnTrajectory:
         v_rad = 0.0
     denom = 1.0 - v_rad / c0
     omega_seed = w0 / denom if abs(denom) > 0.05 else w0
     if omega_seed <= 0:
         omega_seed = w0
-    elif not disp.sample(ctx.dispersion, omega_seed).propagating:
+    elif not disp.index_and_flag(ctx.dispersion, omega_seed)[1]:
         # Project the non-dispersive guess just inside the band edge nearest
         # to the carrier (bisection between the guess and the carrier).
         lo, hi = omega_seed, w0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if disp.sample(ctx.dispersion, mid).propagating:
+            if disp.index_and_flag(ctx.dispersion, mid)[1]:
                 hi = mid
             else:
                 lo = mid
@@ -380,18 +379,31 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
     return sorted(found, key=lambda p: p.tau_s)
 
 
+def _line_geometry(ctx):
+    """(e.e, e.v, v.v) of e = x - x0(t) and the velocity v on a line kind."""
+    e = np.subtract(ctx.x, trj.position(ctx.trajectory, ctx.t))
+    v = trj.velocity(ctx.trajectory, ctx.t)
+    return float(e @ e), float(e @ v), float(v @ v)
+
+
+def _retardation(geo, vg):
+    """disc and den = sqrt(max(disc, 0)) - e.v of r = v_g u, u = t - tau, on
+    a line kind: (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2 = 0 with geo from
+    ``_line_geometry``, disc NaN where v_g <= 0 (vg a float or an array).
+    Near root u = |e|^2 / den (disc >= 0, den > 0); far root, where v_g <
+    |v|, u = den / (|v|^2 - v_g^2); they join where disc = 0 (a fold)."""
+    ee, ev, vv = geo
+    disc = np.where(vg > 0, vg * vg * ee - (vv * ee - ev * ev), np.nan)
+    return disc, np.sqrt(np.maximum(disc, 0.0)) - ev
+
+
 def _line_roots(ctx, geo, w):
     """tau and D = omega - omega0 - k v_rad on the near and the far causal
     root of the retardation equation at each omega (NaN where there is
-    none), and its discriminant disc (NaN where v_g <= 0).  With u = t - tau
-    and e = x - x0(t), r = v_g u reads (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2
-    = 0, so u = |e|^2 / (sqrt(disc) - e.v) and, where v_g < |v|, u =
-    (sqrt(disc) - e.v) / (|v|^2 - v_g^2); they join where disc = 0 (a fold).
-    """
+    none), and its discriminant disc, from ``_retardation``."""
     ee, ev, vv = geo
     k, vg = disp.wavenumber_and_group(ctx.dispersion, w)
-    disc = np.where(vg > 0, vg * vg * ee - (vv * ee - ev * ev), np.nan)
-    den = np.sqrt(np.where(disc > 0, disc, 0.0)) - ev
+    disc, den = _retardation(geo, vg)
     near = (disc >= 0) & (den > 0)
     rows = []
     for ok, num, div in ((near, ee, den),
@@ -452,34 +464,38 @@ def _hidden(w, rows, disc, ev):
     return cells
 
 
+def _bands(model, omega0: float) -> list:
+    """(lo, hi) of each propagating band a geometric scan of [1e-3, 10]
+    omega0 meets, widened to the scan nodes on either side."""
+    scan = np.geomspace(1e-3 * omega0, 10.0 * omega0, 4 * _LINE_GRID)
+    runs = np.flatnonzero(np.diff(np.r_[
+        False, disp.index_and_mask(model, scan)[1], False]))
+    return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
+            for a, b in zip(runs[::2], runs[1::2])]
+
+
 def solve_line(ctx: PhaseContext, tol: float = 1e-10,
                max_iter: int = 60) -> list:
     """Every causal stationary point with omega in [1e-3, 10] omega0 on a
     ``StraightLine`` or ``OffsetLine``, sorted by tau_s.
 
-    A geometric scan of ``dispersion.index_and_mask`` finds the propagating
-    bands.  On a grid of each, ``_line_roots`` gives D on the near and far
-    branch; cells that may hide a root (``_hidden``) are split until none
-    wider than 1e-11 omega is left.  Each sign change of D, on a branch or
+    ``_bands`` finds the propagating bands.  On a grid of each,
+    ``_line_roots`` gives D on the near and far branch; cells that may hide
+    a root (``_hidden``) are split until none wider than 1e-11 omega is
+    left.  Each sign change of D, on a branch or
     across a fold, is polished by ``solve_newton`` from inside its bracket,
     and raises NoConvergence (the bracket as diagnostics) unless it ends at
     a causal point in the bracket.  A point that two brackets share, or
     where D touches zero without a sign change, has ``degenerate=True``.
     """
-    traj = ctx.trajectory
-    if not isinstance(traj, (trj.StraightLine, trj.OffsetLine)):
+    if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
-    e = np.subtract(ctx.x, trj.position(traj, ctx.t))
-    v = trj.velocity(traj, ctx.t)
-    geo = (float(e @ e), float(e @ v), float(v @ v))
+    geo = _line_geometry(ctx)
     if ctx.omega0 == 0 or geo[0] == 0:
         return []       # an empty range, or the source at x at time t
-    scan = np.geomspace(1e-3 * ctx.omega0, 10.0 * ctx.omega0, 4 * _LINE_GRID)
-    runs = np.flatnonzero(np.diff(np.r_[
-        False, disp.index_and_mask(ctx.dispersion, scan)[1], False]))
-    w = np.unique(np.concatenate([np.linspace(
-        scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)], _LINE_GRID)
-        for a, b in zip(runs[::2], runs[1::2])] or [scan[:0]]))
+    w = np.unique(np.concatenate([
+        np.linspace(lo, hi, _LINE_GRID)
+        for lo, hi in _bands(ctx.dispersion, ctx.omega0)] or [np.empty(0)]))
     rows, disc = _line_roots(ctx, geo, w)
     while len(w) > 1:
         i = np.flatnonzero(_hidden(w, rows, disc, geo[1])

@@ -144,8 +144,9 @@ def _float3(x):
     return tuple(as_vec3(x).tolist())
 
 
-def geometry(traj: Trajectory, x, tau: float) -> Geometry:
-    """All scalar geometry at observer x and emission time tau.
+def _geometry_floats(traj: Trajectory, x, tau: float):
+    """``geometry``'s values as floats: (r, unit_dir as a float triple,
+    v_rad, dv_rad/dtau).
 
     dv_rad/dtau uses d(x - x0)/dtau = -v and d r/dtau = -v_rad:
 
@@ -164,11 +165,20 @@ def geometry(traj: Trajectory, x, tau: float) -> Geometry:
     v_rad = v0 * u0 + v1 * u1 + v2 * u2
     dv_rad = (a0 * u0 + a1 * u1 + a2 * u2) \
         + (v_rad * v_rad - (v0 * v0 + v1 * v1 + v2 * v2)) / r
-    return Geometry(r, np.array((u0, u1, u2)), v_rad, dv_rad)
+    return r, (u0, u1, u2), v_rad, dv_rad
+
+
+def geometry(traj: Trajectory, x, tau: float) -> Geometry:
+    """All scalar geometry at observer x and emission time tau."""
+    r, u, v_rad, dv_rad = _geometry_floats(traj, x, tau)
+    return Geometry(r, np.array(u), v_rad, dv_rad)
 
 
 def amplitude_factors(u: Vec3, r: float, direction: Vec3):
     """curl_factor u x d and graddiv_factor (d - (d.u) u)/r of a current
-    direction d, at range r and unit direction u."""
-    d_rad = float(direction @ u)
-    return np.cross(u, direction), (direction - d_rad * u) / r
+    direction d, at range r and unit direction u (``np.cross`` written out)."""
+    d_rad = float(np.dot(direction, u))
+    (u0, u1, u2), (d0, d1, d2) = u, direction
+    curl = u1 * d2 - u2 * d1, u2 * d0 - u0 * d2, u0 * d1 - u1 * d0
+    return (np.array(curl),
+            np.array((d0 - d_rad * u0, d1 - d_rad * u1, d2 - d_rad * u2)) / r)

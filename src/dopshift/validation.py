@@ -124,40 +124,24 @@ def _check_planar_reference_point():
 
 @_timed
 def _check_collinear_reference_point():
-    """Collinear scenario (x1 = 0): the approach-branch (sign = -1) closed-form
-    root in the positive-index band above the permittivity zero, retarded by
-    retard_1d, against f = 713.796 +/- 0.5 THz, tau = -0.5574 +/- 0.02; the
-    pair must be causal (t - tau > 0) and stationary for the full phase
-    (|grad S| < 1e-9)."""
-    model = disp.lorentz_from_thz()
+    """Collinear scenario (x1 = 0): the closed-form point that
+    ``fields._collinear_point`` selects (both branches, each retarded with
+    its own side's geometry; causal, stationary for the full phase to
+    |grad S| <= 1e-9, nearest the carrier) against f = 713.796 +/- 0.5 THz,
+    tau = -0.5574 +/- 0.02."""
     p = SCENARIO_2D
-    w0 = omega_from_thz(p["f0_thz"])
-    # Above the permittivity zero both eps and mu lie below 1, so 0 < n < 1
-    # and every approach root w0 / (1 - n v) lies below w0 / (1 - v).
-    band = (math.hypot(model.omega_te, model.omega_pe), w0 / (1.0 - p["v"]))
     try:
-        roots = fld.metamaterial_doppler_1d(model, w0, p["v"], -1,
-                                            omega_range=band)
+        w, tau, grad = fld._collinear_point(
+            disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
+            p["x2"], p["t"])
     except NoRootInBand:
-        return False, "no approach-branch root above the permittivity zero"
-    ctx = sph.PhaseContext(t=p["t"], x=(0.0, p["x2"], 0.0), omega0=w0,
-                           trajectory=trj.OffsetLine(v=p["v"], H=0.0),
-                           dispersion=model)
-    pairs = [(w, fld.retard_1d(p["v"], disp.sample(model, w).v_group,
-                               p["x2"], p["t"])) for w in roots]
-    w, tau = min(pairs, key=lambda q: abs(q[0] - omega_from_thz(
-        REF_1D["f_thz"])))
+        return False, "no causal closed-form collinear point"
     f = thz_from_omega(w)
-    grad = float(np.hypot(*sph.gradient(ctx, w, tau)))
     ok = (abs(f - REF_1D["f_thz"]) <= REF_1D["f_tol"]
           and abs(tau - REF_1D["tau"]) <= REF_1D["tau_tol"]
           and p["t"] - tau > 0 and grad < 1e-9)
-    listed = ", ".join(f"({thz_from_omega(q):.4f} THz, {tq:.5f})"
-                       for q, tq in pairs)
-    return ok, (f"solved f = {f:.4f} THz, tau = {tau:.5f}, |grad S| = "
-                f"{grad:.2e}; approach roots: {listed}; targets f = "
-                f"{REF_1D['f_thz']} +/- {REF_1D['f_tol']}, tau = "
-                f"{REF_1D['tau']} +/- {REF_1D['tau_tol']}")
+    return ok, (f"solved f = {f:.4f} THz, tau = {tau:.5f}, "
+                f"|grad S| = {grad:.2e}")
 
 
 @_timed

@@ -8,9 +8,10 @@ Criteria (one test each, one PASS/FAIL line each):
   3.  Planar scenario (v=0.5, f0=420 THz, x1=0.01, x2=1.595, t=2) solves to
       its causal stationary point f = 713.783 +/- 0.5 THz,
       tau = -0.5577 +/- 0.02, residual < 1e-9, t - tau_s > 0.
-  4.  Collinear scenario (x1=0): the approach-branch closed-form root above
-      the permittivity zero, retarded by retard_1d, gives f = 713.796 +/-
-      0.5 THz, tau = -0.5574 +/- 0.02, with t - tau > 0 and |grad S| < 1e-9.
+  4.  Collinear scenario (x1=0): the causal closed-form point nearest the
+      carrier (both branches, each retarded with its own side's geometry)
+      gives f = 713.796 +/- 0.5 THz, tau = -0.5574 +/- 0.02, with
+      t - tau > 0 and |grad S| < 1e-9.
   5.  Plasma closed form vs Newton to 1e-9 on the 5x5 (Mach, ratio) grid;
       M=0 exact; plasma-frequency-free limit to 1e-12; < 1 s.
   6.  Motionless source: omega_s = omega0 exactly, det = -1, signature 0,

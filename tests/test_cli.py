@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from dopshift import cli, errors, validation
+from dopshift import stationary_phase as sph
+from dopshift import trajectory as trj
+from dopshift.units import omega_from_thz, thz_from_omega
 from dopshift.scenario import Scenario, load_scenario
 from dopshift.errors import ScenarioError
 
@@ -194,6 +197,30 @@ class TestDoppler:
         assert vals["classification"] == "blue-shift"
         assert float(vals["residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("flags", [
+        ("--medium", "lorentz", "--f0-thz", "420", "--v", "0.5", "--x2",
+         "1.595", "--t", "2"),
+        ("--f0-thz", "420", "--v", "-0.3")])
+    def test_closed_form_is_the_causal_point(self, capsys, flags):
+        # the enumerated causal point nearest the carrier: (713.7961 THz,
+        # tau -0.5574), and of (433.0204 THz, -5.21082) and (280.725 THz,
+        # -1.35663) the first
+        code, out, _ = run_cli(capsys, "doppler", "--method", "closed-form",
+                               "--x1", "0", "--format", "json", *flags)
+        assert code == 0
+        row = json.loads(out)[0]
+        sc = cli._scenario_from_args(cli.build_parser().parse_args(
+            ["doppler", *flags]))
+        w0 = omega_from_thz(sc.f0_thz)
+        ctx = sph.PhaseContext(t=sc.t, x=(0.0, sc.x2, 0.0), omega0=w0,
+                               trajectory=trj.OffsetLine(v=sc.v, H=0.0),
+                               dispersion=sc.medium())
+        sp = min(sph.solve_line(ctx), key=lambda p: abs(p.omega_s - w0))
+        assert row["f_shift_thz"] == pytest.approx(
+            thz_from_omega(sp.omega_s), rel=1e-9, abs=0)
+        assert abs(row["tau"] - sp.tau_s) <= 1e-9 * max(1.0, abs(sp.tau_s))
+        assert row["retarded_time"] > 0 and row["residual"] <= 1e-9
+
     def test_reference_2d_scenario_does_not_converge(self, capsys, tmp_path):
         p = tmp_path / "reference.ini"
         p.write_text(SCENARIO_TEXT)
@@ -235,21 +262,23 @@ class TestDopplerSweep:
         assert metric < 1e-10
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         assert len(rows) == 9
-        # cells carry 9 significant digits
-        assert float(rows[0][1]) == pytest.approx(380 * 2 / 3, rel=1e-8)
+        # cells carry 9 significant digits; the observer at x2 = 10 sees the
+        # source approach, so the causal point is w0 / (1 - v) (blue shift)
+        assert float(rows[0][1]) == pytest.approx(380 * 2, rel=1e-8)
 
     def test_lorentz_sweep_nonlinear_with_error_rows(self, capsys):
         code, out, err = run_cli(capsys, "doppler-sweep", "--medium",
-                                 "lorentz", "--f0-start-thz", "400",
-                                 "--f0-end-thz", "432", "--n", "9",
+                                 "lorentz", "--f0-start-thz", "380",
+                                 "--f0-end-thz", "460", "--n", "9",
                                  "--method", "closed-form", "--x1", "0",
                                  "--x2", "1.595", "--t", "2", "--v", "0.5")
         assert code == 0
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         assert len(rows) == 9
-        # carriers below the band produce error rows, the run continues
-        assert any(r[3] != "" for r in rows)
-        assert any(r[3] == "" for r in rows)
+        # the 380 and 390 THz carriers have no causal collinear point and
+        # give error rows; the run continues
+        assert [r[3] for r in rows[:2]] == ["NoRootInBand"] * 2
+        assert all(r[3] == "" for r in rows[2:])
         metric = float(err.split("=")[1])
         assert metric > 0.0
 

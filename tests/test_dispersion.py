@@ -217,12 +217,15 @@ class TestIndexAndMask:
          DegenerateMedium),
         (disp.LorentzMetamaterial(1.0, 1.0, 0.0, 4.0, 3.0, 0.0), 5.0,
          DegenerateMedium),
+        (LORENTZ, 1e52, FrequencyOutOfRange),
     ])
     def test_scalar_routes_raise_alike(self, model, omega, error):
         with pytest.raises(error):
             disp.sample(model, omega)
         with pytest.raises(error):
             disp.index_and_flag(model, omega)
+        with pytest.raises(error):
+            disp._wave_floats(model, omega)
 
     def test_zero_frequency_plasma_not_propagating(self):
         n_real, mask = disp.index_and_mask(disp.ColdPlasma(omega_p=1.0),
@@ -276,10 +279,50 @@ class TestLorentzOverflow:
     def test_typed_error_where_the_chain_overflows(self):
         assert disp.sample(LORENTZ, 1e50).v_group == pytest.approx(1.0)
         for route in (lambda w: disp.sample(LORENTZ, w),
-                      lambda w: disp.wavenumber_and_group(LORENTZ, [1.0, w])):
+                      lambda w: disp.wavenumber_and_group(LORENTZ, [1.0, w]),
+                      lambda w: disp.index_and_flag(LORENTZ, w),
+                      lambda w: disp.index_and_mask(LORENTZ, [1.0, w])):
             for w in (1e52, -1e52, 1e200):
                 with pytest.raises(FrequencyOutOfRange):
                     route(w)
+
+    def test_band_scan_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrequencyOutOfRange):
+                fld.metamaterial_doppler_1d(LORENTZ, 1e200, 0.5)
+
+
+class TestWaveFloats:
+    """``_wave_floats`` is ``sample``'s (k.real, v_group, k_second) bit for
+    bit, and raises EvanescentRegime where v_group is None."""
+
+    @pytest.mark.parametrize("model,omegas", [
+        (LORENTZ, omega_from_thz(np.linspace(380.0, 520.0, 2801))),
+        (LORENTZ, _edge_grid(math.hypot(LORENTZ.omega_tm, LORENTZ.omega_pm))),
+        (LORENTZ, omega_from_thz(np.geomspace(0.42, 4200.0, 401))),
+        (disp.ColdPlasma(omega_p=1.0), np.linspace(-3.0, 3.0, 601)),
+        (disp.ColdPlasma(omega_p=1.0), _edge_grid(1.0)),
+        (disp.NonDispersive(eps=2.0, mu=1.5), np.linspace(0.0, 10.0, 101)),
+    ])
+    def test_equals_sample(self, model, omegas):
+        kinds = set()
+        for w in map(float, omegas):
+            try:
+                s = disp.sample(model, w)
+            except ZeroFrequency:
+                with pytest.raises(ZeroFrequency):
+                    disp._wave_floats(model, w)
+                continue
+            kinds.add(s.v_group is None)
+            if s.v_group is None:
+                with pytest.raises(EvanescentRegime):
+                    disp._wave_floats(model, w)
+            else:
+                assert repr(disp._wave_floats(model, w)) \
+                    == repr((s.k.real, s.v_group, s.k_second))
+        if not isinstance(model, disp.NonDispersive):
+            assert kinds == {True, False}    # the grid meets an edge
 
 
 class TestGroupVelocityDerivatives:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from dopshift import dispersion as disp
 from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
-from dopshift.errors import (DegeneratePoint, EvanescentRegime, NoConvergence,
-                             NotAContraction)
+from dopshift.errors import (DegeneratePoint, DopshiftError, EvanescentRegime,
+                             NoConvergence, NotAContraction,
+                             ObserverOnTrajectory)
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -150,6 +152,121 @@ class TestClassify:
             det2, sig2 = sph.classify(p @ h @ p)
             assert det2 == pytest.approx(det, rel=1e-12)
             assert sig2 == sig
+
+    @pytest.mark.parametrize("gap", [None, 1e-14, 1e-12, 1e-8, 1e-6])
+    def test_matches_eigvalsh(self, gap):
+        # random symmetric matrices over ten decades, or rotations of
+        # diag(+-s, +-s gap): near-singular well below and well above the
+        # 1e-10 rule, where rounding cannot move a matrix across it
+        rng = np.random.default_rng(13)
+        mats = [np.ones((2, 2)), np.zeros((2, 2)), np.diag([0.0, 2.0])]
+        for _ in range(400):
+            if gap is None:
+                h = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5, 5)
+            else:
+                c, s = math.cos(rng.uniform(0, 7)), math.sin(rng.uniform(0, 7))
+                rot = np.array([[c, -s], [s, c]])
+                eigs = rng.choice([-1.0, 1.0], 2) * [1.0, gap] \
+                    * 10.0 ** rng.uniform(-5, 5)
+                h = rot @ np.diag(eigs) @ rot.T
+            mats.append(h + h.T)
+        for h in mats:
+            eigs = np.linalg.eigvalsh(h)
+            scale = np.max(np.abs(eigs))
+            degenerate = scale == 0 or np.min(np.abs(eigs)) < 1e-10 * scale
+            try:
+                det, sig = sph.classify(h)
+            except DegeneratePoint:
+                assert degenerate
+                continue
+            assert not degenerate
+            assert sig == int(np.sum(np.sign(eigs)))
+            assert det == h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+
+
+def _as_custom(traj):
+    """The line as a ``CustomTrajectory`` with analytic callables that form
+    its position with the same float operations, so its default seed runs
+    the bisection on the same retardation values."""
+    if isinstance(traj, trj.OffsetLine):
+        v, h = traj.v, traj.H
+        return trj.CustomTrajectory(lambda s: np.array([0.0, v * s, h]),
+                                    lambda s: np.array([0.0, v, 0.0]),
+                                    lambda s: np.zeros(3))
+    o, v = np.array(traj.origin), np.array(traj.velocity)
+    return trj.CustomTrajectory(lambda s: o + v * s, lambda s: v.copy(),
+                                lambda s: np.zeros(3))
+
+
+@st.composite
+def line_events(draw):
+    """Plasma, Lorentz and non-dispersive events on line kinds, |v| < 1."""
+    kind = draw(st.sampled_from(["plasma", "lorentz", "nondispersive"]))
+    coord = st.floats(-8.0, 8.0)
+    if kind == "lorentz":
+        model = disp.lorentz_from_thz()
+        w0 = omega_from_thz(draw(st.floats(400.0, 1000.0)))
+        traj = trj.OffsetLine(v=draw(st.floats(-0.99, 0.99)),
+                              H=draw(st.floats(-0.2, 0.2)))
+        x = (draw(st.floats(-0.2, 0.2)), draw(coord), 0.0)
+    else:
+        model = PLASMA if kind == "plasma" \
+            else disp.NonDispersive(eps=draw(st.floats(1.0, 4.0)))
+        w0 = draw(st.floats(1.01, 5.0))
+        speed = st.floats(-0.57, 0.57)
+        traj = trj.StraightLine(origin=tuple(draw(coord) for _ in "xyz"),
+                                velocity=tuple(draw(speed) for _ in "xyz"))
+        x = tuple(draw(coord) for _ in "xyz")
+    return sph.PhaseContext(t=draw(st.floats(-3.0, 3.0)), x=x, omega0=w0,
+                            trajectory=traj, dispersion=model)
+
+
+class TestDefaultSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(ctx=line_events())
+    def test_closed_form_matches_bisection(self, ctx):
+        # The bisection of the same retardation values stops within
+        # 1e-15 max(1, |tau|) of where their rounding (a few ulp of tau)
+        # flips the sign, so the closed-form root is compared within
+        # 1e-14 max(1, |tau|); without a sign change both take the same
+        # fallback, bit for bit.  A bisection probe that lands on the
+        # source at the observer falls back too (found with x on the
+        # world-line, x = 0, v = 0.2, t = 1: the first midpoint is tau = 0);
+        # the closed form then still solves the retardation equation.
+        try:
+            ref = sph.default_seed(replace(ctx, trajectory=_as_custom(
+                ctx.trajectory)))
+        except DopshiftError as err:
+            with pytest.raises(type(err)):
+                sph.default_seed(ctx)
+            return
+        omega, tau = sph.default_seed(ctx)
+        vg0 = disp.sample(ctx.dispersion, ctx.omega0).v_group
+
+        def ret(t):
+            return trj.geometry(ctx.trajectory, ctx.x, t).r / vg0 - (ctx.t - t)
+
+        r_now = trj.geometry(ctx.trajectory, ctx.x, ctx.t).r
+        try:
+            sign_change = ret(ctx.t - 10.0 * r_now) * ret(ctx.t) < 0
+        except ObserverOnTrajectory:
+            sign_change = False
+        if not sign_change:
+            assert (omega, tau) == ref
+        elif ref[1] == ctx.t - r_now / vg0:
+            assert abs(ret(tau)) <= 1e-14 * max(1.0, ctx.t - tau)
+        else:
+            assert abs(tau - ref[1]) <= 1e-14 * max(1.0, abs(ref[1]))
+
+    def test_three_range_evaluations_on_a_line(self, monkeypatch):
+        # r(t), ret(lo) and ret(hi), then v_rad at the seed; the parent's
+        # bisection made 58 calls on this event
+        calls = []
+        route = trj._geometry_floats
+        monkeypatch.setattr(trj, "_geometry_floats",
+                            lambda *a: calls.append(a[2]) or route(*a))
+        sph.default_seed(plasma_ctx())
+        assert len(calls) == 4
 
 
 class TestSolvers:

@@ -180,6 +180,9 @@ class TestFloatKernelAgainstNumpy:
             assert abs(g.v_rad - v_rad) <= self.RTOL * speed
             assert abs(g.dv_rad_dtau - dv_rad) <= self.RTOL * rate
             assert isinstance(g.unit_dir, np.ndarray)
+            # the float route that geometry wraps, bit for bit
+            assert repr(trj._geometry_floats(traj, x, tau)) == repr(
+                (g.r, tuple(g.unit_dir.tolist()), g.v_rad, g.dv_rad_dtau))
             checked += 1
         assert checked > 150
 
@@ -187,7 +190,7 @@ class TestFloatKernelAgainstNumpy:
     def test_observer_on_trajectory(self, kind):
         traj = _random_trajectory(np.random.default_rng(3), kind)
         x = trj.position(traj, 0.7)
-        for geometry in (_numpy_geometry, trj.geometry):
+        for geometry in (_numpy_geometry, trj.geometry, trj._geometry_floats):
             with pytest.raises(ObserverOnTrajectory):
                 geometry(traj, x, 0.7)
 
@@ -195,7 +198,7 @@ class TestFloatKernelAgainstNumpy:
                                    np.array([0.0, 1.0, -math.inf]),
                                    (1.0, 2.0), [[1.0], [2.0], [3.0]], 5.0])
     def test_bad_observer_rejected(self, x):
-        for geometry in (_numpy_geometry, trj.geometry):
+        for geometry in (_numpy_geometry, trj.geometry, trj._geometry_floats):
             with pytest.raises(ValueError):
                 geometry(trj.OffsetLine(v=0.5), x, 0.0)
 
@@ -247,6 +250,18 @@ def _factors(traj, x, tau):
 
 
 class TestAmplitudeFactors:
+    def test_equals_numpy_cross_formula(self):
+        # the float expressions give np.cross's bytes, and the grad-div
+        # factor's bytes from the array formula
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            d, r = rng.normal(size=3), float(rng.uniform(0.1, 10.0))
+            curl, graddiv = trj.amplitude_factors(u, r, d)
+            assert curl.tobytes() == np.cross(u, d).tobytes()
+            assert graddiv.tobytes() == ((d - float(d @ u) * u) / r).tobytes()
+
     def test_static_source_zero_factors(self):
         curl, graddiv = _factors(trj.OffsetLine(v=0.0, H=0.0),
                                  (1.0, 2.0, 3.0), 0.5)
