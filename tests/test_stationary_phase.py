@@ -259,8 +259,8 @@ class TestDefaultSeed:
             assert abs(tau - ref[1]) <= 1e-14 * max(1.0, abs(ref[1]))
 
     def test_three_range_evaluations_on_a_line(self, monkeypatch):
-        # r(t), ret(lo) and ret(hi), then v_rad at the seed; the parent's
-        # bisection made 58 calls on this event
+        # r(t), ret(lo) and ret(hi), then v_rad at the seed; bisecting the
+        # window took 58 calls on this event
         calls = []
         route = trj._geometry_floats
         monkeypatch.setattr(trj, "_geometry_floats",
