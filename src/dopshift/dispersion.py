@@ -21,6 +21,7 @@ the analytic route.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -283,9 +284,7 @@ def index_and_mask(model: DispersionModel, omega) -> tuple:
         return np.divide(k, w, out=np.zeros_like(w),
                          where=propagating), propagating
     _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
-    eps = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)[0]
-    mu = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)[0]
-    n = branch_sqrt_product(eps, mu)
+    n = _lorentz_index(model, w)[2]
     n_real, propagating = n.real, _wave_dominated(n)
     tie = n.real ** 2 - n.imag ** 2
     for i in np.flatnonzero((np.abs(tie) <= 1e-6 * np.abs(n) ** 2) & (n != 0)):
@@ -329,6 +328,45 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     _check_lorentz_range(abs(omega))
     n = _lorentz_index(model, omega)[2]
     return n.real, _wave_dominated(n)
+
+
+@functools.lru_cache(maxsize=32)
+def _band_table(model: DispersionModel) -> tuple:
+    """(lo, hi) of each propagating band at omega > 0, ascending: lo and hi
+    propagate on ``index_and_flag`` and their outward neighbours do not (or
+    raise, at a lossless pole or zero); open ends are 0.0 and inf.  Each
+    positive real root of Re(eps mu) |d_e d_m|**2, a real degree-8
+    polynomial (a plasma's omega_p), is bisected to the adjacent floats
+    where the flag flips, from the midpoints to its neighbours; a root
+    where it does not flip is dropped."""
+    def flag(w):
+        try:
+            return index_and_flag(model, w)[1]
+        except (DegenerateMedium, ZeroDivisionError):
+            return False
+
+    g = [model.omega_p] if getattr(model, "omega_p", 0.0) > 0 else []
+    if isinstance(model, LorentzMetamaterial):
+        # (d + p**2) conj(d) of each oscillator, d = t**2 - omega**2 - i
+        # omega gam, in x = omega/s and divided by s**4
+        m, s = model, model.omega_te
+        x = np.roots(functools.reduce(np.polymul, [
+            [-1.0, im * gam / s, (t * t + q * p * p) / s ** 2]
+            for p, t, gam in ((m.omega_pe, m.omega_te, m.gamma_e),
+                              (m.omega_pm, m.omega_tm, m.gamma_m))
+            for q, im in ((1.0, -1j), (0.0, 1j))]).real)
+        g = sorted(s * float(r.real) for r in x
+                   if r.real > 0 and abs(r.imag) <= 1e-6 * r.real)
+    ends = [0.5 * g[0], *(0.5 * (a + b) for a, b in zip(g, g[1:])),
+            2.0 * g[-1]] if g else [1.0]
+    cuts = [0.0]    # (0, a1), (b1, a2), ..., (bk, inf) between the flips
+    for a, b in zip(ends, ends[1:]):
+        if (inside := flag(a)) != flag(b):
+            while (mid := 0.5 * (a + b)) not in (a, b):
+                a, b = (mid, b) if flag(mid) == inside else (a, mid)
+            cuts += [a, b]
+    return tuple(band for band in zip(cuts[::2], [*cuts[1::2], math.inf])
+                 if flag(min(band[1], ends[-1])))  # at its top, or past all g
 
 
 def _wave(model: DispersionModel, omega: float) -> tuple:

@@ -13,6 +13,7 @@ a(tau_s) e^{i(S + pi/4 sgn)} / (4 pi r sqrt|det|).
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -263,58 +264,34 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
         f"failed to converge after 100 iterations, value is {xcur}")
 
 
-def _band_edge(model, omega0: float, step: float, cap: float) -> float:
-    """Edge of the propagating band reached from omega0 in steps of ``step``.
-
-    Marches omega0 + step + step + ... (the same float sums as a scalar
-    loop) while the points propagate and lie strictly inside ``cap``, in
-    blocks that double in length so a narrow band costs few samples, then
-    bisects the step that leaves the band on the scalar
-    ``dispersion.index_and_flag`` so roots hugging the edge are not cut off:
-    at most 50 halvings, stopping once the two ends are adjacent floats.
-    Returns the last march point when it hits the cap.
-    """
-    good, block = omega0, 32
-    while True:
-        cand = np.add.accumulate(np.r_[good, np.full(block, step)])[1:]
-        inside = cand < cap if step > 0 else cand > cap
-        cand = cand[inside]
-        propagating = disp.index_and_mask(model, cand)[1]
-        if propagating.all():
-            if len(cand) < block:
-                return float(cand[-1]) if len(cand) else good
-            good, block = float(cand[-1]), 2 * block
-            continue
-        k = int(np.argmin(propagating))
-        good, bad = (float(cand[k - 1]) if k else good), float(cand[k])
-        for _ in range(50):
-            mid = 0.5 * (good + bad)
-            if mid == good or mid == bad:
-                break
-            if disp.index_and_flag(model, mid)[1]:
-                good = mid
-            else:
-                bad = mid
-        return good
-
-
 def _band_interval(model, omega0: float):
-    """Contiguous propagating interval containing omega0, within
-    [1e-3 omega0, 10 omega0], from a march in 1e-3 omega0 steps."""
-    if not disp.index_and_flag(model, omega0)[1]:
+    """The band of ``dispersion._band_table`` holding omega0, clipped to
+    [1e-3, 10] omega0; None unless omega0 > 0 propagates."""
+    if not (disp.index_and_flag(model, omega0)[1] and omega0 > 0):
         return None
-    step = omega0 * 1e-3
-    return (_band_edge(model, omega0, -step, omega0 * 1e-3),
-            _band_edge(model, omega0, step, omega0 * 10.0))
+    lo, hi = next((b for b in disp._band_table(model)
+                   if b[0] <= omega0 <= b[1]), (omega0, omega0))
+    return max(lo, 1e-3 * omega0), min(hi, 10.0 * omega0)
+
+
+@functools.lru_cache(maxsize=8)
+def _band_grid(model, lo: float, hi: float) -> tuple:
+    """Read-only 4001-node grid of [lo, hi] and its ``index_and_mask``, which
+    every carrier of a band and both signs share."""
+    grid = np.linspace(lo, hi, 4001)
+    arrays = (grid, *disp.index_and_mask(model, grid))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
                             omega_range=None) -> list[float]:
     """Roots of g(w) = w (1 + sign * n(w) v) - w0 on the propagating band.
 
-    Scans the band containing omega0 (or the given range) on a 4001-point
-    grid evaluated in one array call, brackets the sign changes, and polishes
-    each bracket with Brent's method on the scalar
+    Scans the band containing omega0 clipped to [1e-3, 10] omega0 (or the
+    given range) on a 4001-point grid evaluated in one array call, brackets
+    the sign changes, and polishes each with Brent's method on the scalar
     ``dispersion.index_and_flag``.
     Returns every root found (ascending); callers select among multiple.
     """
@@ -323,7 +300,7 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
     if omega_range is None:
         omega_range = _band_interval(model, omega0)
         if omega_range is None:
-            raise NoRootInBand(f"omega0={omega0:g} is not propagating")
+            raise NoRootInBand(f"no propagating band holds omega0={omega0:g}")
 
     def residual(w, n_real):
         return w * (1.0 + sign * n_real * v) - omega0
@@ -332,8 +309,7 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
         n_real, propagating = disp.index_and_flag(model, w)
         return residual(w, n_real) if propagating else math.nan
 
-    grid = np.linspace(omega_range[0], omega_range[1], 4001)
-    n_real, propagating = disp.index_and_mask(model, grid)
+    grid, n_real, propagating = _band_grid(model, *map(float, omega_range))
     vals = np.where(propagating, residual(grid, n_real), np.nan)
     # The array Re n rounds differently from sample's (by about 5e-13 of
     # |n|), so a residual this close to zero could take the other sign on

@@ -164,31 +164,30 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
     vg0, c0 = s0.v_group, s0.v_phase
 
     def ret(tau):
-        r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+        try:
+            r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+        except ObserverOnTrajectory:
+            r = 0.0     # a probe on the source: the r = 0 limit
         return r / vg0 - (ctx.t - tau)
 
     r_now = trj._geometry_floats(ctx.trajectory, ctx.x, ctx.t)[0]
     lo, hi = ctx.t - 10.0 * r_now, ctx.t
-    tau_seed = None
-    try:
-        flo, fhi = ret(lo), ret(hi)
-        if flo * fhi < 0 and isinstance(ctx.trajectory, trj.CustomTrajectory):
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = ret(mid)
-                if fm == 0 or (hi - lo) < 1e-15 * max(1.0, abs(hi)):
-                    break
-                if flo * fm < 0:
-                    hi, fhi = mid, fm
-                else:
-                    lo, flo = mid, fm
-            tau_seed = 0.5 * (lo + hi)
-        elif flo * fhi < 0:     # ret(hi) > 0 > ret(lo): the near root
-            geo = _line_geometry(ctx)
-            tau_seed = ctx.t - geo[0] / float(_retardation(geo, vg0)[1])
-    except ObserverOnTrajectory:
-        pass
-    if tau_seed is None:
+    flo, fhi = ret(lo), ret(hi)
+    if flo * fhi < 0 and isinstance(ctx.trajectory, trj.CustomTrajectory):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = ret(mid)
+            if fm == 0 or (hi - lo) < 1e-15 * max(1.0, abs(hi)):
+                break
+            if flo * fm < 0:
+                hi, fhi = mid, fm
+            else:
+                lo, flo = mid, fm
+        tau_seed = 0.5 * (lo + hi)
+    elif flo * fhi < 0:     # ret(hi) > 0 > ret(lo): the near root
+        geo = _line_geometry(ctx)
+        tau_seed = ctx.t - geo[0] / float(_retardation(geo, vg0)[1])
+    else:
         tau_seed = ctx.t - r_now / vg0
     try:
         v_rad = trj._geometry_floats(ctx.trajectory, ctx.x, tau_seed)[2]
@@ -465,11 +464,12 @@ def _hidden(w, rows, disc, ev):
 
 
 def _bands(model, omega0: float) -> list:
-    """(lo, hi) of each propagating band a geometric scan of [1e-3, 10]
-    omega0 meets, widened to the scan nodes on either side."""
+    """(lo, hi) of each band of ``dispersion._band_table`` that a geometric
+    scan of [1e-3, 10] omega0 meets, widened to the scan nodes around it."""
     scan = np.geomspace(1e-3 * omega0, 10.0 * omega0, 4 * _LINE_GRID)
-    runs = np.flatnonzero(np.diff(np.r_[
-        False, disp.index_and_mask(model, scan)[1], False]))
+    inside = np.any([(lo <= scan) & (scan <= hi)
+                     for lo, hi in disp._band_table(model)], axis=0)
+    runs = np.flatnonzero(np.diff(np.r_[False, inside, False]))
     return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
             for a, b in zip(runs[::2], runs[1::2])]
 

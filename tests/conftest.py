@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopshift import dispersion as disp
+from dopshift import fields as fld
 
 
 @pytest.fixture
@@ -11,7 +12,9 @@ def rotate_array_index(monkeypatch):
     """Call with an angle in radians to turn the n of the array route
     (``dispersion.index_and_mask``) by it, leaving scalar ``sample`` as is:
     a stand-in for a rounding difference between the two routes larger than
-    the one numpy and Python show."""
+    the one numpy and Python show.  The band scan's grid cache is emptied
+    when the route turns and after the test, so the scan evaluates the
+    turned route and no later test reads a turned grid."""
     def rotate(angle):
         exact = disp.branch_sqrt_product
 
@@ -20,4 +23,6 @@ def rotate_array_index(monkeypatch):
             return n * np.exp(1j * angle) if isinstance(n, np.ndarray) else n
 
         monkeypatch.setattr(disp, "branch_sqrt_product", rotated)
-    return rotate
+        fld._band_grid.cache_clear()
+    yield rotate
+    fld._band_grid.cache_clear()

@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
 from dopshift.errors import (DegenerateMedium, EvanescentRegime,
                              FrequencyOutOfRange, ZeroFrequency)
-from dopshift.units import omega_from_thz
+from dopshift.units import omega_from_thz, thz_from_omega
 
 LORENTZ = disp.lorentz_from_thz()
 
@@ -192,7 +194,7 @@ class TestIndexAndMask:
 
     @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
     def test_band_edges_equal_scalar_sample(self, rotate_array_index, angle):
-        # _band_interval bisects each edge to within an ulp of where the
+        # the band table bisects each edge to within an ulp of where the
         # propagating rule flips, so there the two routes' roundings could
         # disagree; the turned n is 20 times further off than numpy's
         edges = sorted({e for f0 in np.linspace(380.0, 1000.0, 63)
@@ -248,6 +250,103 @@ class TestIndexAndMask:
         zero = disp.branch_sqrt_product(np.array([0j, 1 + 0j]),
                                         np.array([1 + 0j, 0j]))
         assert zero.tolist() == [0j, 0j]
+
+
+def _flag(model, w):
+    """index_and_flag's flag; a point where it raises (an exact pole or
+    zero of a lossless oscillator) counts as not propagating."""
+    try:
+        return disp.index_and_flag(model, w)[1]
+    except (DegenerateMedium, ZeroDivisionError):
+        return False
+
+
+def _table_mask(model, omegas):
+    return np.any([(lo <= omegas) & (omegas <= hi)
+                   for lo, hi in disp._band_table(model)], axis=0)
+
+
+LOSSLESS = disp.lorentz_from_thz(gamma_e=0.0, gamma_m=0.0)
+TABLE_MODELS = [LORENTZ, LOSSLESS, disp.ColdPlasma(omega_p=1.0),
+                disp.ColdPlasma(omega_p=0.0), disp.NonDispersive(eps=2.0)]
+lorentz_models = st.builds(
+    disp.LorentzMetamaterial,
+    omega_pe=st.floats(0.0, 5.0), omega_te=st.floats(0.1, 10.0),
+    gamma_e=st.one_of(st.just(0.0), st.floats(1e-5, 0.2)),
+    omega_pm=st.floats(0.0, 5.0), omega_tm=st.floats(0.1, 10.0),
+    gamma_m=st.one_of(st.just(0.0), st.floats(1e-5, 0.2)))
+
+
+class TestBandTable:
+    """``dispersion._band_table``: polynomial roots polished to the
+    adjacent floats where ``index_and_flag`` flips."""
+
+    def _check_edges(self, model):
+        table = disp._band_table(model)
+        for (lo, hi), nxt in zip(table, table[1:]):
+            assert lo < hi < nxt[0]
+        for lo, hi in table:
+            for edge, outward in ((lo, -math.inf), (hi, math.inf)):
+                if 0.0 < edge < math.inf:
+                    assert _flag(model, edge)
+                    assert not _flag(model, math.nextafter(edge, outward))
+        return table
+
+    def test_default_lorentz_edges(self):
+        table = self._check_edges(LORENTZ)
+        edges = [round(thz_from_omega(e), 6) for band in table for e in band
+                 if 0.0 < e < math.inf]
+        assert edges == [397.889981, 409.820054, 433.114546, 506.958505]
+        assert table[0][0] == 0.0 and table[-1][1] == math.inf
+
+    @pytest.mark.parametrize("model", TABLE_MODELS)
+    def test_edges_flip(self, model):
+        self._check_edges(model)
+
+    def test_plasma_edge_is_the_cutoff(self):
+        ((lo, hi),) = disp._band_table(disp.ColdPlasma(omega_p=1.0))
+        assert lo == math.nextafter(1.0, 2.0) and hi == math.inf
+        assert disp._band_table(disp.NonDispersive()) == ((0.0, math.inf),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=lorentz_models)
+    def test_drawn_lorentz_edges_flip(self, model):
+        self._check_edges(model)
+
+    @pytest.mark.parametrize("model", TABLE_MODELS)
+    def test_mask_equals_index_and_mask(self, model):
+        # random frequencies over every edge, plus the edges and their
+        # neighbouring floats, where the array route rechecks ties
+        rng = np.random.default_rng(5)
+        edges = [e for band in disp._band_table(model) for e in band
+                 if 0.0 < e < math.inf]
+        top = 2.0 * max(edges, default=1.0)
+        omegas = np.r_[rng.uniform(0.0, top, 20000),
+                       [e + k * np.spacing(e) for e in edges
+                        for k in range(-3, 4)]]
+        with np.errstate(all="ignore"):
+            mask = disp.index_and_mask(model, omegas)[1]
+        np.testing.assert_array_equal(_table_mask(model, omegas), mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=lorentz_models)
+    def test_drawn_lorentz_mask_equals_index_and_mask(self, model):
+        rng = np.random.default_rng(6)
+        top = 1.5 * max(model.omega_te, model.omega_tm,
+                        math.hypot(model.omega_te, model.omega_pe),
+                        math.hypot(model.omega_tm, model.omega_pm))
+        omegas = rng.uniform(1e-9, top, 2000)
+        with np.errstate(all="ignore"):
+            mask = disp.index_and_mask(model, omegas)[1]
+        np.testing.assert_array_equal(_table_mask(model, omegas), mask)
+
+    def test_built_on_first_use(self):
+        model = disp.lorentz_from_thz(f_te=420.0)
+        before = disp._band_table.cache_info()
+        assert disp._band_table(model) is disp._band_table(model)
+        after = disp._band_table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) \
+            == (1, 1)
 
 
 class TestWavenumberAndGroup:

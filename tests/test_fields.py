@@ -2,6 +2,8 @@
 and the Cherenkov gate."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,13 +63,16 @@ class TestPlasmaClosedForm:
             fld.plasma_doppler_closed_form(0.9, 1.0, 0.5, True)
 
 
-# (medium, carrier THz, v, sign, repr of the roots)
+# (medium, carrier THz, v, sign, repr of the roots).  The non-dispersive
+# 420 THz sign +1 root was 0.37725210395130276, one ulp above
+# w0/(1 + n v), until the band clip became exactly 10 omega0 instead of
+# the last march point: its scan grid moved, and its root is now w0/1.75.
 GOLDEN_ROOTS = [
     ("lorentz", 415.0, 0.5, +1, ["0.6807042906557053"]),
     ("lorentz", 428.0, 0.3, +1, ["0.6807932004724463"]),
     ("lorentz", 600.0, 0.5, +1, ["0.8170654170073607"]),
     ("lorentz", 600.0, 0.5, -1, ["1.7921188835978645"]),
-    ("nondispersive", 420.0, 0.5, +1, ["0.37725210395130276"]),
+    ("nondispersive", 420.0, 0.5, +1, ["0.3772521039513027"]),
     ("nondispersive", 420.0, 0.5, -1, ["2.640764727659119"]),
     ("nondispersive", 431.7, 0.3, -1, ["1.2337858581498284"]),
 ]
@@ -157,6 +162,86 @@ class TestDoppler1D:
                 continue
             assert fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5,
                                                omega_range=band) == want
+
+
+class TestBandCaches:
+    """The band table and the scan grid are cached; the cached arrays are
+    read-only and equal a fresh evaluation."""
+
+    def test_cached_grid_is_read_only(self):
+        band = fld._band_interval(LORENTZ, omega_from_thz(420.0))
+        for a in fld._band_grid(LORENTZ, *band):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    @pytest.mark.parametrize("model,f0", [
+        (LORENTZ, 420.0), (LORENTZ, 600.0),
+        (disp.NonDispersive(eps=2.25), 420.0), (PLASMA, 1000.0)])
+    def test_cached_grid_equals_fresh_evaluation(self, model, f0):
+        w0 = omega_from_thz(f0)
+        fld.metamaterial_doppler_1d(model, w0, 0.5)
+        band = fld._band_interval(model, w0)
+        grid = np.linspace(*band, 4001)
+        for cached, fresh in zip(fld._band_grid(model, *band),
+                                 (grid, *disp.index_and_mask(model, grid))):
+            assert cached.tobytes() == fresh.tobytes()
+
+    def test_one_table_and_one_grid_per_band(self):
+        # 800 scans of the 409.82-433.11 THz band: one table, one grid
+        disp._band_table.cache_clear()
+        fld._band_grid.cache_clear()
+        for f0 in np.linspace(410.0, 432.0, 400):
+            for sign in (+1, -1):
+                try:
+                    fld.metamaterial_doppler_1d(LORENTZ, omega_from_thz(f0),
+                                                0.5, sign)
+                except NoRootInBand:
+                    pass
+        tables, grids = disp._band_table.cache_info(), \
+            fld._band_grid.cache_info()
+        assert (tables.misses, tables.hits) == (1, 799)
+        assert (grids.misses, grids.hits) == (1, 799)
+
+    def test_threaded_scans_equal_serial(self):
+        # every thread starts on empty caches; a torn cache entry or a
+        # grid written by another scan would change a root
+        models = [LORENTZ, disp.lorentz_from_thz(gamma_m=0.05),
+                  disp.NonDispersive(eps=2.25), PLASMA]
+        carriers = [(m, omega_from_thz(f)) for m in models
+                    for f in np.linspace(412.0, 430.0, 12)]
+
+        def scan(model, w0):
+            out = []
+            for sign in (+1, -1):
+                try:
+                    out.append(fld.metamaterial_doppler_1d(model, w0, 0.5,
+                                                           sign))
+                except NoRootInBand:
+                    out.append(None)
+            return out
+
+        serial = [scan(*c) for c in carriers]
+        disp._band_table.cache_clear()
+        fld._band_grid.cache_clear()
+        results = [None] * len(carriers)
+
+        def work(k):
+            for i in range(k, len(carriers), 6):
+                results[i] = scan(*carriers[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
 
 
 class TestBrent:

@@ -24,7 +24,19 @@ bits (at most 3.2e-16 of the largest component).  The values recorded before
 The band scan (``fields._band_interval`` and the roots of
 ``fields.metamaterial_doppler_1d``) was recorded before its band-edge
 bisection and root polish moved from ``dispersion.sample`` to the
-derivative-free ``dispersion.index_and_flag``.
+derivative-free ``dispersion.index_and_flag``.  It is split in two since the
+band edges come from the per-medium band table
+(``dispersion._band_table``) instead of a march from the carrier in
+1e-3 omega0 steps.  ``BAND_SCAN`` holds the Lorentz carriers whose band
+ends on two table edges, or that do not propagate; it was recorded with the
+march and is unchanged, since the table's edges equal the march's bisected
+ones bit for bit.  ``BAND_SCAN_CLIPPED`` holds the carriers whose band ends
+on the [1e-3, 10] omega0 clip (Lorentz below 398 or above 506 THz, the
+non-dispersive and the plasma ones) and was re-recorded: the march stopped
+at its last step inside the clip, the table clips at exactly 1e-3 and
+10 omega0, so the scan grid and the roots moved (at most 3.2e-15 relative);
+the non-dispersive and plasma roots are checked against their closed forms
+within 1e-14.
 
 ``APPROACH`` was re-recorded when ``default_seed`` took its retarded time on
 a line kind from the closed-form root of the retardation quadratic instead
@@ -46,7 +58,7 @@ from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift import validation
-from dopshift.errors import DopshiftError
+from dopshift.errors import BelowCutoff, DopshiftError
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -297,23 +309,30 @@ def test_dispersion_sweep_stdout(capsys):
         "fbdbc2f2a4b2b57c5204cde74cc192762cd7bd51c02e18fc11a751e26ff559e0")
 
 
-BAND_SCAN_NO_ROOT = 255
-BAND_SCAN = "721265c0d8428487ee5ad3e8cac9cb2b7f36ec660cd5b93adbd8ef01e40613ea"
+# Band-scan carriers: the Lorentz ones between the 397.89 THz and the
+# 506.96 THz edge either do not propagate or sit in the 409.82-433.11 THz
+# band, whose two edges are both band-table edges; every other carrier's
+# band ends on the [1e-3, 10] omega0 clip.
+LORENTZ_F = np.r_[np.linspace(380.0, 1000.0, 125),
+                  np.linspace(409.5, 433.5, 25)]
+UNCLIPPED_CARRIERS = [(disp.lorentz_from_thz(), omega_from_thz(f))
+                      for f in LORENTZ_F if 398.0 < f < 506.0]
+CLIPPED_CARRIERS = (
+    [(disp.lorentz_from_thz(), omega_from_thz(f))
+     for f in LORENTZ_F if not 398.0 < f < 506.0]
+    + [(disp.NonDispersive(eps=2.25, mu=1.0), float(w))
+       for w in np.linspace(0.2, 5.0, 5)]
+    + [(disp.ColdPlasma(omega_p=1.0), float(w))
+       for w in np.linspace(0.5, 4.5, 9)])
 
 
-def test_band_scan():
-    # repr of the band interval and of the roots for both signs at three
-    # speeds, or the error type, per carrier
-    lorentz = disp.lorentz_from_thz()
-    carriers = [(lorentz, omega_from_thz(f)) for f in np.r_[
-        np.linspace(380.0, 1000.0, 125), np.linspace(409.5, 433.5, 25)]]
-    carriers += [(disp.NonDispersive(eps=2.25, mu=1.0), float(w))
-                 for w in np.linspace(0.2, 5.0, 5)]
-    carriers += [(disp.ColdPlasma(omega_p=1.0), float(w))
-                 for w in np.linspace(0.5, 4.5, 9)]
+def _band_scan(carriers):
+    """repr of the band interval (as floats) and of the roots for both signs
+    at three speeds, or the error type, per carrier."""
     out = []
     for model, w0 in carriers:
-        out.append(repr(fld._band_interval(model, w0)))
+        band = fld._band_interval(model, w0)
+        out.append(repr(band and tuple(map(float, band))))
         for v in (0.3, 0.5, 0.9):
             for sign in (+1, -1):
                 try:
@@ -322,5 +341,46 @@ def test_band_scan():
                 except DopshiftError as err:
                     out.append(type(err).__name__)
     assert len(out) == 7 * len(carriers)
+    return out
+
+
+BAND_SCAN_NO_ROOT = 225
+BAND_SCAN = "d330b203dbb287addf84a64d4ec86c8e229aa68900c1c855db10e321340d1c06"
+
+
+def test_band_scan():
+    out = _band_scan(UNCLIPPED_CARRIERS)
     assert out.count("NoRootInBand") == BAND_SCAN_NO_ROOT
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == BAND_SCAN
+
+
+BAND_SCAN_CLIPPED_NO_ROOT = 30
+BAND_SCAN_CLIPPED = (
+    "3a849149a1524f96c65451bf7074d0f2ac69e1138fcc51fe11b42002e0198416")
+
+
+def test_band_scan_clipped():
+    out = _band_scan(CLIPPED_CARRIERS)
+    assert out.count("NoRootInBand") == BAND_SCAN_CLIPPED_NO_ROOT
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() \
+        == BAND_SCAN_CLIPPED
+    # the closed forms, where they lie inside the clip
+    for i, (model, w0) in enumerate(CLIPPED_CARRIERS):
+        for j, (v, sign) in enumerate((v, sign) for v in (0.3, 0.5, 0.9)
+                                      for sign in (+1, -1)):
+            if isinstance(model, disp.NonDispersive):
+                want = w0 / (1.0 + sign * model.index * v)
+            elif isinstance(model, disp.ColdPlasma):
+                try:
+                    want = fld.plasma_doppler_closed_form(
+                        w0, model.omega_p, v, approaching=sign < 0)
+                except BelowCutoff:
+                    want = -1.0
+            else:
+                continue
+            got = out[7 * i + 1 + j]
+            if not 1e-3 * w0 <= want <= 10.0 * w0:
+                assert got == "NoRootInBand"
+                continue
+            (root,) = ast.literal_eval(got)
+            assert abs(root - want) <= 1e-14 * want

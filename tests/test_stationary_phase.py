@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
@@ -224,15 +224,21 @@ def line_events(draw):
 class TestDefaultSeed:
     @settings(max_examples=300, deadline=None)
     @given(ctx=line_events())
+    @example(ctx=sph.PhaseContext(
+        t=0.375, x=(-2.0, 0.4375, -7.0), omega0=2.0,
+        trajectory=trj.StraightLine(origin=(1.0, -1.375, -2.5),
+                                    velocity=(0.0, -0.5577, -0.1171875)),
+        dispersion=disp.NonDispersive(eps=3.1875, mu=1.0)))
     def test_closed_form_matches_bisection(self, ctx):
         # The bisection of the same retardation values stops within
         # 1e-15 max(1, |tau|) of where their rounding (a few ulp of tau)
         # flips the sign, so the closed-form root is compared within
         # 1e-14 max(1, |tau|); without a sign change both take the same
-        # fallback, bit for bit.  A bisection probe that lands on the
-        # source at the observer falls back too (found with x on the
-        # world-line, x = 0, v = 0.2, t = 1: the first midpoint is tau = 0);
-        # the closed form then still solves the retardation equation.
+        # fallback, bit for bit.  The bisection also stops on a probe where
+        # the rounded residual is exactly zero, which it can be over a
+        # hundred ulp of tau (the example); the closed form then only has
+        # to solve the retardation equation.  A probe on the source takes
+        # the r = 0 limit, as the seed does.
         try:
             ref = sph.default_seed(replace(ctx, trajectory=_as_custom(
                 ctx.trajectory)))
@@ -244,19 +250,32 @@ class TestDefaultSeed:
         vg0 = disp.sample(ctx.dispersion, ctx.omega0).v_group
 
         def ret(t):
-            return trj.geometry(ctx.trajectory, ctx.x, t).r / vg0 - (ctx.t - t)
+            try:
+                r = trj.geometry(ctx.trajectory, ctx.x, t).r
+            except ObserverOnTrajectory:
+                r = 0.0
+            return r / vg0 - (ctx.t - t)
 
         r_now = trj.geometry(ctx.trajectory, ctx.x, ctx.t).r
-        try:
-            sign_change = ret(ctx.t - 10.0 * r_now) * ret(ctx.t) < 0
-        except ObserverOnTrajectory:
-            sign_change = False
-        if not sign_change:
+        if not ret(ctx.t - 10.0 * r_now) * ret(ctx.t) < 0:
             assert (omega, tau) == ref
-        elif ref[1] == ctx.t - r_now / vg0:
+        elif ret(ref[1]) == 0.0:
             assert abs(ret(tau)) <= 1e-14 * max(1.0, ctx.t - tau)
         else:
             assert abs(tau - ref[1]) <= 1e-14 * max(1.0, abs(ref[1]))
+
+    def test_probe_on_the_source_keeps_the_root(self):
+        # the observer on the world-line: the bisection's first probe,
+        # tau = 0, is the source at x, where the seed takes the r = 0
+        # limit instead of dropping the search (tau -0.988 before)
+        ctx = sph.PhaseContext(
+            t=1.0, x=(0.0, 0.0, 0.0), omega0=omega_from_thz(512.0),
+            trajectory=trj.StraightLine(velocity=(0.0, 0.2, 0.0)),
+            dispersion=disp.lorentz_from_thz())
+        custom = replace(ctx, trajectory=_as_custom(ctx.trajectory))
+        tau = sph.default_seed(ctx)[1]
+        assert tau == 0.3346311586725852
+        assert abs(sph.default_seed(custom)[1] - tau) <= 1e-12
 
     def test_three_range_evaluations_on_a_line(self, monkeypatch):
         # r(t), ret(lo) and ret(hi), then v_rad at the seed; bisecting the
@@ -490,6 +509,25 @@ class TestSolveLine:
                     if p.omega_s == pytest.approx(w_top, rel=1e-6)]
         assert len(touching) == 1 and touching[0].degenerate
         assert sum(p.degenerate for p in points) == 1
+
+    def test_bands_equal_the_array_scan(self):
+        # the recipe before the band table: the same geometric scan with
+        # the flags of index_and_mask
+        def scanned(model, omega0):
+            scan = np.geomspace(1e-3 * omega0, 10.0 * omega0,
+                                4 * sph._LINE_GRID)
+            runs = np.flatnonzero(np.diff(np.r_[
+                False, disp.index_and_mask(model, scan)[1], False]))
+            return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
+                    for a, b in zip(runs[::2], runs[1::2])]
+
+        rng = np.random.default_rng(11)
+        lorentz = disp.lorentz_from_thz()
+        carriers = [(lorentz, omega_from_thz(f))
+                    for f in rng.uniform(100.0, 3000.0, 1600)]
+        carriers += [(PLASMA, w) for w in rng.uniform(0.01, 50.0, 400)]
+        for model, w0 in carriers:
+            assert sph._bands(model, w0) == scanned(model, w0)
 
     def test_needs_a_straight_line(self):
         ctx = sph.PhaseContext(
