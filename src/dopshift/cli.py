@@ -117,13 +117,11 @@ def _scenario_from_args(args) -> Scenario:
             sc.medium_params = {"f_p_thz": str(args.fp_thz)}
         else:
             sc.medium_params = {}
-    for attr, key in (("f0_thz", "f0_thz"), ("v", "v"), ("x1", "x1"),
-                      ("x2", "x2"), ("x3", "x3"), ("t", "t"),
-                      ("method", "method"), ("tol", "tol"),
-                      ("max_iter", "max_iter")):
+    for attr in ("f0_thz", "v", "x1", "x2", "x3", "t", "method", "tol",
+                 "max_iter"):
         val = getattr(args, attr, None)
         if val is not None:
-            setattr(sc, key, val)
+            setattr(sc, attr, val)
     if getattr(args, "out", None) is not None:
         sc.out_path = args.out
     if getattr(args, "format", None) is not None:

@@ -332,13 +332,11 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _band_table(model: DispersionModel) -> tuple:
-    """(lo, hi) of each propagating band at omega > 0, ascending: lo and hi
-    propagate on ``index_and_flag`` and their outward neighbours do not (or
-    raise, at a lossless pole or zero); open ends are 0.0 and inf.  Each
-    positive real root of Re(eps mu) |d_e d_m|**2, a real degree-8
-    polynomial (a plasma's omega_p), is bisected to the adjacent floats
-    where the flag flips, from the midpoints to its neighbours; a root
-    where it does not flip is dropped."""
+    """(lo, hi) of each propagating band at omega > 0, ascending, 0.0 and
+    inf at open ends: the adjacent floats where ``index_and_flag`` flips (a
+    lossless pole or zero, where it raises, does not propagate), bisected
+    around each positive real root of Re(eps mu) |d_e d_m|**2, a real
+    degree-8 polynomial (a plasma's omega_p); a root with no flip is dropped."""
     def flag(w):
         try:
             return index_and_flag(model, w)[1]

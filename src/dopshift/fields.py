@@ -133,7 +133,6 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
     """
     ctx = sph.PhaseContext(t=t, x=tuple(trj.as_vec3(x)), omega0=source.omega0,
                            trajectory=traj, dispersion=model)
-    points = []
     if seed_box is not None and not isinstance(traj, trj.CustomTrajectory):
         points = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
     elif seed_box is not None:
@@ -266,12 +265,13 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 
 def _band_interval(model, omega0: float):
     """The band of ``dispersion._band_table`` holding omega0, clipped to
-    [1e-3, 10] omega0; None unless omega0 > 0 propagates."""
+    [1e-3, 10] omega0; None unless omega0 > 0 propagates and a band holds
+    it (the flag can propagate between bands where it is rounding noise)."""
     if not (disp.index_and_flag(model, omega0)[1] and omega0 > 0):
         return None
-    lo, hi = next((b for b in disp._band_table(model)
-                   if b[0] <= omega0 <= b[1]), (omega0, omega0))
-    return max(lo, 1e-3 * omega0), min(hi, 10.0 * omega0)
+    band = next((b for b in disp._band_table(model)
+                 if b[0] <= omega0 <= b[1]), None)
+    return band and (max(band[0], 1e-3 * omega0), min(band[1], 10.0 * omega0))
 
 
 @functools.lru_cache(maxsize=8)

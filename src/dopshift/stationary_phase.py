@@ -180,7 +180,7 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
             if fm == 0 or (hi - lo) < 1e-15 * max(1.0, abs(hi)):
                 break
             if flo * fm < 0:
-                hi, fhi = mid, fm
+                hi = mid
             else:
                 lo, flo = mid, fm
         tau_seed = 0.5 * (lo + hi)
@@ -198,16 +198,11 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
     if omega_seed <= 0:
         omega_seed = w0
     elif not disp.index_and_flag(ctx.dispersion, omega_seed)[1]:
-        # Project the non-dispersive guess just inside the band edge nearest
-        # to the carrier (bisection between the guess and the carrier).
-        lo, hi = omega_seed, w0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if disp.index_and_flag(ctx.dispersion, mid)[1]:
-                hi = mid
-            else:
-                lo = mid
-        omega_seed = hi + 0.05 * (w0 - hi)
+        # just inside the edge of the carrier's band on the guess's side
+        lo, hi = next((b for b in disp._band_table(ctx.dispersion)
+                       if b[0] <= w0 <= b[1]), (w0, w0))
+        edge = min(max(omega_seed, lo), hi)
+        omega_seed = edge + 0.05 * (w0 - edge)
     return omega_seed, tau_seed
 
 

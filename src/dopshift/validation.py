@@ -42,13 +42,15 @@ class CheckResult:
 
 
 def _timed(fn):
+    """Time the check and name its result after it: _check_a_b is a-b."""
+    name = fn.__name__.replace("_check_", "").replace("_", "-")
+
     def wrapper():
         t0 = time.perf_counter()
         passed, details = fn()
-        return CheckResult(name=fn.__name__.replace("_check_", "").replace(
-            "_", "-"), passed=passed, details=details,
-            elapsed=time.perf_counter() - t0)
-    wrapper.__doc__ = fn.__doc__
+        return CheckResult(name=name, passed=passed, details=details,
+                           elapsed=time.perf_counter() - t0)
+    wrapper.__doc__, wrapper.check_name = fn.__doc__, name
     return wrapper
 
 
@@ -398,26 +400,19 @@ def _check_nondispersive_linearity():
                 f"deviation {dev_meta:.3e} THz on {int(ok_rows.sum())} rows")
 
 
-CHECKS = {
-    "band-negativity": _check_band_negativity,
-    "band-velocities": _check_band_velocities,
-    "planar-reference-point": _check_planar_reference_point,
-    "collinear-reference-point": _check_collinear_reference_point,
-    "plasma-closed-form": _check_plasma_closed_form,
-    "stationary-source": _check_stationary_source,
-    "oracle-asymptotics": _check_oracle_asymptotics,
-    "stationary-identity": _check_stationary_identity,
-    "derivative-checks": _check_derivative_checks,
-    "cherenkov": _check_cherenkov,
-    "nondispersive-linearity": _check_nondispersive_linearity,
-}
+CHECKS = {check.check_name: check for check in (
+    _check_band_negativity, _check_band_velocities,
+    _check_planar_reference_point, _check_collinear_reference_point,
+    _check_plasma_closed_form, _check_stationary_source,
+    _check_oracle_asymptotics, _check_stationary_identity,
+    _check_derivative_checks, _check_cherenkov,
+    _check_nondispersive_linearity)}
 
 
 def run_checks(names=None):
     """Run the named checks (all when None); returns list of CheckResult."""
-    if names:
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            raise KeyError(f"unknown checks: {unknown}")
+    unknown = [n for n in names or () if n not in CHECKS]
+    if unknown:
+        raise KeyError(f"unknown checks: {unknown}")
     todo = dict.fromkeys(names or CHECKS)     # preserve order, drop dupes
     return [CHECKS[name]() for name in todo]

@@ -121,6 +121,21 @@ class TestDoppler1D:
         with pytest.raises(NoRootInBand):
             fld.metamaterial_doppler_1d(LORENTZ, omega_from_thz(420.0), 0.5, -1)
 
+    def test_flag_outside_every_band_raises(self):
+        # an overdamped magnetic oscillator (gamma_m far above f_tm): near
+        # omega_tm the propagating flag is rounding noise, and here it
+        # propagates between the table's bands
+        model = disp.lorentz_from_thz(
+            f_pe=157.54199897866545, gamma_e=0.4911147169339933,
+            f_te=6.647642948167066, f_pm=154.4035677186596,
+            gamma_m=283.94241078882663, f_tm=1e-12)
+        w0 = 1.8080194274339623e-15
+        assert disp.index_and_flag(model, w0)[1]
+        assert not any(lo <= w0 <= hi for lo, hi in disp._band_table(model))
+        assert fld._band_interval(model, w0) is None
+        with pytest.raises(NoRootInBand, match="no propagating band holds"):
+            fld.metamaterial_doppler_1d(model, w0, 0.5)
+
     @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
     @pytest.mark.parametrize("medium,f0_thz,v,sign,golden", GOLDEN_ROOTS)
     def test_golden_roots(self, rotate_array_index, medium, f0_thz, v, sign,

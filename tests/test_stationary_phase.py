@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ def _as_custom(traj):
                                 lambda s: np.zeros(3))
 
 
+def _exact_near_root(ctx, vg0):
+    """tau of the smallest u = t - tau >= 0 with |x - x0(tau)| = vg0 u on
+    a line, from the quadratic in u taken exactly on the float inputs (60
+    digits); the first root of the retardation going back from t."""
+    traj = ctx.trajectory
+    if isinstance(traj, trj.OffsetLine):
+        origin, velocity = (0.0, 0.0, traj.H), (0.0, traj.v, 0.0)
+    else:
+        origin, velocity = traj.origin, traj.velocity
+    with localcontext(prec=60):
+        t, g = Decimal(ctx.t), Decimal(vg0)
+        v = [Decimal(c) for c in velocity]
+        e = [Decimal(xi) - Decimal(oi) - vi * t
+             for xi, oi, vi in zip(ctx.x, origin, v)]
+        a = sum(vi * vi for vi in v) - g * g
+        b = sum(ei * vi for ei, vi in zip(e, v))
+        disc = b * b - a * sum(ei * ei for ei in e)
+        u = min(q for q in ((disc.sqrt() * s - b) / a for s in (1, -1))
+                if q >= 0)
+        return float(t - u)
+
+
 @st.composite
 def line_events(draw):
     """Plasma, Lorentz and non-dispersive events on line kinds, |v| < 1."""
@@ -235,10 +258,12 @@ class TestDefaultSeed:
         # flips the sign, so the closed-form root is compared within
         # 1e-14 max(1, |tau|); without a sign change both take the same
         # fallback, bit for bit.  The bisection also stops on a probe where
-        # the rounded residual is exactly zero, which it can be over a
-        # hundred ulp of tau (the example); the closed form then only has
-        # to solve the retardation equation.  A probe on the source takes
-        # the r = 0 limit, as the seed does.
+        # the rounded residual is exactly zero, which near a fold can lie
+        # over a hundred ulp of tau from the root (the example: 8.2e-13 at
+        # tau -49.7); there only the exact root is the reference.  Every
+        # closed-form root is also checked against the exact root, within
+        # 1e-14 max(1, |tau|) (1.6e-15 at most on 13,000 events).  A probe
+        # on the source takes the r = 0 limit, as the seed does.
         try:
             ref = sph.default_seed(replace(ctx, trajectory=_as_custom(
                 ctx.trajectory)))
@@ -259,9 +284,10 @@ class TestDefaultSeed:
         r_now = trj.geometry(ctx.trajectory, ctx.x, ctx.t).r
         if not ret(ctx.t - 10.0 * r_now) * ret(ctx.t) < 0:
             assert (omega, tau) == ref
-        elif ret(ref[1]) == 0.0:
-            assert abs(ret(tau)) <= 1e-14 * max(1.0, ctx.t - tau)
-        else:
+            return
+        exact = _exact_near_root(ctx, vg0)
+        assert abs(tau - exact) <= 1e-14 * max(1.0, abs(exact))
+        if ret(ref[1]) != 0.0:
             assert abs(tau - ref[1]) <= 1e-14 * max(1.0, abs(ref[1]))
 
     def test_probe_on_the_source_keeps_the_root(self):
@@ -276,6 +302,28 @@ class TestDefaultSeed:
         tau = sph.default_seed(ctx)[1]
         assert tau == 0.3346311586725852
         assert abs(sph.default_seed(custom)[1] - tau) <= 1e-12
+
+    @pytest.mark.parametrize("f0,v,x2,omega_bisected", [
+        (420.0, -0.02, -1.0, 0.6449895752480027),   # guess below the band
+        (430.0, -0.11, 1.0, 0.6805609393178222),    # guess above it
+        (600.0, -0.3, 1.0, 0.8041923652775619)])    # below 506.96 THz
+    def test_guess_outside_the_band_moves_inside_its_edge(self, f0, v, x2,
+                                                          omega_bisected):
+        # the seed lies 5 % of the way from the table edge of the carrier's
+        # band to the carrier; omega_bisected is the seed of a 40-step
+        # bisection for that edge between the guess and the carrier
+        model = disp.lorentz_from_thz()
+        ctx = sph.PhaseContext(t=1.0, x=(0.0, x2, 0.0),
+                               omega0=omega_from_thz(f0),
+                               trajectory=trj.OffsetLine(v=v),
+                               dispersion=model)
+        omega = sph.default_seed(ctx)[0]
+        lo, hi = next(b for b in disp._band_table(model)
+                      if b[0] <= ctx.omega0 <= b[1])
+        edge = lo if omega < ctx.omega0 else hi
+        assert omega == edge + 0.05 * (ctx.omega0 - edge)
+        assert disp.index_and_flag(model, omega)[1]
+        assert omega == pytest.approx(omega_bisected, rel=1e-13)
 
     def test_three_range_evaluations_on_a_line(self, monkeypatch):
         # r(t), ret(lo) and ret(hi), then v_rad at the seed; bisecting the
