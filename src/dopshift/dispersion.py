@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+def _store_floats(model):
+    """Store every field as a float: a numpy float hashes equal to it but
+    rounds apart, and the band caches are keyed by the model."""
+    for name in model.__dataclass_fields__:
+        object.__setattr__(model, name, float(getattr(model, name)))
+
+
 @dataclass(frozen=True)
 class NonDispersive:
     """Constant permittivity and permeability (both strictly positive)."""
@@ -48,6 +55,7 @@ class NonDispersive:
     mu: float = 1.0
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.eps > 0 and self.mu > 0):
             raise ValueError("non-dispersive medium requires eps > 0, mu > 0")
 
@@ -63,6 +71,7 @@ class ColdPlasma:
     omega_p: float = 1.0
 
     def __post_init__(self):
+        _store_floats(self)
         if self.omega_p < 0:
             raise ValueError("plasma frequency must be non-negative")
 
@@ -82,6 +91,7 @@ class LorentzMetamaterial:
     gamma_m: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.omega_te > 0 and self.omega_tm > 0):
             raise ValueError("resonance frequencies must be strictly positive")
         if min(self.omega_pe, self.omega_pm, self.gamma_e, self.gamma_m) < 0:
@@ -165,9 +175,13 @@ def _wave_dominated(n):
 
 def _resonance(omega_p, omega_t, gamma, w):
     """Single-resonance response 1 + omega_p**2/d and its denominator
-    d = omega_t**2 - w**2 - i w gamma (scalar or array w)."""
+    d = omega_t**2 - w**2 - i w gamma (scalar or array w); a scalar w on
+    the pole of a lossless oscillator (d == 0) raises DegenerateMedium."""
     d = omega_t ** 2 - w * w - 1j * w * gamma
-    return 1.0 + omega_p ** 2 / d, d
+    try:        # an array entry with d == 0 gives inf, not an error
+        return 1.0 + omega_p ** 2 / d, d
+    except ZeroDivisionError:
+        raise DegenerateMedium("omega on a lossless resonance pole") from None
 
 
 def _plasma_k2(model: ColdPlasma, omega):
@@ -235,24 +249,31 @@ def _check_lorentz_range(w_max: float):
             f"|omega| = {w_max:g} > {_LORENTZ_MAX_OMEGA:g} (normalized)")
 
 
-def _lorentz_chain(model: LorentzMetamaterial, w):
-    """eps, mu, n, Re k = w Re n, k' and k'' (scalar or array w)."""
+def _lorentz_slope(model: LorentzMetamaterial, w):
+    """eps, mu, n, Re k = w Re n and k' (scalar or array w), and what k''
+    builds on: n' and (p**2, d, -d', eps') of each oscillator."""
     eps, mu, n, de, dm = _lorentz_index(model, w)
     pe2, pm2 = model.omega_pe ** 2, model.omega_pm ** 2
     ge = 2.0 * w + 1j * model.gamma_e   # -d(de)/dw
     gm = 2.0 * w + 1j * model.gamma_m
     deps = pe2 * ge / de ** 2
     dmu = pm2 * gm / dm ** 2
+    dn = (deps * mu + eps * dmu) / (2.0 * n)        # (eps*mu)' / 2n
+    return (eps, mu, n, w * n.real, n.real + w * dn.real), \
+        (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu))
+
+
+def _lorentz_chain(model: LorentzMetamaterial, w):
+    """eps, mu, n, Re k = w Re n, k' and k'' (scalar or array w)."""
+    (eps, mu, n, k, kp), (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu)) = \
+        _lorentz_slope(model, w)
     # x * (x * x) is the product Python's x ** 3 forms, and numpy's x ** 3
     # on complex arrays is several times slower
     d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / (de * (de * de)))
     d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / (dm * (dm * dm)))
-    p1 = deps * mu + eps * dmu                       # (eps*mu)'
     p2 = d2eps * mu + 2.0 * deps * dmu + eps * d2mu  # (eps*mu)''
-    dn = p1 / (2.0 * n)
     d2n = (p2 - 2.0 * dn * dn) / (2.0 * n)
-    return (eps, mu, n, w * n.real, n.real + w * dn.real,
-            2.0 * dn.real + w * d2n.real)
+    return eps, mu, n, k, kp, 2.0 * dn.real + w * d2n.real
 
 
 def index_and_mask(model: DispersionModel, omega) -> tuple:
@@ -301,7 +322,7 @@ def wavenumber_and_group(model: DispersionModel, omega) -> tuple:
     w = np.asarray(omega, dtype=float)
     if isinstance(model, LorentzMetamaterial):
         _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
-        _, _, n, k, kp, _ = _lorentz_chain(model, w)
+        (_, _, n, k, kp), _ = _lorentz_slope(model, w)
         ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
         return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
     n_real, propagating = index_and_mask(model, w)
@@ -340,7 +361,7 @@ def _band_table(model: DispersionModel) -> tuple:
     def flag(w):
         try:
             return index_and_flag(model, w)[1]
-        except (DegenerateMedium, ZeroDivisionError):
+        except DegenerateMedium:
             return False
 
     g = [model.omega_p] if getattr(model, "omega_p", 0.0) > 0 else []

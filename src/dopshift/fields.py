@@ -93,20 +93,22 @@ def doppler_classification(k_at_solution: float, v_rad: float) -> DopplerClass:
 
 def _assemble(source: SourceModel, ctx: sph.PhaseContext,
               sp: sph.StationaryPoint, gate: bool) -> FieldContribution:
-    g = trj.geometry(ctx.trajectory, ctx.x, sp.tau_s)
-    s = disp.sample(ctx.dispersion, sp.omega_s)
-    s_val = sph.phase(ctx, sp.omega_s, sp.tau_s)
+    """One point's contribution, from one geometry and one dispersion
+    evaluation there; S is formed as in ``stationary_phase.phase``."""
+    r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s)
+    _, mu, _, k, _, _, _, _ = disp._wave(ctx.dispersion, sp.omega_s)
+    s_val = k * r - sp.omega_s * (ctx.t - sp.tau_s) - ctx.omega0 * sp.tau_s
     direction = trj.velocity(ctx.trajectory, sp.tau_s)
     if not np.any(direction) and source.polarization is not None:
         direction = trj.as_vec3(source.polarization)
     zero = np.zeros(3, dtype=complex)
     if gate and not sp.degenerate and np.any(direction):
         a = float(source.envelope(sp.tau_s))
-        curl, graddiv = trj.amplitude_factors(g.unit_dir, g.r, direction)
+        curl, graddiv = trj.amplitude_factors(np.array(u), r, direction)
         scale = sph.saddle_contribution(ctx.lam, s_val, sp.det, sp.signature,
-                                        a / (8.0 * math.pi ** 2 * g.r))
-        h_vec = 1j * s.k.real * curl * scale
-        e_vec = (sp.omega_s * s.mu * direction - graddiv) * scale / 1j
+                                        a / (8.0 * math.pi ** 2 * r))
+        h_vec = 1j * k * curl * scale
+        e_vec = (sp.omega_s * complex(mu) * direction - graddiv) * scale / 1j
     else:
         h_vec, e_vec = zero.copy(), zero.copy()
     return FieldContribution(

@@ -399,11 +399,11 @@ def _line_roots(ctx, geo, w):
     k, vg = disp.wavenumber_and_group(ctx.dispersion, w)
     disc, den = _retardation(geo, vg)
     near = (disc >= 0) & (den > 0)
+    vg2, dw = vg * vg, w - ctx.omega0
     rows = []
-    for ok, num, div in ((near, ee, den),
-                         (near & (vv > vg * vg), den, vv - vg * vg)):
+    for ok, num, div in ((near, ee, den), (near & (vv > vg2), den, vv - vg2)):
         u = np.divide(num, div, out=np.full(w.shape, np.nan), where=ok)
-        rows += [ctx.t - u, w - ctx.omega0 - k * (ev + vv * u) / (vg * u)]
+        rows += [ctx.t - u, dw - k * (ev + vv * u) / (vg * u)]
     return rows, disc
 
 
@@ -411,18 +411,18 @@ def _turns(d):
     """Nodes 1..n-2 where the discrete slope of D turns towards zero and D
     is within the turn's size of zero, so D may cross zero near them."""
     s = np.diff(d)
-    return (np.sign(s[:-1]) * np.sign(s[1:]) < 0) \
-        & ((s[:-1] > 0) == (d[1:-1] < 0)) \
-        & (np.abs(d[1:-1]) <= np.abs(s[:-1]) + np.abs(s[1:]))
+    sign, size = np.sign(s), np.abs(s)
+    return (sign[:-1] * sign[1:] < 0) & ((s[:-1] > 0) == (d[1:-1] < 0)) \
+        & (np.abs(d[1:-1]) <= size[:-1] + size[1:])
 
 
-def _joints(w, rows, disc):
+def _joints(w, rows, disc, near, far):
     """(j, m): both roots exist at node j with D of opposite signs, and
     join before its neighbour m, where the near root is gone: disc < 0 at
-    m, or disc carried on from j's other neighbour reaches zero by m."""
-    dn, df = rows[1], rows[3]
-    split = (np.signbit(dn) != np.signbit(df)) & ~np.isnan(df)
-    gone = np.isnan(dn)
+    m, or disc carried on from j's other neighbour reaches zero by m (near
+    and far flag the nodes where each root exists)."""
+    split = (np.signbit(rows[1]) != np.signbit(rows[3])) & far
+    gone = ~near
     out = []
     for j, m in [(i + 1, i) for i in np.flatnonzero(gone[:-1] & split[1:])] \
             + [(i, i + 1) for i in np.flatnonzero(split[:-1] & gone[1:])]:
@@ -438,35 +438,40 @@ def _hidden(w, rows, disc, ev):
     """Cells that may hide a root: the cells around a turn; a cell where a
     root ends, unless D carried on across it keeps its sign; for e.v < 0,
     one where the near root ends with no far root (it ends at a fold, which
-    the far root reaches first); a joint with no node past its fold yet."""
+    the far root reaches first); a joint with no node past its fold yet.
+    Also returns the ``_turns`` of each branch and the ``_joints``."""
     cells = np.zeros(len(w) - 1, dtype=bool)
-    for d in rows[1::2]:
-        turn = _turns(d)
+    turns = [_turns(d) for d in rows[1::2]]
+    near, far = valids = [~np.isnan(d) for d in rows[1::2]]
+    for d, turn, valid in zip(rows[1::2], turns, valids):
         cells[:-1] |= turn
         cells[1:] |= turn
-        valid = ~np.isnan(d)
         for j in np.flatnonzero(valid[:-1] != valid[1:]):
             a, b = (j, j - 1) if valid[j] else (j + 1, j + 2)
             ahead = 2.0 * d[a] - d[b] if 0 <= b < len(d) else math.nan
             cells[j] |= not ahead * d[a] > 0
-    near, far = ~np.isnan(rows[1]), ~np.isnan(rows[3])
     if ev < 0:
         cells |= near[:-1] & ~near[1:] & ~far[:-1] \
             | ~near[:-1] & near[1:] & ~far[1:]
-    for j, m in _joints(w, rows, disc):
+    joints = _joints(w, rows, disc, near, far)
+    for j, m in joints:
         cells[min(j, m)] |= not disc[m] < 0
-    return cells
+    return cells, turns, joints
 
 
 def _bands(model, omega0: float) -> list:
     """(lo, hi) of each band of ``dispersion._band_table`` that a geometric
     scan of [1e-3, 10] omega0 meets, widened to the scan nodes around it."""
     scan = np.geomspace(1e-3 * omega0, 10.0 * omega0, 4 * _LINE_GRID)
-    inside = np.any([(lo <= scan) & (scan <= hi)
-                     for lo, hi in disp._band_table(model)], axis=0)
-    runs = np.flatnonzero(np.diff(np.r_[False, inside, False]))
+    runs = []   # [a, b): the scan nodes in a band, runs that touch merged
+    for lo, hi in disp._band_table(model):
+        a, b = np.searchsorted(scan, lo), np.searchsorted(scan, hi, "right")
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        elif a < b:
+            runs.append([a, b])
     return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
-            for a, b in zip(runs[::2], runs[1::2])]
+            for a, b in runs]
 
 
 def solve_line(ctx: PhaseContext, tol: float = 1e-10,
@@ -486,15 +491,15 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
     if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
     geo = _line_geometry(ctx)
-    if ctx.omega0 == 0 or geo[0] == 0:
-        return []       # an empty range, or the source at x at time t
-    w = np.unique(np.concatenate([
-        np.linspace(lo, hi, _LINE_GRID)
-        for lo, hi in _bands(ctx.dispersion, ctx.omega0)] or [np.empty(0)]))
+    bands = _bands(ctx.dispersion, ctx.omega0) if ctx.omega0 else []
+    if not bands or geo[0] == 0:
+        return []       # no band in range, or the source at x at time t
+    w = np.concatenate([np.linspace(lo, hi, _LINE_GRID) for lo, hi in bands])
+    w = w[np.concatenate(([True], w[1:] != w[:-1]))]   # once where bands meet
     rows, disc = _line_roots(ctx, geo, w)
-    while len(w) > 1:
-        i = np.flatnonzero(_hidden(w, rows, disc, geo[1])
-                           & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
+    while True:
+        cells, turns, joints = _hidden(w, rows, disc, geo[1])
+        i = np.flatnonzero(cells & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
         if not len(i):
             break
         new = (w[i, None] + np.diff(w)[i, None]
@@ -508,17 +513,16 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
     # try per run of turns left in the finest cells, from its node nearest
     # zero (D touches zero there, or rounding makes the run)
     tries = [(min(w[j], w[m]), max(w[j], w[m]), w[j],
-              0.5 * (rows[0][j] + rows[2][j]), False)
-             for j, m in _joints(w, rows, disc)]
-    for tau, d in zip(rows[::2], rows[1::2]):
+              0.5 * (rows[0][j] + rows[2][j]), False) for j, m in joints]
+    for tau, d, turn in zip(rows[::2], rows[1::2], turns):
         sb = np.signbit(d)
         tries += [(w[j], w[j + 1], 0.5 * (w[j] + w[j + 1]),
                    0.5 * (tau[j] + tau[j + 1]), False) for j in np.flatnonzero(
                        (sb[:-1] != sb[1:]) & ~np.isnan(d[:-1] + d[1:]))]
-        turns = np.flatnonzero(_turns(d)) + 1
-        for run in np.split(turns, np.flatnonzero(
-                np.diff(w[turns]) > _DEDUPE_SEP * w[turns[1:]]) + 1):
-            if len(run):
+        turn = np.flatnonzero(turn) + 1
+        if len(turn):
+            for run in np.split(turn, np.flatnonzero(
+                    np.diff(w[turn]) > _DEDUPE_SEP * w[turn[1:]]) + 1):
                 j = run[np.argmin(np.abs(d[run]))]
                 tries.append((w[run[0] - 1], w[run[-1] + 1], w[j], tau[j],
                               True))

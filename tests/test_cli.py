@@ -228,6 +228,16 @@ class TestDoppler:
         assert code == 3
         assert "no convergence" in err
 
+    def test_lossless_pole_is_a_usage_error(self, capsys, tmp_path):
+        # the carrier on the electric pole of a lossless metamaterial
+        p = tmp_path / "pole.ini"
+        p.write_text(SCENARIO_TEXT.replace(
+            "kind = lorentz", "kind = lorentz\ngamma_e_thz = 0\n"
+            "gamma_m_thz = 0").replace("f0_thz = 420", "f0_thz = 409.82"))
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
                                "--f0-thz", "100", "--v", "0.2", "--x1", "0",

@@ -48,6 +48,7 @@ iterations and signature.
 
 import ast
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -384,3 +385,101 @@ def test_band_scan_clipped():
                 continue
             (root,) = ast.literal_eval(got)
             assert abs(root - want) <= 1e-14 * want
+
+
+# Line events for the enumerator and field pin: a seeded deck drawn like the
+# benchmark's seed-box events (a slow source on an OffsetLine through the
+# default metamaterial; a plasma source on the x2 axis with the observer on
+# the axis ahead of it or behind it), a few sources near the band's
+# group-velocity minimum, where up to five points arrive at once, the fold
+# event of test_fields and one non-dispersive event.  Each comes with the
+# seed box that selects ``stationary_phase.solve_line``.
+def _line_events():
+    rng = np.random.default_rng(20261019)
+    lorentz = disp.lorentz_from_thz()
+    events = []
+    for _ in range(36):
+        w0 = omega_from_thz(float(rng.uniform(419.0, 429.0)))
+        v = float(rng.uniform(3e-4, 2e-3))
+        x = (float(rng.uniform(1e-3, 2e-2)), float(rng.uniform(0.05, 0.3)),
+             0.0)
+        box = ((0.98 * w0, 1.02 * w0), (-200.0 * math.hypot(*x[:2]), 0.0))
+        events.append((lorentz, trj.OffsetLine(v=v, H=0.0), w0, x, 0.0, box))
+    for _ in range(8):
+        w0 = omega_from_thz(float(rng.uniform(419.0, 432.0)))
+        v = float(rng.uniform(0.004, 0.012))
+        x = (float(rng.uniform(1e-3, 5e-3)), float(rng.uniform(0.05, 0.2)),
+             0.0)
+        events.append((lorentz, trj.OffsetLine(v=v, H=0.0), w0, x,
+                       float(rng.uniform(0.0, 60.0)),
+                       ((0.96 * w0, 1.02 * w0), (-60.0, 0.0))))
+    for ahead in (True, False) * 8:
+        w0, mach = float(rng.uniform(1.5, 4.0)), float(rng.uniform(0.0, 0.7))
+        x2 = float(rng.uniform(3.0, 8.0)) * (1.0 if ahead else -1.0)
+        t = float(rng.uniform(0.0, 1.5))
+        r = abs(x2 - mach * t)
+        box = ((0.5 * w0 / (1.0 + mach), 2.0 * w0 / (1.0 - mach)),
+               (t - 6.0 * r, t))
+        events.append((PLASMA, trj.StraightLine(velocity=(0.0, mach, 0.0)),
+                       w0, (0.0, x2, 0.0), t, box))
+    w0 = omega_from_thz(427.8)
+    events.append((lorentz, trj.OffsetLine(v=0.007, H=0.0), w0,
+                   (0.002, 0.1, 0.0), 40.0,
+                   ((omega_from_thz(411.0), omega_from_thz(432.9)),
+                    (-60.0, 39.0))))
+    events.append((disp.NonDispersive(eps=2.25, mu=1.0),
+                   trj.OffsetLine(v=0.4, H=0.1), 2.0, (0.5, 2.0, 0.0), 3.0,
+                   ((1.0, 6.0), (-10.0, 3.0))))
+    return events
+
+
+def _field_pin(seed_box):
+    """Per event: key, degenerate flag, phase and the E and H bytes of every
+    contribution of ``moving_source_fields`` (with or without the event's
+    seed box), or the error type."""
+    out = []
+    for model, traj, w0, x, t, box in _line_events():
+        try:
+            cs = fld.moving_source_fields(fld.SourceModel(omega0=w0), traj,
+                                          model, x, t,
+                                          seed_box=box if seed_box else None)
+        except DopshiftError as err:
+            out.append(type(err).__name__)
+            continue
+        out.append(repr(len(cs)) + "".join(
+            f"|{key(c.point)}{c.point.degenerate}{c.phase_value!r}"
+            f"{c.E.tobytes().hex()}{c.H.tobytes().hex()}" for c in cs))
+    return out
+
+
+# (points over all events, sha256 of the pin lines), recorded before the
+# enumerator's grid chain stopped at k' and its band runs came from a search
+# on the scan, and before the field assembly took one dispersion and one
+# geometry evaluation per point.
+LINE_FIELDS = {
+    True: (80, "f28113b1c82c4683fde26d1f226747af"
+               "c150469c3b4fa67d27e3399efc404cb1"),
+    False: (60, "0cecf9602d9e05993674e8a48b678014"
+                "33b9aaae0b3eb47f9efd511f0f5a2af4"),
+}
+
+
+@pytest.mark.parametrize("seed_box", [True, False])
+def test_line_event_fields(seed_box):
+    out = _field_pin(seed_box)
+    assert len(out) == 62
+    points = sum(int(line.split("|")[0]) for line in out if line[0].isdigit())
+    assert (points, hashlib.sha256("\n".join(out).encode()).hexdigest()) \
+        == LINE_FIELDS[seed_box]
+
+
+def test_field_phase_is_the_phase():
+    # the field assembly forms S from its own evaluation of k and r, in the
+    # float order of stationary_phase.phase
+    for model, traj, w0, x, t, box in _line_events():
+        ctx = sph.PhaseContext(t=t, x=x, omega0=w0, trajectory=traj,
+                               dispersion=model)
+        for c in fld.moving_source_fields(fld.SourceModel(omega0=w0), traj,
+                                          model, x, t, seed_box=box):
+            assert repr(c.phase_value) \
+                == repr(sph.phase(ctx, c.point.omega_s, c.point.tau_s))

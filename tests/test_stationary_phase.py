@@ -577,6 +577,35 @@ class TestSolveLine:
         for model, w0 in carriers:
             assert sph._bands(model, w0) == scanned(model, w0)
 
+    def test_bands_equal_the_table_mask(self):
+        # the runs found by searching the scan equal the runs of a mask of
+        # the table's bands on it, also where two bands hold no scan node
+        # between them and their runs merge
+        def masked(model, omega0):
+            scan = np.geomspace(1e-3 * omega0, 10.0 * omega0,
+                                4 * sph._LINE_GRID)
+            masks = [(lo <= scan) & (scan <= hi)
+                     for lo, hi in disp._band_table(model)]
+            runs = np.flatnonzero(np.diff(np.r_[False, np.any(masks, axis=0),
+                                                False]))
+            merges = sum(map(np.any, masks)) - len(runs) // 2
+            return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
+                    for a, b in zip(runs[::2], runs[1::2])], merges
+
+        rng = np.random.default_rng(8)
+        merges = 0
+        for _ in range(600):
+            model = disp.LorentzMetamaterial(
+                *rng.uniform(0.0, 3.0, 1), *rng.uniform(0.2, 3.0, 1),
+                float(rng.choice([0.0, rng.uniform(0.0, 0.05)])),
+                *rng.uniform(0.0, 3.0, 1), *rng.uniform(0.2, 3.0, 1),
+                float(rng.choice([0.0, rng.uniform(0.0, 0.05)])))
+            for w0 in np.exp(rng.uniform(math.log(0.05), math.log(5.0), 3)):
+                want, merged = masked(model, w0)
+                assert sph._bands(model, w0) == want
+                merges += merged
+        assert merges > 0
+
     def test_needs_a_straight_line(self):
         ctx = sph.PhaseContext(
             t=1.0, x=(0.0, 4.0, 0.0), omega0=2.0, dispersion=PLASMA,
