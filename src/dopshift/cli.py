@@ -97,10 +97,8 @@ def _add_scenario_flags(p):
     p.add_argument("--config", help="scenario file (flat sectioned key=value)")
     p.add_argument("--f0-thz", type=float, help="source carrier in THz")
     p.add_argument("--v", type=float, help="source speed, units of c")
-    p.add_argument("--x1", type=float)
-    p.add_argument("--x2", type=float)
-    p.add_argument("--x3", type=float)
-    p.add_argument("--t", type=float)
+    for name in ("x1", "x2", "x3", "t"):
+        p.add_argument("--" + name, type=float)
     p.add_argument("--method", choices=("newton", "fixed-point", "closed-form"))
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
@@ -174,24 +172,16 @@ def _solve_scenario_point(sc: Scenario):
     s = disp.sample(model, w)
     vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
     cls = fld.doppler_classification(s.k.real, vrad)
-    return {
-        "f0_thz": sc.f0_thz,
-        "f_shift_thz": thz_from_omega(w),
-        "tau": tau,
-        "retarded_time": sc.t - tau,
-        "residual": resid,
-        "classification": cls.value,
-        "det": det,
-        "signature": sig,
-        "v_group": s.v_group,
-    }
+    return {"f0_thz": sc.f0_thz, "f_shift_thz": thz_from_omega(w), "tau": tau,
+            "retarded_time": sc.t - tau, "residual": resid,
+            "classification": cls.value, "det": det, "signature": sig,
+            "v_group": s.v_group}
 
 
 def cmd_doppler(args) -> int:
     sc = _scenario_from_args(args)
     row = _solve_scenario_point(sc)
-    header = list(row.keys())
-    _emit(header, [tuple(row.values())], sc.out_format, sc.out_path)
+    _emit(list(row), [tuple(row.values())], sc.out_format, sc.out_path)
     return EXIT_OK
 
 
@@ -306,22 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_doppler_sweep, medium=None)
 
     p = sub.add_parser("plasma", help="plasma closed form vs Newton")
-    p.add_argument("--f0-thz", type=float, default=1000.0)
-    p.add_argument("--fp-thz", type=float, default=500.0)
-    p.add_argument("--mach", type=float, default=0.5)
+    for name, value in (("f0-thz", 1000.0), ("fp-thz", 500.0), ("mach", 0.5)):
+        p.add_argument("--" + name, type=float, default=value)
     p.add_argument("--direction", choices=("approaching", "receding"),
                    default="approaching")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_plasma)
 
     p = sub.add_parser("cherenkov", help="cone geometry of a moving charge")
-    p.add_argument("--eps", type=float, default=4.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--v", type=float, default=0.75)
-    p.add_argument("--x1", type=float, default=0.3)
-    p.add_argument("--x2", type=float, default=0.4)
-    p.add_argument("--x3", type=float, default=0.2)
-    p.add_argument("--t", type=float, default=2.0)
+    for name, default in (("eps", 4.0), ("mu", 1.0), ("v", 0.75), ("x1", 0.3),
+                          ("x2", 0.4), ("x3", 0.2), ("t", 2.0)):
+        p.add_argument("--" + name, type=float, default=default)
     _add_output_flags(p)
     p.set_defaults(fn=cmd_cherenkov)
 

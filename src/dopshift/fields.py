@@ -101,7 +101,6 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
     direction = trj.velocity(ctx.trajectory, sp.tau_s)
     if not np.any(direction) and source.polarization is not None:
         direction = trj.as_vec3(source.polarization)
-    zero = np.zeros(3, dtype=complex)
     if gate and not sp.degenerate and np.any(direction):
         a = float(source.envelope(sp.tau_s))
         curl, graddiv = trj.amplitude_factors(np.array(u), r, direction)
@@ -110,7 +109,7 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
         h_vec = 1j * k * curl * scale
         e_vec = (sp.omega_s * complex(mu) * direction - graddiv) * scale / 1j
     else:
-        h_vec, e_vec = zero.copy(), zero.copy()
+        h_vec, e_vec = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
     return FieldContribution(
         H=h_vec, E=e_vec, phase_value=s_val,
         instantaneous_frequency=sp.omega_s,

@@ -52,10 +52,11 @@ _LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",
                  "gamma_m_thz": "gamma_m", "f_tm_thz": "f_tm"}
 _MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
                 "nondispersive": {"eps", "mu"}}
-_SECTION_KEYS = {"medium": {"kind"}, "source": {"f0_thz", "v", "h"},
-                 "observer": {"x1", "x2", "x3", "t"},
-                 "solve": {"method", "tol", "max_iter"},
-                 "output": {"format", "path"}}
+# Keys of each section, in the order load_scenario reads them.
+_SECTION_KEYS = {"medium": ("kind",), "source": ("f0_thz", "v", "h"),
+                 "observer": ("x1", "x2", "x3", "t"),
+                 "solve": ("method", "tol", "max_iter"),
+                 "output": ("format", "path")}
 
 
 @dataclass
@@ -141,7 +142,7 @@ def _reject_unknown(cp, medium_kind):
     for section in cp.sections():
         if section not in _SECTION_KEYS:
             raise ScenarioError(f"unknown section [{section}]")
-        allowed = _SECTION_KEYS[section]
+        allowed = set(_SECTION_KEYS[section])
         if section == "medium":
             allowed = allowed | _MEDIUM_KEYS.get(medium_kind, set())
         unknown = sorted(set(cp.options(section)) - allowed)
@@ -169,16 +170,10 @@ def load_scenario(path_or_text: str, from_text: bool = False) -> Scenario:
     _reject_unknown(cp, sc.medium_kind)
     if cp.has_section("medium"):
         sc.medium_params = {k: v for k, v in cp.items("medium") if k != "kind"}
-    sc.f0_thz = _get(cp, "source", "f0_thz", float, sc.f0_thz)
-    sc.v = _get(cp, "source", "v", float, sc.v)
-    sc.h = _get(cp, "source", "h", float, sc.h)
-    sc.x1 = _get(cp, "observer", "x1", float, sc.x1)
-    sc.x2 = _get(cp, "observer", "x2", float, sc.x2)
-    sc.x3 = _get(cp, "observer", "x3", float, sc.x3)
-    sc.t = _get(cp, "observer", "t", float, sc.t)
-    sc.method = _get(cp, "solve", "method", str, sc.method).strip()
-    sc.tol = _get(cp, "solve", "tol", float, sc.tol)
-    sc.max_iter = _get(cp, "solve", "max_iter", int, sc.max_iter)
-    sc.out_format = _get(cp, "output", "format", str, sc.out_format).strip()
-    sc.out_path = _get(cp, "output", "path", str, sc.out_path).strip()
+    for section in ("source", "observer", "solve", "output"):
+        for key in _SECTION_KEYS[section]:
+            attr = {"format": "out_format", "path": "out_path"}.get(key, key)
+            default = getattr(sc, attr)     # read as the default's type
+            val = _get(cp, section, key, type(default), default)
+            setattr(sc, attr, val.strip() if isinstance(val, str) else val)
     return sc.validate()

@@ -133,12 +133,10 @@ def _make_point(d, omega, tau, iters, method) -> StationaryPoint:
     """Classify a converged point with ``_grad_and_hess`` output d."""
     h = np.array([[d[2], d[3]], [d[3], d[4]]])
     try:
-        det, sig = classify(h)
-        degenerate = False
+        det, sig, degenerate = *classify(h), False
     except DegeneratePoint:
         det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
-        sig = 0
-        degenerate = True
+        sig, degenerate = 0, True
     return StationaryPoint(omega_s=omega, tau_s=tau, hessian=h, det=det,
                            signature=sig, residual_norm=_norm(d),
                            iterations=iters, converged=True, method=method,

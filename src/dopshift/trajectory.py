@@ -108,8 +108,6 @@ def acceleration(traj: Trajectory, tau: float) -> Vec3:
         return np.zeros(3)
     if traj.acceleration_fn is not None:
         return as_vec3(traj.acceleration_fn(tau))
-    if traj.velocity_fn is not None:
-        return _richardson(lambda s: as_vec3(traj.velocity_fn(s)), tau)
     return _richardson(lambda s: velocity(traj, s), tau)
 
 

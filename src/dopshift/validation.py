@@ -303,14 +303,12 @@ def _check_derivative_checks():
         scale_g = max(1.0, abs(g[0]), abs(g[1]))
         worst_g = max(worst_g, abs(fd_g[0] - g[0]) / scale_g,
                       abs(fd_g[1] - g[1]) / scale_g)
-        hw2 = 1e-7 * max(1.0, abs(w))
-        ht2 = 1e-7 * max(1.0, abs(tau))
-        gp_w = np.array(sph.gradient(ctx, w + hw2, tau))
-        gm_w = np.array(sph.gradient(ctx, w - hw2, tau))
-        gp_t = np.array(sph.gradient(ctx, w, tau + ht2))
-        gm_t = np.array(sph.gradient(ctx, w, tau - ht2))
-        fd_h = np.column_stack(((gp_w - gm_w) / (2 * hw2),
-                                (gp_t - gm_t) / (2 * ht2)))
+        hw2, ht2 = 1e-7 * max(1.0, abs(w)), 1e-7 * max(1.0, abs(tau))
+        fd_h = np.column_stack((
+            np.subtract(sph.gradient(ctx, w + hw2, tau),
+                        sph.gradient(ctx, w - hw2, tau)) / (2 * hw2),
+            np.subtract(sph.gradient(ctx, w, tau + ht2),
+                        sph.gradient(ctx, w, tau - ht2)) / (2 * ht2)))
         scale_h = max(1.0, float(np.max(np.abs(h))))
         worst_h = max(worst_h, float(np.max(np.abs(fd_h - h))) / scale_h)
     ok = worst_g <= 1e-6 and worst_h <= 1e-5
