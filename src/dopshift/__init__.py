@@ -11,8 +11,8 @@ from .fields import (DopplerClass, FieldContribution, SourceModel,
                      moving_source_fields, nondispersive_doppler,
                      plasma_doppler_closed_form, retard_1d)
 from .stationary_phase import (PhaseContext, StationaryPoint, contribution,
-                               saddle_contribution, solve_fixed_point,
-                               solve_grid, solve_line, solve_newton)
+                               saddle_contribution, solve_grid, solve_line,
+                               solve_newton)
 from .trajectory import CustomTrajectory, OffsetLine, StraightLine
 from .units import Normalization, omega_from_thz, thz_from_omega
 
@@ -27,7 +27,7 @@ __all__ = [
     "moving_source_fields", "nondispersive_doppler",
     "plasma_doppler_closed_form", "retard_1d", "PhaseContext",
     "StationaryPoint", "contribution", "saddle_contribution",
-    "solve_fixed_point", "solve_grid", "solve_line", "solve_newton",
+    "solve_grid", "solve_line", "solve_newton",
     "CustomTrajectory",
     "OffsetLine", "StraightLine", "Normalization", "omega_from_thz",
     "thz_from_omega",

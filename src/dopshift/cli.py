@@ -99,7 +99,7 @@ def _add_scenario_flags(p):
     p.add_argument("--v", type=float, help="source speed, units of c")
     for name in ("x1", "x2", "x3", "t"):
         p.add_argument("--" + name, type=float)
-    p.add_argument("--method", choices=("newton", "fixed-point", "closed-form"))
+    p.add_argument("--method", choices=("newton", "closed-form"))
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
 
@@ -164,9 +164,7 @@ def _solve_scenario_point(sc: Scenario):
         w, tau, resid = fld._collinear_point(model, w0, sc.v, sc.x2, sc.t)
         det = sig = None
     else:
-        solver = sph.solve_newton if sc.method == "newton" \
-            else sph.solve_fixed_point
-        sp = solver(ctx, tol=sc.tol, max_iter=sc.max_iter)
+        sp = sph.solve_newton(ctx, tol=sc.tol, max_iter=sc.max_iter)
         w, tau = sp.omega_s, sp.tau_s
         resid, det, sig = sp.residual_norm, sp.det, sp.signature
     s = disp.sample(model, w)
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_medium_flags(p)
     _add_scenario_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_doppler, medium=None)
+    p.set_defaults(fn=cmd_doppler, medium=None, out=None, format=None)
 
     p = sub.add_parser("doppler-sweep",
                        help="shifted frequency vs carrier frequency")
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0-end-thz", type=float, required=True)
     p.add_argument("--n", type=int, default=41)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_doppler_sweep, medium=None)
+    p.set_defaults(fn=cmd_doppler_sweep, medium=None, out=None, format=None)
 
     p = sub.add_parser("plasma", help="plasma closed form vs Newton")
     for name, value in (("f0-thz", 1000.0), ("fp-thz", 500.0), ("mach", 0.5)):

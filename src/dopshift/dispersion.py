@@ -144,12 +144,6 @@ class DispersionSample:
     k_second: float | None
     propagating: bool
 
-    def require_propagating(self) -> "DispersionSample":
-        if not self.propagating:
-            raise EvanescentRegime(
-                f"omega={self.omega:g} is outside the propagating band")
-        return self
-
 
 def branch_sqrt_product(eps, mu):
     """sqrt(eps*mu) on the half-argument branch, args taken in (-pi, pi].

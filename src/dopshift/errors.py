@@ -59,10 +59,6 @@ class LeftPropagatingBand(DopshiftError):
     """Newton iterates exited the propagating frequency band repeatedly."""
 
 
-class NotAContraction(DopshiftError):
-    """Fixed-point preconditions fail; successive approximations refused."""
-
-
 # -- fields -----------------------------------------------------------------
 
 class SuperluminalRadialSpeed(DopshiftError):

@@ -262,8 +262,8 @@ def apply_phase_operator(ig: OscillatoryIntegrand, u: Callable,
 
         L u = (u - i grad(lam S) . grad u) / (1 + |grad(lam S)|**2).
 
-    The gradient of the full phase lam * S is what makes the oscillatory
-    exponential a fixed point.  Requires the analytic phase gradient and the
+    The gradient of the full phase lam * S is what leaves the oscillatory
+    exponential unchanged by L.  Requires the analytic phase gradient and the
     gradient of u.
     """
     if ig.phase_grad is None:

@@ -23,7 +23,7 @@ length-scale/c units.  Example::
     t = 2
 
     [solve]
-    method = newton           ; newton | fixed-point | closed-form
+    method = newton           ; newton | closed-form
     tol = 1e-10
     max_iter = 80
 
@@ -44,7 +44,7 @@ from . import dispersion as disp
 from .errors import ScenarioError
 from .units import omega_from_thz
 
-_METHODS = ("newton", "fixed-point", "closed-form")
+_METHODS = ("newton", "closed-form")
 _FORMATS = ("csv", "json")
 # Scenario key -> lorentz_from_thz parameter.
 _LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",

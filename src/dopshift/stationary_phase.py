@@ -20,12 +20,12 @@ import numpy as np
 from . import dispersion as disp
 from . import trajectory as trj
 from .errors import (DegeneratePoint, EvanescentRegime, LeftPropagatingBand,
-                     NoConvergence, NotAContraction, ObserverOnTrajectory)
+                     NoConvergence, ObserverOnTrajectory)
 
 __all__ = [
     "PhaseContext", "StationaryPoint", "phase", "gradient", "hessian",
-    "classify", "default_seed", "solve_newton", "solve_fixed_point",
-    "solve_grid", "solve_line", "contribution", "saddle_contribution",
+    "classify", "default_seed", "solve_newton", "solve_grid", "solve_line",
+    "contribution", "saddle_contribution",
 ]
 
 _ARMIJO = 1e-4
@@ -129,7 +129,7 @@ def classify(h: np.ndarray) -> Tuple[float, int]:
     return float(det), signature
 
 
-def _make_point(d, omega, tau, iters, method) -> StationaryPoint:
+def _make_point(d, omega, tau, iters) -> StationaryPoint:
     """Classify a converged point with ``_grad_and_hess`` output d."""
     h = np.array([[d[2], d[3]], [d[3], d[4]]])
     try:
@@ -139,7 +139,7 @@ def _make_point(d, omega, tau, iters, method) -> StationaryPoint:
         sig, degenerate = 0, True
     return StationaryPoint(omega_s=omega, tau_s=tau, hessian=h, det=det,
                            signature=sig, residual_norm=_norm(d),
-                           iterations=iters, converged=True, method=method,
+                           iterations=iters, converged=True, method="newton",
                            degenerate=degenerate)
 
 
@@ -158,8 +158,10 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
     Falls back to (omega0, t - r/v_g) when there is no retarded sign change.
     """
     w0 = ctx.omega0
-    s0 = disp.sample(ctx.dispersion, w0).require_propagating()
-    vg0, c0 = s0.v_group, s0.v_phase
+    _, _, _, _, c0, vg0, _, propagating = disp._wave(ctx.dispersion, w0)
+    if not propagating:
+        raise EvanescentRegime(
+            f"omega={w0:g} is outside the propagating band")
 
     def ret(tau):
         try:
@@ -221,7 +223,7 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
     for it in range(1, max_iter + 1):
         res = _norm(d)
         if res <= tol:
-            return _make_point(d, w, tau, it - 1, "newton")
+            return _make_point(d, w, tau, it - 1)
         # Closed-form solve of H step = -grad S; numpy's LAPACK call costs
         # more than the whole phase evaluation on a 2x2 system.
         f_w, f_t, h_ww, h_wt, h_tt = d
@@ -229,7 +231,7 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
         if det == 0.0:
             raise NoConvergence(
                 "singular Jacobian (caustic) at the current iterate",
-                diagnostics=_failed_point(w, tau, res, it, "newton"))
+                diagnostics=_failed_point(w, tau, res, it))
         step_w = (h_wt * f_t - h_tt * f_w) / det
         step_t = (h_wt * f_w - h_ww * f_t) / det
         merit = 0.5 * res * res
@@ -264,91 +266,19 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
         if not accepted:
             raise NoConvergence(
                 f"line search stalled at iteration {it}, residual {res:.3e}",
-                diagnostics=_failed_point(w, tau, res, it, "newton"))
+                diagnostics=_failed_point(w, tau, res, it))
     res = _norm(d)
     if res <= tol:
-        return _make_point(d, w, tau, max_iter, "newton")
+        return _make_point(d, w, tau, max_iter)
     raise NoConvergence(
         f"no convergence in {max_iter} iterations, residual {res:.3e}",
-        diagnostics=_failed_point(w, tau, res, max_iter, "newton"))
+        diagnostics=_failed_point(w, tau, res, max_iter))
 
 
-def _failed_point(w, tau, res, iters, method) -> StationaryPoint:
+def _failed_point(w, tau, res, iters) -> StationaryPoint:
     return StationaryPoint(omega_s=w, tau_s=tau, hessian=np.full((2, 2), np.nan),
                            det=math.nan, signature=0, residual_norm=res,
-                           iterations=iters, converged=False, method=method)
-
-
-def _contraction_brackets(ctx, omega_box, tau_box, n=7):
-    """Sampled sup of the two successive-approximation bounds.
-
-    First bracket:  |v|/|v_g| + |k''| r
-    Second bracket: k |dv_rad/dtau| / max(omega0, 1) + |v|/|v_g|
-    """
-    b1 = b2 = 0.0
-    wref = max(ctx.omega0, 1.0)
-    for w in np.linspace(*omega_box, n):
-        s = disp.sample(ctx.dispersion, w)
-        if not s.propagating:
-            continue
-        for tau in np.linspace(*tau_box, n):
-            try:
-                g = trj.geometry(ctx.trajectory, ctx.x, tau)
-            except ObserverOnTrajectory:
-                continue
-            speed = float(np.linalg.norm(trj.velocity(ctx.trajectory, tau)))
-            b1 = max(b1, speed / abs(s.v_group) + abs(s.k_second) * g.r)
-            b2 = max(b2, abs(s.k.real) * abs(g.dv_rad_dtau) / wref
-                     + speed / abs(s.v_group))
-    return b1, b2
-
-
-def _fixed_point_step(ctx, w, tau):
-    """One successive approximation; returns the new (omega, tau)."""
-    s = disp.sample(ctx.dispersion, w).require_propagating()
-    tau_new = ctx.t - trj.geometry(ctx.trajectory, ctx.x, tau).r / s.v_group
-    g_new = trj.geometry(ctx.trajectory, ctx.x, tau_new)
-    return ctx.omega0 + s.k.real * g_new.v_rad, tau_new
-
-
-def solve_fixed_point(ctx: PhaseContext, tol: float = 1e-12,
-                      max_iter: int = 400,
-                      seed: Optional[Tuple[float, float]] = None
-                      ) -> StationaryPoint:
-    """Successive approximations on the retardation/Doppler pair.
-
-    tau <- t - r(tau)/v_g(omega), then omega <- omega0 + k(omega) v_rad(tau).
-    Refuses when the contraction bounds, sampled over a neighborhood of the
-    seed (the region the iteration explores), reach 1.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
-    try:
-        w1, tau1 = _fixed_point_step(ctx, w, tau)
-    except (EvanescentRegime, ObserverOnTrajectory) as err:
-        raise NotAContraction(f"trial update from the seed failed: {err}")
-    dw = 1.5 * max(abs(w1 - w), 1e-6 * max(1.0, abs(w)))
-    dt = 1.5 * max(abs(tau1 - tau), 1e-6 * max(1.0, abs(tau)))
-    omega_box = (max(w - dw, 1e-12), w + dw)
-    b1, b2 = _contraction_brackets(ctx, omega_box, (tau - dt, tau + dt))
-    if max(b1, b2) >= 1.0:
-        raise NotAContraction(
-            f"sampled contraction bounds {b1:.3f}, {b2:.3f} reach 1")
-    for it in range(1, max_iter + 1):
-        w_new, tau_new = _fixed_point_step(ctx, w, tau)
-        d_tau, d_w = abs(tau_new - tau), abs(w_new - w)
-        w, tau = w_new, tau_new
-        if d_tau < tol and d_w < tol:
-            return _make_point(_grad_and_hess(ctx, w, tau), w, tau, it,
-                               "fixed-point")
-    try:
-        res = _norm(_grad_and_hess(ctx, w, tau))
-    except (EvanescentRegime, ObserverOnTrajectory, ValueError):
-        res = math.nan
-    raise NoConvergence(f"fixed point did not settle in {max_iter} iterations",
-                        diagnostics=_failed_point(w, tau, res, max_iter,
-                                                  "fixed-point"))
+                           iterations=iters, converged=False, method="newton")
 
 
 def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],

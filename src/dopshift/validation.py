@@ -178,7 +178,7 @@ def _check_stationary_source():
     ctx = sph.PhaseContext(t=2.0, x=(0.0, r, 0.0), omega0=w0,
                            trajectory=trj.OffsetLine(v=0.0, H=0.0),
                            dispersion=model)
-    sp = sph.solve_fixed_point(ctx)
+    sp = sph.solve_newton(ctx)
     vg = disp.sample(model, w0).v_group
     ret = ctx.t - sp.tau_s
     ret_ok = abs(ret - r / vg) <= 1e-10 * (r / vg)

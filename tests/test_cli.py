@@ -139,6 +139,52 @@ class TestScenarioFiles:
         over_f = float(over_out.splitlines()[1].split(",")[1])
         assert over_f == pytest.approx(2 * base_f, rel=1e-9)
 
+    def test_fixed_point_method_is_rejected(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "doppler", "--method", "fixed-point")
+        assert code == 2 and out == "" and "usage:" in err
+        p = tmp_path / "fixed.ini"
+        p.write_text(SCENARIO_TEXT.replace("method = newton",
+                                           "method = fixed-point"))
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown method")
+
+    @pytest.mark.parametrize("command", [
+        ("doppler",),
+        ("doppler-sweep", "--f0-start-thz", "100", "--f0-end-thz", "200",
+         "--n", "3")])
+    def test_output_section_is_honoured(self, tmp_path, capsys, command):
+        flags = ("--medium", "nondispersive", "--f0-thz", "100", "--v", "0.2",
+                 "--x1", "0", "--x2", "5", "--x3", "0", "--t", "0")
+        text = ("[medium]\nkind = nondispersive\n"
+                "[source]\nf0_thz = 100\nv = 0.2\n"
+                "[observer]\nx1 = 0\nx2 = 5\nx3 = 0\nt = 0\n")
+        plain, as_json, to_file = (tmp_path / name for name in (
+            "plain.ini", "json.ini", "file.ini"))
+        out_path = tmp_path / "out.json"
+        plain.write_text(text)
+        as_json.write_text(text + "[output]\nformat = json\n")
+        to_file.write_text(
+            text + f"[output]\nformat = json\npath = {out_path}\n")
+        # no file, and a file without [output]: CSV on stdout
+        _, no_file, _ = run_cli(capsys, *command, *flags)
+        _, no_section, _ = run_cli(capsys, *command, "--config", str(plain))
+        assert no_file == no_section and no_file.startswith("f0_thz,")
+        # the file's format, unless a flag names one
+        code, from_file, _ = run_cli(capsys, *command, "--config",
+                                     str(as_json))
+        assert code == 0
+        rows = json.loads(from_file)
+        header, *cells = no_file.strip().splitlines()
+        assert [list(r) for r in rows] == [header.split(",")] * len(cells)
+        _, flagged, _ = run_cli(capsys, *command, "--config", str(as_json),
+                                "--format", "csv")
+        assert flagged == no_file
+        # the file's path
+        code, stdout, _ = run_cli(capsys, *command, "--config", str(to_file))
+        assert code == 0 and stdout == ""
+        assert out_path.read_text() == from_file
+
 
 class TestDispersionSweep:
     def test_lorentz_band_all_negative(self, capsys):

@@ -34,7 +34,7 @@ def float_flags(floats):
 
 @SETTINGS
 @given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
-       method=st.sampled_from([None, "newton", "fixed-point", "closed-form"]),
+       method=st.sampled_from([None, "newton", "closed-form"]),
        floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS), VALUES),
        max_iter=st.one_of(st.none(), st.integers(-2, 120)))
 def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
@@ -51,7 +51,7 @@ def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
 
 @SETTINGS
 @given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
-       method=st.sampled_from([None, "newton", "fixed-point", "closed-form"]),
+       method=st.sampled_from([None, "newton", "closed-form"]),
        start=VALUES, end=VALUES, n=st.integers(-2, 6),
        floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS[1:]), VALUES))
 def test_doppler_sweep_returns_a_documented_code(capsys, medium, method, start,

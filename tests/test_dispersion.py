@@ -102,8 +102,6 @@ class TestSample:
         assert not s.propagating
         assert s.k.real == 0.0 and s.k.imag == pytest.approx(math.sqrt(3.0))
         assert s.v_group is None
-        with pytest.raises(EvanescentRegime):
-            s.require_propagating()
 
     def test_nondispersive_no_dispersion(self):
         s = disp.sample(disp.NonDispersive(eps=1.0, mu=1.0), 3.7)

@@ -109,12 +109,6 @@ LORENTZ_NUMPY = (
 GRID = [(
     "(3.86851709182133, -6.510535164768806, -0.23271759497133723, 0, 9, 0.0)",
     "de0f8cb15acbc1bfbc327e4fc6dfde3fbc327e4fc6dfde3f0000000000000080")]
-FIXED_POINT = (
-    "(3.8685170918212837, -6.5105351647696486, -0.23271759497133668, 0, 45, "
-    "4.0029660424867213e-13)",
-    "c1118cb15acbc1bfb2327e4fc6dfde3fb2327e4fc6dfde3f0000000000000080")
-
-
 def assert_near_pin(sp, pin):
     """sp within 1e-12 of a recorded pin, with its iterations and signature;
     the residual is a rounding-level number below tol and is not compared."""
@@ -162,13 +156,6 @@ class TestSolverGolden:
         pts = sph.solve_grid(plasma_ctx(4.0), (1.5, 6.0), (-8.0, 0.9),
                              n_omega=5, n_tau=5)
         assert [key(p) for p in pts] == GRID
-
-    def test_fixed_point(self):
-        ctx = plasma_ctx(4.0)
-        sp = sph.solve_fixed_point(ctx, tol=1e-12)
-        assert key(sp) == FIXED_POINT
-        assert sph.hessian(ctx, sp.omega_s, sp.tau_s).tobytes() \
-            == sp.hessian.tobytes()
 
 
 MOVING_E_PREFACTOR = (
@@ -284,8 +271,9 @@ PLASMA_HEADER = ("f0_thz,fp_thz,mach,direction,f_closed_thz,f_newton_thz,"
     (DOPPLER_FLAGS + ("--method", "newton"), DOPPLER_HEADER
      + "1000,1386.27691,-4.88411784,5.88411784,8.8817842e-16,blue-shift,"
        "-0.462086842,0,0.932690283\n"),
-    (DOPPLER_FLAGS + ("--method", "fixed-point"), DOPPLER_HEADER
-     + "1000,1386.27691,-4.88411784,5.88411784,1.97813575e-11,blue-shift,"
+    # no --method or --format flag: the Newton point as CSV
+    (DOPPLER_FLAGS, DOPPLER_HEADER
+     + "1000,1386.27691,-4.88411784,5.88411784,8.8817842e-16,blue-shift,"
        "-0.462086842,0,0.932690283\n"),
     (("plasma",), PLASMA_HEADER
      + "1000,500,0.5,approaching,1934.25855,1934.25855,0,-0.232717595,0\n"),

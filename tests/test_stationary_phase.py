@@ -15,8 +15,7 @@ from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift.errors import (DegeneratePoint, DopshiftError, EvanescentRegime,
-                             NoConvergence, NotAContraction,
-                             ObserverOnTrajectory)
+                             NoConvergence, ObserverOnTrajectory)
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -372,54 +371,11 @@ class TestSolvers:
         assert (diag.omega_s, diag.tau_s, diag.iterations) == (2.0, -3.0, 1)
         assert not diag.converged
 
-    @pytest.mark.parametrize("solve", [sph.solve_newton, sph.solve_fixed_point])
+    @pytest.mark.parametrize("solve", [sph.solve_newton])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive(self, solve, tol):
         with pytest.raises(ValueError, match="tol"):
             solve(plasma_ctx(), tol=tol)
-
-    def test_fixed_point_no_convergence_diagnostics(self):
-        ctx = plasma_ctx()
-        with pytest.raises(NoConvergence) as err:
-            sph.solve_fixed_point(ctx, max_iter=1)
-        diag = err.value.diagnostics
-        assert diag is not None and not diag.converged
-        assert diag.method == "fixed-point" and diag.iterations == 1
-        assert diag.residual_norm == pytest.approx(
-            math.hypot(*sph.gradient(ctx, diag.omega_s, diag.tau_s)),
-            rel=1e-12)
-
-    def test_fixed_point_stationary_source_one_iteration(self):
-        ctx = sph.PhaseContext(t=2.0, x=(0.0, 3.0, 0.0), omega0=2.0,
-                               trajectory=trj.OffsetLine(v=0.0, H=0.0),
-                               dispersion=PLASMA)
-        sp = sph.solve_fixed_point(ctx)
-        s = disp.sample(PLASMA, 2.0)
-        assert sp.iterations == 1
-        assert sp.omega_s == 2.0
-        assert sp.tau_s == 2.0 - 3.0 / s.v_group
-
-    def test_fixed_point_static_source_without_dispersion(self):
-        ctx = sph.PhaseContext(t=2.0, x=(0.0, 3.0, 0.0), omega0=2.0,
-                               trajectory=trj.OffsetLine(v=0.0, H=0.0),
-                               dispersion=VACUUM)
-        sp = sph.solve_fixed_point(ctx)
-        assert sp.omega_s == 2.0
-        assert sp.tau_s == 2.0 - 3.0 / 1.0      # group speed is c here
-
-    def test_fixed_point_agrees_with_newton(self):
-        ctx = plasma_ctx()
-        tol = 1e-12
-        a = sph.solve_newton(ctx, tol=tol)
-        b = sph.solve_fixed_point(ctx, tol=tol)
-        assert abs(a.omega_s - b.omega_s) <= 10 * tol
-        assert abs(a.tau_s - b.tau_s) <= 10 * tol
-
-    def test_fixed_point_refuses_non_contraction(self):
-        # near-cutoff carrier with a huge range: k'' r well above 1
-        ctx = plasma_ctx(x2=200.0, w0=1.05, mach=0.0)
-        with pytest.raises(NotAContraction):
-            sph.solve_fixed_point(ctx)
 
     def test_grid_deduplicates(self):
         ctx = plasma_ctx()
