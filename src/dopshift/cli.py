@@ -78,19 +78,17 @@ def _emit(header, rows, fmt, path):
 
 
 def _add_medium_flags(p):
-    p.add_argument("--medium", choices=("lorentz", "plasma", "nondispersive"),
-                   default="lorentz")
-    p.add_argument("--eps", type=float, default=1.0,
-                   help="non-dispersive permittivity")
-    p.add_argument("--mu", type=float, default=1.0,
-                   help="non-dispersive permeability")
-    p.add_argument("--fp-thz", type=float, default=500.0,
+    p.add_argument("--medium", choices=("lorentz", "plasma", "nondispersive"))
+    p.add_argument("--eps", type=float, help="non-dispersive permittivity")
+    p.add_argument("--mu", type=float, help="non-dispersive permeability")
+    p.add_argument("--fp-thz", type=float, dest="f_p_thz", metavar="FP_THZ",
                    help="plasma frequency in THz")
 
 
 def _add_output_flags(p):
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", dest="out_path", metavar="OUT",
+                   help="output path, '-' for stdout")
+    p.add_argument("--format", dest="out_format", choices=("csv", "json"))
 
 
 def _add_scenario_flags(p):
@@ -105,25 +103,21 @@ def _add_scenario_flags(p):
 
 
 def _scenario_from_args(args) -> Scenario:
+    """The scenario file (or the defaults) with each given flag applied as
+    the key its dest names; a --medium of another kind drops the file's
+    medium keys."""
     config = getattr(args, "config", None)
     sc = load_scenario(config) if config else Scenario()
-    if getattr(args, "medium", None):
-        sc.medium_kind = args.medium
-        if args.medium == "nondispersive":
-            sc.medium_params = {"eps": str(args.eps), "mu": str(args.mu)}
-        elif args.medium == "plasma":
-            sc.medium_params = {"f_p_thz": str(args.fp_thz)}
-        else:
-            sc.medium_params = {}
+    if args.medium not in (None, sc.medium_kind):
+        sc.medium_kind, sc.medium_params = args.medium, {}
+    for key in ("eps", "mu", "f_p_thz"):
+        if getattr(args, key) is not None:
+            sc.medium_params[key] = str(getattr(args, key))
     for attr in ("f0_thz", "v", "x1", "x2", "x3", "t", "method", "tol",
-                 "max_iter"):
+                 "max_iter", "out_path", "out_format"):
         val = getattr(args, attr, None)
         if val is not None:
             setattr(sc, attr, val)
-    if getattr(args, "out", None) is not None:
-        sc.out_path = args.out
-    if getattr(args, "format", None) is not None:
-        sc.out_format = args.format
     return sc.validate()
 
 
@@ -146,7 +140,7 @@ def cmd_dispersion_sweep(args) -> int:
     for f in np.linspace(args.f_start_thz, args.f_end_thz, args.n):
         s = disp.sample(model, omega_from_thz(float(f)))
         rows.append((float(f), s.n.real, s.n.imag, s.v_phase, s.v_group))
-    _emit(header, rows, args.format, args.out)
+    _emit(header, rows, args.out_format, args.out_path)
     return EXIT_OK
 
 
@@ -164,7 +158,7 @@ def _solve_scenario_point(sc: Scenario):
         w, tau, resid = fld._collinear_point(model, w0, sc.v, sc.x2, sc.t)
         det = sig = None
     else:
-        sp = sph.solve_newton(ctx, tol=sc.tol, max_iter=sc.max_iter)
+        sp = fld._nearest_point(ctx, w0, tol=sc.tol, max_iter=sc.max_iter)
         w, tau = sp.omega_s, sp.tau_s
         resid, det, sig = sp.residual_norm, sp.det, sp.signature
     s = disp.sample(model, w)
@@ -221,7 +215,7 @@ def cmd_plasma(args) -> int:
     rows = [(args.f0_thz, args.fp_thz, args.mach, args.direction,
              thz_from_omega(closed), thz_from_omega(sp.omega_s),
              abs(sp.omega_s - closed) / closed, sp.det, sp.signature)]
-    _emit(header, rows, args.format, args.out)
+    _emit(header, rows, args.out_format, args.out_path)
     return EXIT_OK
 
 
@@ -242,7 +236,7 @@ def cmd_cherenkov(args) -> int:
               "retarded_time", "gate", "beta", "degenerate_hessian"]
     rows = [(angle, g.v_rad / args.v, contr.point.tau_s, contr.retarded_time,
              contr.gate, args.v / s.v_group, contr.point.degenerate)]
-    _emit(header, rows, args.format, args.out)
+    _emit(header, rows, args.out_format, args.out_path)
     return EXIT_OK
 
 
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_medium_flags(p)
     _add_scenario_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_doppler, medium=None, out=None, format=None)
+    p.set_defaults(fn=cmd_doppler)
 
     p = sub.add_parser("doppler-sweep",
                        help="shifted frequency vs carrier frequency")
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0-end-thz", type=float, required=True)
     p.add_argument("--n", type=int, default=41)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_doppler_sweep, medium=None, out=None, format=None)
+    p.set_defaults(fn=cmd_doppler_sweep)
 
     p = sub.add_parser("plasma", help="plasma closed form vs Newton")
     for name, value in (("f0-thz", 1000.0), ("fp-thz", 500.0), ("mach", 0.5)):

@@ -350,8 +350,9 @@ def _band_table(model: DispersionModel) -> tuple:
     """(lo, hi) of each propagating band at omega > 0, ascending, 0.0 and
     inf at open ends: the adjacent floats where ``index_and_flag`` flips (a
     lossless pole or zero, where it raises, does not propagate), bisected
-    around each positive real root of Re(eps mu) |d_e d_m|**2, a real
-    degree-8 polynomial (a plasma's omega_p); a root with no flip is dropped."""
+    around Re r of each root r with Re r > 0 (complex ones too: ``np.roots``
+    splits a repeated real root) of Re(eps mu) |d_e d_m|**2, a real degree-8
+    polynomial (a plasma's omega_p); a root with no flip is dropped."""
     def flag(w):
         try:
             return index_and_flag(model, w)[1]
@@ -368,8 +369,7 @@ def _band_table(model: DispersionModel) -> tuple:
             for p, t, gam in ((m.omega_pe, m.omega_te, m.gamma_e),
                               (m.omega_pm, m.omega_tm, m.gamma_m))
             for q, im in ((1.0, -1j), (0.0, 1j))]).real)
-        g = sorted(s * float(r.real) for r in x
-                   if r.real > 0 and abs(r.imag) <= 1e-6 * r.real)
+        g = sorted(s * float(r.real) for r in x if r.real > 0)
     ends = [0.5 * g[0], *(0.5 * (a + b) for a, b in zip(g, g[1:])),
             2.0 * g[-1]] if g else [1.0]
     cuts = [0.0]    # (0, a1), (b1, a2), ..., (bk, inf) between the flips

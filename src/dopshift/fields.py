@@ -24,7 +24,7 @@ from . import dispersion as disp
 from . import stationary_phase as sph
 from . import trajectory as trj
 from .errors import (BelowCutoff, GroupVelocityMatchesSource,
-                     NoCherenkovRoot, NoConvergence, NoRootInBand,
+                     NoCherenkovRoot, NoRootInBand,
                      SuperluminalMach, SuperluminalRadialSpeed)
 
 __all__ = [
@@ -180,27 +180,32 @@ def plasma_doppler_closed_form(omega0: float, omega_p: float, mach: float,
 
 def plasma_head_on(omega0: float, omega_p: float, mach: float,
                    approaching: bool = True):
-    """Closed form and Newton solve of the head-on plasma point.
+    """Closed form and enumerated solve of the head-on plasma point.
 
     The source moves along x2 at the Mach number through the origin; the
     on-axis observer sits at x2 = 4 (approach) or -4 (recession) at t = 1.
-    It sees both a pre- and a post-passage point, so the receding branch is
-    selected by seeding Newton near the closed form.  Returns (closed-form
-    frequency, StationaryPoint); the closed form's errors (BelowCutoff,
-    SuperluminalMach) are raised before any solve.
+    It sees both a pre- and a post-passage point, so of the causal points
+    the one nearest the closed form in frequency is taken.  Returns
+    (closed-form frequency, StationaryPoint); the closed form's errors
+    (BelowCutoff, SuperluminalMach) are raised before any solve.
     """
     closed = plasma_doppler_closed_form(omega0, omega_p, mach, approaching)
-    x2 = 4.0 if approaching else -4.0
     ctx = sph.PhaseContext(
-        t=1.0, x=(0.0, x2, 0.0), omega0=omega0,
+        t=1.0, x=(0.0, 4.0 if approaching else -4.0, 0.0), omega0=omega0,
         trajectory=trj.StraightLine(velocity=(0.0, mach, 0.0)),
         dispersion=disp.ColdPlasma(omega_p=omega_p))
-    seed = None
-    if not approaching:
-        vg_c = disp.sample(ctx.dispersion, closed).v_group
-        tau_rec = (vg_c * ctx.t - abs(x2)) / (mach + vg_c)
-        seed = (1.001 * closed, tau_rec - 0.1)
-    return closed, sph.solve_newton(ctx, seed=seed, tol=1e-12)
+    return closed, _nearest_point(ctx, closed, tol=1e-12)
+
+
+def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
+                   tol: float = 1e-10, max_iter: int = 60
+                   ) -> sph.StationaryPoint:
+    """The causal stationary point (``stationary_phase.solve_line``) nearest
+    omega_ref in frequency; NoRootInBand when there is none."""
+    found = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
+    if not found:
+        raise NoRootInBand("no causal stationary point")
+    return min(found, key=lambda p: abs(p.omega_s - omega_ref))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -399,18 +404,15 @@ def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
                             max_iter: int = 80) -> PlanarDopplerSolution:
     """Joint (omega, tau) solve for planar geometry (x3 = 0, offset H = 0).
 
-    Of every causal stationary point (``stationary_phase.solve_line``) it
-    takes the one closest in frequency to the carrier, and raises
-    NoConvergence when there is none; the planar closed form is evaluated
-    afterwards as a consistency check and reported in the result.
+    Of every causal stationary point it takes the one closest in frequency
+    to the carrier (``_nearest_point``, NoRootInBand when there is none);
+    the planar closed form is evaluated afterwards as a consistency check
+    and reported in the result.
     """
     traj = trj.OffsetLine(v=v, H=0.0)
     ctx = sph.PhaseContext(t=t, x=(x1, x2, 0.0), omega0=omega0,
                            trajectory=traj, dispersion=model)
-    found = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
-    if not found:
-        raise NoConvergence("no causal stationary point", None)
-    sp = min(found, key=lambda p: abs(p.omega_s - omega0))
+    sp = _nearest_point(ctx, omega0, tol=tol, max_iter=max_iter)
     s = disp.sample(model, sp.omega_s)
     r = math.hypot(x1, x2 - v * sp.tau_s)
     denom = r - s.n.real * v * (x2 - v * sp.tau_s)
@@ -457,14 +459,16 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
     ctx = sph.PhaseContext(t=t, x=tuple(x), omega0=0.0, trajectory=traj,
                            dispersion=model)
 
+    def in_cone(v_group):
+        beta = speed / v_group
+        return speed * t - zeta - x_perp * math.sqrt(abs(beta * beta - 1.0)) > 0
+
     if isinstance(model, disp.NonDispersive):
         s = disp.sample(model, 1.0)
         c = s.v_phase
         if c >= speed:
             raise NoCherenkovRoot(
                 f"phase speed {c:g} >= source speed {speed:g}")
-        beta = speed / s.v_group
-        gate = speed * t - zeta - x_perp * math.sqrt(abs(beta * beta - 1.0)) > 0
         # (ch2'): v_rad(tau) = c has the closed-form bracket below; solve it
         # numerically so the reported angle carries a residual, not a formula.
         tau_closed = (zeta - c * x_perp / math.sqrt(speed * speed - c * c)) / speed
@@ -485,7 +489,7 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
             omega_s=0.0, tau_s=tau_s, hessian=h, det=float(np.linalg.det(h)),
             signature=0, residual_norm=res, iterations=0, converged=True,
             method="closed-form", degenerate=True)
-        return _assemble(source, ctx, sp, gate=gate)
+        return _assemble(source, ctx, sp, gate=in_cone(s.v_group))
 
     # Dispersive medium: refuse when no propagating frequency is slow enough,
     # else solve the joint system with the generic Newton engine.
@@ -501,9 +505,6 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
             last_err = err
             continue
         if sp.omega_s > 1e-8:
-            s = disp.sample(model, sp.omega_s)
-            beta = speed / s.v_group
-            gate = (speed * t - zeta
-                    - x_perp * math.sqrt(abs(beta * beta - 1.0))) > 0
-            return _assemble(source, ctx, sp, gate=gate)
+            v_group = disp.sample(model, sp.omega_s).v_group
+            return _assemble(source, ctx, sp, gate=in_cone(v_group))
     raise NoCherenkovRoot(f"no nontrivial-frequency root found ({last_err})")

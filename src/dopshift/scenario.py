@@ -52,8 +52,10 @@ _LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",
                  "gamma_m_thz": "gamma_m", "f_tm_thz": "f_tm"}
 _MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
                 "nondispersive": {"eps", "mu"}}
-# Keys of each section, in the order load_scenario reads them.
-_SECTION_KEYS = {"medium": ("kind",), "source": ("f0_thz", "v", "h"),
+# Keys of each section, in the order load_scenario reads them; [medium]
+# takes the keys of every kind, and Scenario.validate those of its kind.
+_SECTION_KEYS = {"medium": ("kind", *set().union(*_MEDIUM_KEYS.values())),
+                 "source": ("f0_thz", "v", "h"),
                  "observer": ("x1", "x2", "x3", "t"),
                  "solve": ("method", "tol", "max_iter"),
                  "output": ("format", "path")}
@@ -79,6 +81,11 @@ class Scenario:
     def validate(self) -> "Scenario":
         if self.medium_kind not in _MEDIUM_KEYS:
             raise ScenarioError(f"unknown medium kind {self.medium_kind!r}")
+        unknown = sorted(set(self.medium_params)
+                         - _MEDIUM_KEYS[self.medium_kind])
+        if unknown:
+            raise ScenarioError(f"[medium] unknown keys for kind "
+                                f"{self.medium_kind}: {', '.join(unknown)}")
         if self.method not in _METHODS:
             raise ScenarioError(f"unknown method {self.method!r}")
         if self.out_format not in _FORMATS:
@@ -135,17 +142,14 @@ def _get(cp, section, key, cast, default):
     return default
 
 
-def _reject_unknown(cp, medium_kind):
+def _reject_unknown(cp):
     """Raise ScenarioError on a section or key the scenario does not read."""
     if cp.defaults():
         raise ScenarioError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         if section not in _SECTION_KEYS:
             raise ScenarioError(f"unknown section [{section}]")
-        allowed = set(_SECTION_KEYS[section])
-        if section == "medium":
-            allowed = allowed | _MEDIUM_KEYS.get(medium_kind, set())
-        unknown = sorted(set(cp.options(section)) - allowed)
+        unknown = sorted(set(cp.options(section)) - set(_SECTION_KEYS[section]))
         if unknown:
             raise ScenarioError(
                 f"[{section}] unknown keys: {', '.join(unknown)}")
@@ -165,9 +169,9 @@ def load_scenario(path_or_text: str, from_text: bool = False) -> Scenario:
     except configparser.Error as err:
         raise ScenarioError(f"bad scenario syntax: {err}")
 
+    _reject_unknown(cp)
     sc = Scenario()
     sc.medium_kind = _get(cp, "medium", "kind", str, sc.medium_kind).strip()
-    _reject_unknown(cp, sc.medium_kind)
     if cp.has_section("medium"):
         sc.medium_params = {k: v for k, v in cp.items("medium") if k != "kind"}
     for section in ("source", "observer", "solve", "output"):

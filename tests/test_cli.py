@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from dopshift import cli, errors, validation
+from dopshift import dispersion as disp
+from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift.units import omega_from_thz, thz_from_omega
@@ -138,6 +140,20 @@ class TestScenarioFiles:
         base_f = float(base_out.splitlines()[1].split(",")[1])
         over_f = float(over_out.splitlines()[1].split(",")[1])
         assert over_f == pytest.approx(2 * base_f, rel=1e-9)
+        # a medium flag overrides its own key only; --medium of the file's
+        # kind keeps the file's keys; a key the kind does not read is refused
+        p.write_text("[medium]\nkind = plasma\nf_p_thz = 400\n"
+                     "[source]\nf0_thz = 1000\nv = 0.3\n"
+                     "[observer]\nx1 = 0.5\nx2 = 4\nx3 = 0\nt = 1\n")
+        for flags, f_thz in ((("--medium", "plasma"), "1401.12694"),
+                             (("--fp-thz", "300"), "1412.19069")):
+            code, out, _ = run_cli(capsys, "doppler", "--config", str(p),
+                                   *flags)
+            assert code == 0 and out.splitlines()[1].split(",")[1] == f_thz
+        p.write_text(SCENARIO_TEXT)
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p),
+                                 "--eps", "2")
+        assert code == 2 and out == "" and "eps" in err
 
     def test_fixed_point_method_is_rejected(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "doppler", "--method", "fixed-point")
@@ -267,22 +283,35 @@ class TestDoppler:
         assert abs(row["tau"] - sp.tau_s) <= 1e-9 * max(1.0, abs(sp.tau_s))
         assert row["retarded_time"] > 0 and row["residual"] <= 1e-9
 
-    def test_reference_2d_scenario_does_not_converge(self, capsys, tmp_path):
+    def test_reference_2d_scenario_is_the_planar_point(self, capsys,
+                                                        tmp_path):
+        # the causal point nearest the carrier, as metamaterial_doppler_2d
+        # takes it: 713.782905 THz, tau -0.557698682
         p = tmp_path / "reference.ini"
         p.write_text(SCENARIO_TEXT)
-        code, _, err = run_cli(capsys, "doppler", "--config", str(p))
-        assert code == 3
-        assert "no convergence" in err
+        code, out, _ = run_cli(capsys, "doppler", "--config", str(p),
+                               "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        sol = fld.metamaterial_doppler_2d(disp.lorentz_from_thz(),
+                                          omega_from_thz(420.0), 0.5, 0.01,
+                                          1.595, 2.0)
+        assert row["f_shift_thz"] == thz_from_omega(sol.omega_s)
+        assert row["tau"] == sol.tau_s and row["retarded_time"] > 0
 
-    def test_lossless_pole_is_a_usage_error(self, capsys, tmp_path):
-        # the carrier on the electric pole of a lossless metamaterial
+    def test_lossless_pole_carrier_answers_by_both_methods(self, capsys,
+                                                           tmp_path):
+        # the carrier on the electric pole of a lossless metamaterial: no
+        # method reads the carrier's own index, so both find the point
         p = tmp_path / "pole.ini"
         p.write_text(SCENARIO_TEXT.replace(
             "kind = lorentz", "kind = lorentz\ngamma_e_thz = 0\n"
             "gamma_m_thz = 0").replace("f0_thz = 420", "f0_thz = 409.82"))
-        code, out, err = run_cli(capsys, "doppler", "--config", str(p))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        for method in ("newton", "closed-form"):
+            code, out, err = run_cli(capsys, "doppler", "--config", str(p),
+                                     "--x1", "0", "--method", method)
+            assert code == 0 and "Traceback" not in err
+            assert out.splitlines()[1].split(",")[1] == "679.153898"
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
@@ -304,6 +333,25 @@ class TestDoppler:
         f1 = float(out1.splitlines()[1].split(",")[1])
         f2 = float(out2.splitlines()[1].split(",")[1])
         assert f1 == pytest.approx(f2, rel=1e-9)
+        # and the collinear Lorentz sweep: the same 17 carriers without a
+        # causal point, the same point at every other one
+        sweeps = []
+        for method in ("newton", "closed-form"):
+            code, out, _ = run_cli(capsys, "doppler-sweep", "--x1", "0",
+                                   "--f0-start-thz", "380", "--f0-end-thz",
+                                   "460", "--n", "81", "--method", method,
+                                   "--format", "json")
+            assert code == 0
+            sweeps.append(json.loads(out))
+        newton, closed = sweeps
+        assert [r["error"] for r in newton] == [r["error"] for r in closed]
+        assert [r["error"] for r in newton].count("NoRootInBand") == 17
+        for a, b in zip(newton, closed):
+            if a["error"] is None:
+                assert a["f_shift_thz"] == pytest.approx(b["f_shift_thz"],
+                                                         rel=1e-9)
+                assert abs(a["tau"] - b["tau"]) <= 1e-9 * max(1.0,
+                                                              abs(b["tau"]))
 
 
 class TestDopplerSweep:

@@ -1,6 +1,6 @@
 """Property tests: the ``doppler``, ``doppler-sweep``, ``dispersion-sweep``,
 ``plasma`` and ``cherenkov`` commands end every input with a documented exit
-code and never let an exception escape."""
+code and never let an exception escape; a ``doppler`` point is causal."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,9 +23,10 @@ SETTINGS = settings(max_examples=50, deadline=None,
 
 def check_exit(capsys, argv):
     code = cli.main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in DOCUMENTED - {1}, argv
     assert "Traceback" not in err, argv
+    return code, out
 
 
 def float_flags(floats):
@@ -46,7 +47,11 @@ def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
         argv.append(f"--method={method}")
     if max_iter is not None:
         argv.append(f"--max-iter={max_iter}")
-    check_exit(capsys, argv + float_flags(floats))
+    code, out = check_exit(capsys, argv + float_flags(floats))
+    if code == 0:       # a causal point: emitted before the observer's t
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["retarded_time"]) > 0, argv
 
 
 @SETTINGS

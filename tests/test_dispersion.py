@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
@@ -333,6 +333,10 @@ class TestBandTable:
 
     @settings(max_examples=200, deadline=None)
     @given(model=lorentz_models)
+    # a triple root at omega_te, which np.roots returns as a complex cluster
+    @example(model=disp.LorentzMetamaterial(
+        omega_pe=0.00188, omega_te=0.1015625, gamma_e=0.0, omega_pm=0.0,
+        omega_tm=0.1015625, gamma_m=0.0))
     def test_drawn_lorentz_mask_equals_index_and_mask(self, model):
         rng = np.random.default_rng(6)
         top = 1.5 * max(model.omega_te, model.omega_tm,

@@ -44,6 +44,15 @@ of bisection: the seed moved in its last bits, and so did the converged
 tau_s (2 ulp) and the residual (0 to 1.8e-15).  The value recorded before
 (``APPROACH_BISECTION``) stays as a check within 1e-12, with equal
 iterations and signature.
+
+``plasma_head_on`` takes the enumerated causal point nearest the closed form
+(``stationary_phase.solve_line``), whose Newton polish starts inside the
+root's bracket instead of at ``default_seed`` (approach) or a hand-made
+seed near the closed form (recession).  Its points are pinned apart, as
+``HEAD_ON_APPROACH`` and ``HEAD_ON_RECEDING``: the approach omega_s moved
+1 ulp from ``APPROACH``, tau_s 1.4e-15 relative, and the polish takes 2
+iterations, not 3; the receding tau_s moved 1 ulp from ``RECEDING``.  They
+stay checked within 1e-12 of ``APPROACH_BISECTION`` and ``RECEDING``.
 """
 
 import ast
@@ -98,6 +107,14 @@ RECEDING = (
     "(1.4648162415120036, -2.6564023547027498, -2.8367268494731075, 0, 3, "
     "8.95090418262362e-16)",
     "8dd31f250e6e01c0fc1dcb16b9f2fa3ffc1dcb16b9f2fa3f0000000000000080")
+HEAD_ON_APPROACH = (
+    "(3.8685170918213303, -6.510535164768794, -0.23271759497133723, 0, 2, "
+    "4.446439748506845e-15)",
+    "d80f8cb15acbc1bfbc327e4fc6dfde3fbc327e4fc6dfde3f0000000000000080")
+HEAD_ON_RECEDING = (
+    "(1.4648162415120036, -2.6564023547027493, -2.8367268494731075, 0, 3, "
+    "4.577566798522237e-16)",
+    "8ed31f250e6e01c0fc1dcb16b9f2fa3ffc1dcb16b9f2fa3f0000000000000080")
 LORENTZ = (
     "(0.6653673440707604, -17.1394505689918, -0.8486610116765511, 0, 3, "
     "1.4210857496182952e-14)",
@@ -109,11 +126,12 @@ LORENTZ_NUMPY = (
 GRID = [(
     "(3.86851709182133, -6.510535164768806, -0.23271759497133723, 0, 9, 0.0)",
     "de0f8cb15acbc1bfbc327e4fc6dfde3fbc327e4fc6dfde3f0000000000000080")]
-def assert_near_pin(sp, pin):
-    """sp within 1e-12 of a recorded pin, with its iterations and signature;
-    the residual is a rounding-level number below tol and is not compared."""
+def assert_near_pin(sp, pin, iterations=None):
+    """sp within 1e-12 of a recorded pin, with its signature and iterations
+    (``iterations`` instead, for a solve from another seed); the residual is
+    a rounding-level number below tol and is not compared."""
     omega, tau, det, sig, iters, _ = ast.literal_eval(pin[0])
-    assert (sp.signature, sp.iterations) == (sig, iters)
+    assert (sp.signature, sp.iterations) == (sig, iterations or iters)
     assert [sp.omega_s, sp.tau_s, sp.det] == pytest.approx(
         [omega, tau, det], rel=1e-12, abs=0)
     hess = np.frombuffer(bytes.fromhex(pin[1])).reshape(2, 2)
@@ -138,11 +156,12 @@ class TestSolverGolden:
 
     def test_plasma_head_on_both_branches(self):
         closed, sp = fld.plasma_head_on(2.0, 1.0, 0.5, True)
-        assert key(sp) == APPROACH
-        assert_near_pin(sp, APPROACH_BISECTION)
+        assert key(sp) == HEAD_ON_APPROACH
+        assert_near_pin(sp, APPROACH_BISECTION, iterations=2)
         closed, sp = fld.plasma_head_on(2.0, 1.0, 0.5, False)
         assert repr(closed) == repr(RECEDING_CLOSED)
-        assert key(sp) == RECEDING
+        assert key(sp) == HEAD_ON_RECEDING
+        assert_near_pin(sp, RECEDING)
 
     def test_lorentz_default_seed(self):
         ctx = lorentz_ctx()
@@ -269,20 +288,25 @@ PLASMA_HEADER = ("f0_thz,fp_thz,mach,direction,f_closed_thz,f_newton_thz,"
 
 @pytest.mark.parametrize("argv, expected", [
     (DOPPLER_FLAGS + ("--method", "newton"), DOPPLER_HEADER
-     + "1000,1386.27691,-4.88411784,5.88411784,8.8817842e-16,blue-shift,"
+     + "1000,1386.27691,-4.88411784,5.88411784,3.62684583e-12,blue-shift,"
        "-0.462086842,0,0.932690283\n"),
     # no --method or --format flag: the Newton point as CSV
     (DOPPLER_FLAGS, DOPPLER_HEADER
-     + "1000,1386.27691,-4.88411784,5.88411784,8.8817842e-16,blue-shift,"
+     + "1000,1386.27691,-4.88411784,5.88411784,3.62684583e-12,blue-shift,"
        "-0.462086842,0,0.932690283\n"),
     (("plasma",), PLASMA_HEADER
-     + "1000,500,0.5,approaching,1934.25855,1934.25855,0,-0.232717595,0\n"),
+     + "1000,500,0.5,approaching,1934.25855,1934.25855,1.46061336e-16,"
+       "-0.232717595,0\n"),
     (("plasma", "--direction", "receding"), PLASMA_HEADER
      + "1000,500,0.5,receding,732.408121,732.408121,0,-2.83672685,0\n"),
     (("cherenkov",),
      "cone_half_angle_rad,cos_angle,tau_emission,retarded_time,gate,beta,"
      "degenerate_hessian\n"
      "0.841068671,0.666666667,-0.329618127,2.32961813,true,1.5,true\n"),
+    # no flag at all: the planar reference scenario's causal point
+    (("doppler",), DOPPLER_HEADER
+     + "420,713.782905,-0.557698682,2.55769868,4.4408921e-16,blue-shift,"
+       "-0.100846564,0,0.732641432\n"),
 ])
 def test_cli_stdout(capsys, argv, expected):
     assert cli.main(list(argv)) == 0
