@@ -198,11 +198,11 @@ def plasma_head_on(omega0: float, omega_p: float, mach: float,
 
 
 def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
-                   tol: float = 1e-10, max_iter: int = 60
-                   ) -> sph.StationaryPoint:
-    """The causal stationary point (``stationary_phase.solve_line``) nearest
-    omega_ref in frequency; NoRootInBand when there is none."""
-    found = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
+                   **solve) -> sph.StationaryPoint:
+    """The causal stationary point of ``stationary_phase.solve_line`` (which
+    takes ``solve``) nearest omega_ref in frequency; NoRootInBand when there
+    is none."""
+    found = sph.solve_line(ctx, **solve)
     if not found:
         raise NoRootInBand("no causal stationary point")
     return min(found, key=lambda p: abs(p.omega_s - omega_ref))
@@ -363,7 +363,7 @@ def _collinear_point(model, omega0: float, v: float, x2: float, t: float):
                            trajectory=trj.OffsetLine(v=v, H=0.0),
                            dispersion=model)
     pairs = []
-    for band in sph._bands(model, omega0) if omega0 > 0 else ():
+    for band in sph._bands(model, omega0, abs(v)) if omega0 > 0 else ():
         for sign in (+1, -1):
             try:
                 roots = metamaterial_doppler_1d(model, omega0, v, sign, band)

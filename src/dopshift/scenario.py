@@ -52,8 +52,8 @@ _LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",
                  "gamma_m_thz": "gamma_m", "f_tm_thz": "f_tm"}
 _MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
                 "nondispersive": {"eps", "mu"}}
-# Keys of each section, in the order load_scenario reads them; [medium]
-# takes the keys of every kind, and Scenario.validate those of its kind.
+# Keys of each section, read in this order but for [medium]'s, which take
+# the keys of every kind; Scenario.validate keeps those of its kind.
 _SECTION_KEYS = {"medium": ("kind", *set().union(*_MEDIUM_KEYS.values())),
                  "source": ("f0_thz", "v", "h"),
                  "observer": ("x1", "x2", "x3", "t"),
@@ -126,9 +126,10 @@ def _in_range(name: str, value: float) -> float:
 
 
 def _carrier_in_range(name: str, value: float) -> float:
-    """The range rule plus the carrier's sign rule, value >= 0."""
-    if _in_range(name, value) < 0:
-        raise ScenarioError(f"{name} must be >= 0")
+    """The range rule plus the carrier's sign rule, value > 0: a zero
+    carrier radiates no wave to shift."""
+    if _in_range(name, value) <= 0:
+        raise ScenarioError(f"{name} must be > 0")
     return value
 
 

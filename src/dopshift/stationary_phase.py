@@ -387,24 +387,35 @@ def _hidden(w, rows, disc, ev):
     return cells, turns, joints
 
 
-def _bands(model, omega0: float) -> list:
-    """(lo, hi) of each band of ``dispersion._band_table`` that a geometric
-    scan of [1e-3, 10] omega0 meets, widened to the scan nodes around it."""
-    scan = np.geomspace(1e-3 * omega0, 10.0 * omega0, 4 * _LINE_GRID)
-    runs = []   # [a, b): the scan nodes in a band, runs that touch merged
-    for lo, hi in disp._band_table(model):
-        a, b = np.searchsorted(scan, lo), np.searchsorted(scan, hi, "right")
-        if runs and runs[-1][1] == a:
-            runs[-1][1] = b
-        elif a < b:
-            runs.append([a, b])
-    return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
-            for a, b in runs]
+def _bands(model, omega0: float, speed: float = 0.0) -> list:
+    """(lo, hi) of each band of ``dispersion._band_table`` met by a geometric
+    scan of [1e-3, 10] omega0, and by one of [10, 2 / (1 - n speed)] omega0
+    when that reaches further, widened to the scan nodes around it.  A
+    point's omega / omega0 = 1 / (1 - n v_rad) with |v_rad| <= speed is at
+    most 1 / (1 - n speed) where the index is at most n: 1 in a plasma and
+    in a Lorentz medium above its resonances, a NonDispersive medium's own.
+    Nothing bounds it when n speed >= 1."""
+    n = model.index if isinstance(model, disp.NonDispersive) else 1.0
+    top = 2.0 / (1.0 - n * speed) if n * speed < 1.0 else 0.0
+    out = []
+    for first, last in [(1e-3, 10.0)] + ([(10.0, top)] if top > 10.0 else []):
+        scan = np.geomspace(first * omega0, last * omega0, 4 * _LINE_GRID)
+        runs = []   # [a, b): the scan nodes in a band, runs that touch merged
+        for lo, hi in disp._band_table(model):
+            a, b = np.searchsorted(scan, lo), np.searchsorted(scan, hi, "right")
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            elif a < b:
+                runs.append([a, b])
+        out += [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
+                for a, b in runs]
+    return out
 
 
 def solve_line(ctx: PhaseContext, tol: float = 1e-10,
                max_iter: int = 60) -> list:
-    """Every causal stationary point with omega in [1e-3, 10] omega0 on a
+    """Every causal stationary point with omega in [1e-3, 10] omega0, or up
+    to 2 / (1 - n |v|) omega0 for a fast source (``_bands``), on a
     ``StraightLine`` or ``OffsetLine``, sorted by tau_s.
 
     ``_bands`` finds the propagating bands.  On a grid of each,
@@ -419,7 +430,8 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
     if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
     geo = _line_geometry(ctx)
-    bands = _bands(ctx.dispersion, ctx.omega0) if ctx.omega0 else []
+    bands = _bands(ctx.dispersion, ctx.omega0, math.sqrt(geo[2])) \
+        if ctx.omega0 else []
     if not bands or geo[0] == 0:
         return []       # no band in range, or the source at x at time t
     w = np.concatenate([np.linspace(lo, hi, _LINE_GRID) for lo, hi in bands])

@@ -74,6 +74,7 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize("text", [
         "[observer]\nx1 = nan\n", "[source]\nf0_thz = inf\n",
+        "[source]\nf0_thz = 0\n",
         "[solve]\ntol = nan\n", "[observer]\nt = 1e13\n",
         "[medium]\nkind = plasma\nf_p_thz = 1e-300\n",
         "[medium]\nkind = lorentz\nf_te_thz = nan\n"])
@@ -259,6 +260,19 @@ class TestDoppler:
         assert vals["classification"] == "blue-shift"
         assert float(vals["residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("method", ["newton", "closed-form"])
+    def test_fast_source_head_on(self, capsys, method):
+        # at 0.95 c the shift factor 1/(1 - v) = 20 lies past the [1e-3, 10]
+        # carriers that the scan covers for a slower source
+        code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
+                               "--v", "0.95", "--x1", "0", "--x2", "10",
+                               "--t", "5", "--method", method)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert vals["f_shift_thz"] == "8400" and vals["tau"] == "-100"
+        assert vals["retarded_time"] == "105"
+
     @pytest.mark.parametrize("flags", [
         ("--medium", "lorentz", "--f0-thz", "420", "--v", "0.5", "--x2",
          "1.595", "--t", "2"),
@@ -405,6 +419,19 @@ class TestPlasmaCommand:
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["relative_gap"]) <= 1e-9
 
+    @pytest.mark.parametrize("direction, shifted", [
+        ("approaching", "19880.5174"), ("receding", "632.303102")])
+    def test_fast_source_agreement(self, capsys, direction, shifted):
+        # at Mach 0.95 the approach point lies at 19.9 carriers, past the
+        # [1e-3, 10] carriers that the scan covers for a slower source
+        code, out, _ = run_cli(capsys, "plasma", "--mach", "0.95",
+                               "--direction", direction)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        assert vals["f_newton_thz"] == vals["f_closed_thz"] == shifted
+        assert float(vals["relative_gap"]) <= 1e-14
+
     def test_bad_mach_exit(self, capsys):
         code, _, _ = run_cli(capsys, "plasma", "--mach", "1.5")
         assert code == 2
@@ -532,7 +559,10 @@ class TestExitCodeTable:
         ("doppler-sweep", "--f0-start-thz=-5", "--f0-end-thz=5", "--n=3"),
         ("doppler-sweep", "--f0-start-thz=400", "--f0-end-thz=1e300", "--n=3",
          "--method=closed-form", "--x1=0"),
-        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=1e-320")])
+        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=1e-320"),
+        # a zero carrier radiates no wave to shift
+        ("doppler", "--f0-thz=0"),
+        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=10", "--n=3")])
     def test_out_of_range_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")

@@ -1,8 +1,9 @@
 """Property tests: the ``doppler``, ``doppler-sweep``, ``dispersion-sweep``,
 ``plasma`` and ``cherenkov`` commands end every input with a documented exit
-code and never let an exception escape; a ``doppler`` point is causal."""
+code and never let an exception escape; a ``doppler`` point is causal, and a
+medium flag that the medium kind does not read is a usage error."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dopshift import cli
@@ -11,8 +12,10 @@ DOCUMENTED = {int(line.split()[0]) for line in
               cli.__doc__.split("Exit codes:")[1].splitlines()
               if line.strip()[:1].isdigit()}
 
-FLOAT_FLAGS = ("f0-thz", "v", "x1", "x2", "x3", "t", "tol", "fp-thz", "eps",
-               "mu")
+FLOAT_FLAGS = ("f0-thz", "v", "x1", "x2", "x3", "t", "tol")
+# The medium flags each --medium reads (none given: lorentz).
+MEDIUM_FLAGS = {None: (), "lorentz": (), "plasma": ("fp-thz",),
+                "nondispersive": ("eps", "mu")}
 # Plausible values next to extreme and non-finite ones.
 VALUES = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3),
                    st.sampled_from([0.0, -0.0, 1e-300, 1e300, 420.0]),
@@ -33,21 +36,28 @@ def float_flags(floats):
     return [f"--{flag}={value!r}" for flag, value in floats.items()]
 
 
+@st.composite
+def media(draw, flags=FLOAT_FLAGS, kinds=tuple(MEDIUM_FLAGS)):
+    """argv of a --medium of ``kinds`` (None: no flag) and a draw of
+    ``flags`` and the medium flags that kind reads."""
+    medium = draw(st.sampled_from(kinds))
+    pool = flags + MEDIUM_FLAGS[medium]
+    floats = draw(st.dictionaries(st.sampled_from(pool), VALUES)
+                  if pool else st.just({}))
+    return ([f"--medium={medium}"] if medium else []) + float_flags(floats)
+
+
 @SETTINGS
-@given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
+@given(medium=media(),
        method=st.sampled_from([None, "newton", "closed-form"]),
-       floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS), VALUES),
        max_iter=st.one_of(st.none(), st.integers(-2, 120)))
-def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
-                                           max_iter):
+def test_doppler_returns_a_documented_code(capsys, medium, method, max_iter):
     argv = ["doppler"]
-    if medium is not None:
-        argv.append(f"--medium={medium}")
     if method is not None:
         argv.append(f"--method={method}")
     if max_iter is not None:
         argv.append(f"--max-iter={max_iter}")
-    code, out = check_exit(capsys, argv + float_flags(floats))
+    code, out = check_exit(capsys, argv + medium)
     if code == 0:       # a causal point: emitted before the observer's t
         header, row = out.splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
@@ -55,32 +65,46 @@ def test_doppler_returns_a_documented_code(capsys, medium, method, floats,
 
 
 @SETTINGS
-@given(medium=st.sampled_from([None, "lorentz", "plasma", "nondispersive"]),
+@given(medium=media(FLOAT_FLAGS[1:]),
        method=st.sampled_from([None, "newton", "closed-form"]),
-       start=VALUES, end=VALUES, n=st.integers(-2, 6),
-       floats=st.dictionaries(st.sampled_from(FLOAT_FLAGS[1:]), VALUES))
+       start=VALUES, end=VALUES, n=st.integers(-2, 6))
 def test_doppler_sweep_returns_a_documented_code(capsys, medium, method, start,
-                                                 end, n, floats):
+                                                 end, n):
     # --n stays small: every point is a full solve
     argv = ["doppler-sweep", f"--f0-start-thz={start!r}",
             f"--f0-end-thz={end!r}", f"--n={n}"]
-    if medium is not None:
-        argv.append(f"--medium={medium}")
     if method is not None:
         argv.append(f"--method={method}")
-    check_exit(capsys, argv + float_flags(floats))
+    check_exit(capsys, argv + medium)
 
 
 @SETTINGS
-@given(medium=st.sampled_from(["lorentz", "plasma", "nondispersive"]),
-       start=VALUES, end=VALUES, n=st.integers(-2, 40),
-       floats=st.dictionaries(st.sampled_from(("fp-thz", "eps", "mu")),
-                              VALUES))
+@given(medium=media((), ("lorentz", "plasma", "nondispersive")),
+       start=VALUES, end=VALUES, n=st.integers(-2, 40))
 def test_dispersion_sweep_returns_a_documented_code(capsys, medium, start, end,
-                                                    n, floats):
-    argv = ["dispersion-sweep", f"--medium={medium}", f"--f-start-thz={start!r}",
+                                                    n):
+    argv = ["dispersion-sweep", f"--f-start-thz={start!r}",
             f"--f-end-thz={end!r}", f"--n={n}"]
-    check_exit(capsys, argv + float_flags(floats))
+    check_exit(capsys, argv + medium)
+
+
+# Valid otherwise: each command stops at the medium flag alone.
+REFUSED_BY = {"doppler": [],
+              "doppler-sweep": ["--f0-start-thz=400", "--f0-end-thz=420"],
+              "dispersion-sweep": ["--f-start-thz=400", "--f-end-thz=420"]}
+
+
+@SETTINGS
+@given(command=st.sampled_from(tuple(REFUSED_BY)),
+       medium=st.sampled_from(tuple(MEDIUM_FLAGS)),
+       flag=st.sampled_from(("fp-thz", "eps", "mu")), value=VALUES)
+def test_a_medium_flag_the_kind_does_not_read_is_a_usage_error(
+        capsys, command, medium, flag, value):
+    assume(flag not in MEDIUM_FLAGS[medium])
+    argv = [command, *REFUSED_BY[command], f"--{flag}={value!r}"]
+    code, out = check_exit(
+        capsys, argv + ([f"--medium={medium}"] if medium else []))
+    assert code == 2 and out == "", argv
 
 
 @SETTINGS

@@ -533,6 +533,20 @@ class TestSolveLine:
         for model, w0 in carriers:
             assert sph._bands(model, w0) == scanned(model, w0)
 
+    def test_fast_source_scans_past_ten_carriers(self):
+        # a scan of [10, 2 / (1 - n speed)] omega0 follows the slow-source
+        # one only where that reaches past 10 omega0 and n speed < 1
+        lorentz, w0 = disp.lorentz_from_thz(), omega_from_thz(420.0)
+        for model, speed in ((lorentz, 0.75), (PLASMA, 0.75),
+                             (disp.NonDispersive(eps=4.0), 0.5)):
+            assert sph._bands(model, w0, speed) == sph._bands(model, w0)
+        for model, speed, top in ((PLASMA, 0.95, 40.0), (lorentz, 0.95, 40.0),
+                                  (disp.NonDispersive(eps=4.0), 0.45, 20.0)):
+            slow, fast = sph._bands(model, w0), sph._bands(model, w0, speed)
+            assert fast[:len(slow)] == slow and slow[-1][1] == 10.0 * w0
+            assert fast[len(slow)][0] == 10.0 * w0
+            assert fast[-1][1] == pytest.approx(top * w0, rel=1e-12)
+
     def test_bands_equal_the_table_mask(self):
         # the runs found by searching the scan equal the runs of a mask of
         # the table's bands on it, also where two bands hold no scan node
