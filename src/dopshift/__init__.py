@@ -14,7 +14,7 @@ from .stationary_phase import (PhaseContext, StationaryPoint, contribution,
                                saddle_contribution, solve_grid, solve_line,
                                solve_newton)
 from .trajectory import CustomTrajectory, OffsetLine, StraightLine
-from .units import Normalization, omega_from_thz, thz_from_omega
+from .units import omega_from_thz, thz_from_omega
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "StationaryPoint", "contribution", "saddle_contribution",
     "solve_grid", "solve_line", "solve_newton",
     "CustomTrajectory",
-    "OffsetLine", "StraightLine", "Normalization", "omega_from_thz",
-    "thz_from_omega",
+    "OffsetLine", "StraightLine", "omega_from_thz", "thz_from_omega",
 ]

@@ -2,7 +2,7 @@
 sweeps, plasma and Cherenkov demos, and the validation suite.
 
 THz in, THz out: every frequency at this boundary is an ordinary frequency in
-terahertz; positions are in length-scale units (default 75 nm) and times in
+terahertz; positions are in length-scale units (75 nm) and times in
 length-scale/c units.  CSV output uses a header row, comma separators, '.'
 decimals and 9 significant digits, and is byte-identical across runs.
 
@@ -97,7 +97,6 @@ def _add_scenario_flags(p):
     p.add_argument("--v", type=float, help="source speed, units of c")
     for name in ("x1", "x2", "x3", "t"):
         p.add_argument("--" + name, type=float)
-    p.add_argument("--method", choices=("newton", "closed-form"))
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
 
@@ -113,8 +112,8 @@ def _scenario_from_args(args) -> Scenario:
     for key in ("eps", "mu", "f_p_thz"):
         if getattr(args, key) is not None:
             sc.medium_params[key] = str(getattr(args, key))
-    for attr in ("f0_thz", "v", "x1", "x2", "x3", "t", "method", "tol",
-                 "max_iter", "out_path", "out_format"):
+    for attr in ("f0_thz", "v", "x1", "x2", "x3", "t", "tol", "max_iter",
+                 "out_path", "out_format"):
         val = getattr(args, attr, None)
         if val is not None:
             setattr(sc, attr, val)
@@ -145,29 +144,22 @@ def cmd_dispersion_sweep(args) -> int:
 
 
 def _solve_scenario_point(sc: Scenario):
-    """One Doppler point per the scenario's method.  Returns a result dict."""
+    """The scenario's Doppler point: the causal point on the source's line
+    nearest the carrier.  Returns a result dict."""
     model = sc.medium()
     w0 = omega_from_thz(sc.f0_thz)
     ctx = sph.PhaseContext(t=sc.t, x=(sc.x1, sc.x2, sc.x3), omega0=w0,
                            trajectory=trj.OffsetLine(v=sc.v, H=sc.h),
                            dispersion=model)
-    if sc.method == "closed-form":
-        if sc.x1 != 0 or sc.x3 != 0 or sc.h != 0:
-            raise ScenarioError(
-                "closed-form method needs collinear geometry (x1=x3=h=0)")
-        w, tau, resid = fld._collinear_point(model, w0, sc.v, sc.x2, sc.t)
-        det = sig = None
-    else:
-        sp = fld._nearest_point(ctx, w0, tol=sc.tol, max_iter=sc.max_iter)
-        w, tau = sp.omega_s, sp.tau_s
-        resid, det, sig = sp.residual_norm, sp.det, sp.signature
+    sp = fld._nearest_point(ctx, w0, tol=sc.tol, max_iter=sc.max_iter)
+    w, tau = sp.omega_s, sp.tau_s
     s = disp.sample(model, w)
     vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
     cls = fld.doppler_classification(s.k.real, vrad)
     return {"f0_thz": sc.f0_thz, "f_shift_thz": thz_from_omega(w), "tau": tau,
-            "retarded_time": sc.t - tau, "residual": resid,
-            "classification": cls.value, "det": det, "signature": sig,
-            "v_group": s.v_group}
+            "retarded_time": sc.t - tau, "residual": sp.residual_norm,
+            "classification": cls.value, "det": sp.det,
+            "signature": sp.signature, "v_group": s.v_group}
 
 
 def cmd_doppler(args) -> int:

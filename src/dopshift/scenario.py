@@ -23,7 +23,6 @@ length-scale/c units.  Example::
     t = 2
 
     [solve]
-    method = newton           ; newton | closed-form
     tol = 1e-10
     max_iter = 80
 
@@ -44,7 +43,6 @@ from . import dispersion as disp
 from .errors import ScenarioError
 from .units import omega_from_thz
 
-_METHODS = ("newton", "closed-form")
 _FORMATS = ("csv", "json")
 # Scenario key -> lorentz_from_thz parameter.
 _LORENTZ_KEYS = {"f_pe_thz": "f_pe", "gamma_e_thz": "gamma_e",
@@ -57,7 +55,7 @@ _MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
 _SECTION_KEYS = {"medium": ("kind", *set().union(*_MEDIUM_KEYS.values())),
                  "source": ("f0_thz", "v", "h"),
                  "observer": ("x1", "x2", "x3", "t"),
-                 "solve": ("method", "tol", "max_iter"),
+                 "solve": ("tol", "max_iter"),
                  "output": ("format", "path")}
 
 
@@ -72,7 +70,6 @@ class Scenario:
     x2: float = 1.595
     x3: float = 0.0
     t: float = 2.0
-    method: str = "newton"
     tol: float = 1e-10
     max_iter: int = 80
     out_format: str = "csv"
@@ -86,8 +83,6 @@ class Scenario:
         if unknown:
             raise ScenarioError(f"[medium] unknown keys for kind "
                                 f"{self.medium_kind}: {', '.join(unknown)}")
-        if self.method not in _METHODS:
-            raise ScenarioError(f"unknown method {self.method!r}")
         if self.out_format not in _FORMATS:
             raise ScenarioError(f"unknown output format {self.out_format!r}")
         _carrier_in_range("f0_thz", self.f0_thz)

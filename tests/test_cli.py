@@ -1,19 +1,19 @@
 """Command-line interface and scenario files: formats, determinism and exit
 codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from dopshift import cli, errors, validation
+from dopshift import cli, errors, scenario, validation
 from dopshift import dispersion as disp
 from dopshift import fields as fld
-from dopshift import stationary_phase as sph
-from dopshift import trajectory as trj
 from dopshift.units import omega_from_thz, thz_from_omega
 from dopshift.scenario import Scenario, load_scenario
 from dopshift.errors import ScenarioError
@@ -33,7 +33,6 @@ x3 = 0
 t = 2
 
 [solve]
-method = newton
 tol = 1e-10
 max_iter = 80
 
@@ -57,7 +56,6 @@ class TestScenarioFiles:
         assert sc.medium_kind == "lorentz"
         assert sc.f0_thz == 420.0
         assert sc.x2 == 1.595
-        assert sc.method == "newton"
 
     def test_defaults_fill_missing_sections(self):
         sc = load_scenario("[source]\nf0_thz = 100\n", from_text=True)
@@ -68,7 +66,7 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             load_scenario("[source]\nv = 1.5\n", from_text=True)
         with pytest.raises(ScenarioError):
-            load_scenario("[solve]\nmethod = sorcery\n", from_text=True)
+            load_scenario("[solve]\nmax_iter = 0\n", from_text=True)
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.ini")
 
@@ -83,7 +81,7 @@ class TestScenarioFiles:
             load_scenario(text, from_text=True)
 
     def test_unknown_sections_and_keys_rejected(self, capsys):
-        for text in ("[sovle]\nmethod = newton\n",
+        for text in ("[sovle]\ntol = 1e-10\n",
                      "[medium]\nkind = lorentz\nneglect_imaginery = false\n",
                      "[medium]\nkind = lorentz\nneglect_imaginary = true\n",
                      "[medium]\nkind = plasma\neps = 4\n",
@@ -156,15 +154,34 @@ class TestScenarioFiles:
                                  "--eps", "2")
         assert code == 2 and out == "" and "eps" in err
 
-    def test_fixed_point_method_is_rejected(self, tmp_path, capsys):
-        code, out, err = run_cli(capsys, "doppler", "--method", "fixed-point")
-        assert code == 2 and out == "" and "usage:" in err
-        p = tmp_path / "fixed.ini"
-        p.write_text(SCENARIO_TEXT.replace("method = newton",
-                                           "method = fixed-point"))
+    def test_method_is_rejected(self, tmp_path, capsys):
+        # one route answers every Doppler point: no flag or key selects one
+        for method in ("newton", "closed-form", "fixed-point"):
+            code, out, err = run_cli(capsys, "doppler", "--method", method)
+            assert code == 2 and out == "" and "--method" in err
+            assert "Traceback" not in err
+        p = tmp_path / "method.ini"
+        p.write_text(SCENARIO_TEXT.replace("[solve]",
+                                           "[solve]\nmethod = newton"))
         code, out, err = run_cli(capsys, "doppler", "--config", str(p))
         assert code == 2 and out == ""
-        assert err.startswith("error: unknown method")
+        assert err.startswith("error:") and "unknown keys: method" in err
+
+    def test_every_flag_sets_a_key(self):
+        # a doppler flag is a scenario field, a medium key or one of the
+        # command's own flags, so no flag outlives the key it set
+        keys = {f.name for f in dataclasses.fields(Scenario)}
+        keys |= set().union(*scenario._MEDIUM_KEYS.values())
+        keys |= {"config", "medium", "f0_start_thz", "f0_end_thz", "n"}
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for command in ("doppler", "doppler-sweep"):
+            dests = {a.dest for a in commands[command]._actions} - {"help"}
+            assert dests - keys == set(), command
+
+    def test_docstring_example_is_the_default(self):
+        text = scenario.__doc__.split("Example::")[1].split("\n\nUnknown")[0]
+        assert load_scenario(textwrap.dedent(text),
+                             from_text=True) == Scenario()
 
     @pytest.mark.parametrize("command", [
         ("doppler",),
@@ -260,41 +277,47 @@ class TestDoppler:
         assert vals["classification"] == "blue-shift"
         assert float(vals["residual"]) <= 1e-10
 
-    @pytest.mark.parametrize("method", ["newton", "closed-form"])
-    def test_fast_source_head_on(self, capsys, method):
+    @pytest.mark.parametrize("route", ["newton", "closed-form"])
+    def test_fast_source_head_on(self, capsys, route):
         # at 0.95 c the shift factor 1/(1 - v) = 20 lies past the [1e-3, 10]
-        # carriers that the scan covers for a slower source
-        code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
-                               "--v", "0.95", "--x1", "0", "--x2", "10",
-                               "--t", "5", "--method", method)
-        assert code == 0
-        header, row = out.strip().splitlines()
-        vals = dict(zip(header.split(","), row.split(",")))
-        assert vals["f_shift_thz"] == "8400" and vals["tau"] == "-100"
-        assert vals["retarded_time"] == "105"
+        # carriers that the scan covers for a slower source; both the CLI's
+        # Newton-polished point and the collinear closed-form reference
+        # reach it
+        if route == "newton":
+            code, out, _ = run_cli(capsys, "doppler", "--medium",
+                                   "nondispersive", "--v", "0.95", "--x1",
+                                   "0", "--x2", "10", "--t", "5")
+            assert code == 0
+            header, row = out.strip().splitlines()
+            vals = dict(zip(header.split(","), row.split(",")))
+            f, tau = vals["f_shift_thz"], vals["tau"]
+            assert vals["retarded_time"] == "105"
+        else:
+            w, tau, _ = fld._collinear_point(disp.NonDispersive(),
+                                             omega_from_thz(420.0), 0.95,
+                                             10.0, 5.0)
+            f, tau = cli._fmt(thz_from_omega(w)), cli._fmt(tau)
+        assert f == "8400" and tau == "-100"
 
     @pytest.mark.parametrize("flags", [
         ("--medium", "lorentz", "--f0-thz", "420", "--v", "0.5", "--x2",
          "1.595", "--t", "2"),
         ("--f0-thz", "420", "--v", "-0.3")])
     def test_closed_form_is_the_causal_point(self, capsys, flags):
-        # the enumerated causal point nearest the carrier: (713.7961 THz,
+        # the collinear closed-form point nearest the carrier: (713.7961 THz,
         # tau -0.5574), and of (433.0204 THz, -5.21082) and (280.725 THz,
         # -1.35663) the first
-        code, out, _ = run_cli(capsys, "doppler", "--method", "closed-form",
-                               "--x1", "0", "--format", "json", *flags)
+        code, out, _ = run_cli(capsys, "doppler", "--x1", "0", "--format",
+                               "json", *flags)
         assert code == 0
         row = json.loads(out)[0]
         sc = cli._scenario_from_args(cli.build_parser().parse_args(
             ["doppler", *flags]))
-        w0 = omega_from_thz(sc.f0_thz)
-        ctx = sph.PhaseContext(t=sc.t, x=(0.0, sc.x2, 0.0), omega0=w0,
-                               trajectory=trj.OffsetLine(v=sc.v, H=0.0),
-                               dispersion=sc.medium())
-        sp = min(sph.solve_line(ctx), key=lambda p: abs(p.omega_s - w0))
-        assert row["f_shift_thz"] == pytest.approx(
-            thz_from_omega(sp.omega_s), rel=1e-9, abs=0)
-        assert abs(row["tau"] - sp.tau_s) <= 1e-9 * max(1.0, abs(sp.tau_s))
+        w, tau, _ = fld._collinear_point(sc.medium(), omega_from_thz(sc.f0_thz),
+                                         sc.v, sc.x2, sc.t)
+        assert row["f_shift_thz"] == pytest.approx(thz_from_omega(w),
+                                                   rel=1e-9, abs=0)
+        assert abs(row["tau"] - tau) <= 1e-9 * max(1.0, abs(tau))
         assert row["retarded_time"] > 0 and row["residual"] <= 1e-9
 
     def test_reference_2d_scenario_is_the_planar_point(self, capsys,
@@ -315,17 +338,21 @@ class TestDoppler:
 
     def test_lossless_pole_carrier_answers_by_both_methods(self, capsys,
                                                            tmp_path):
-        # the carrier on the electric pole of a lossless metamaterial: no
-        # method reads the carrier's own index, so both find the point
+        # the carrier on the electric pole of a lossless metamaterial: neither
+        # the CLI nor the collinear closed-form reference reads the carrier's
+        # own index, so both find the point
         p = tmp_path / "pole.ini"
         p.write_text(SCENARIO_TEXT.replace(
             "kind = lorentz", "kind = lorentz\ngamma_e_thz = 0\n"
             "gamma_m_thz = 0").replace("f0_thz = 420", "f0_thz = 409.82"))
-        for method in ("newton", "closed-form"):
-            code, out, err = run_cli(capsys, "doppler", "--config", str(p),
-                                     "--x1", "0", "--method", method)
-            assert code == 0 and "Traceback" not in err
-            assert out.splitlines()[1].split(",")[1] == "679.153898"
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p),
+                                 "--x1", "0")
+        assert code == 0 and "Traceback" not in err
+        assert out.splitlines()[1].split(",")[1] == "679.153898"
+        sc = load_scenario(str(p))
+        w, _, _ = fld._collinear_point(sc.medium(), omega_from_thz(sc.f0_thz),
+                                       sc.v, sc.x2, sc.t)
+        assert cli._fmt(thz_from_omega(w)) == "679.153898"
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
@@ -337,35 +364,40 @@ class TestDoppler:
         assert payload[0]["classification"] == "blue-shift"
 
     def test_closed_form_plasma_matches_newton(self, capsys):
-        args = ("--medium", "plasma", "--fp-thz", "500", "--f0-thz", "1000",
-                "--v", "0.5", "--x1", "0", "--x2", "4", "--x3", "0", "--t", "1")
-        code1, out1, _ = run_cli(capsys, "doppler", *args, "--method",
-                                 "newton")
-        code2, out2, _ = run_cli(capsys, "doppler", *args, "--method",
-                                 "closed-form")
-        assert code1 == code2 == 0
-        f1 = float(out1.splitlines()[1].split(",")[1])
-        f2 = float(out2.splitlines()[1].split(",")[1])
-        assert f1 == pytest.approx(f2, rel=1e-9)
+        # the CLI's point against the collinear closed-form reference
+        code, out, _ = run_cli(capsys, "doppler", "--medium", "plasma",
+                               "--fp-thz", "500", "--f0-thz", "1000", "--v",
+                               "0.5", "--x1", "0", "--x2", "4", "--x3", "0",
+                               "--t", "1", "--format", "json")
+        assert code == 0
+        plasma = disp.ColdPlasma(omega_p=omega_from_thz(500.0))
+        w, _, _ = fld._collinear_point(plasma, omega_from_thz(1000.0), 0.5,
+                                       4.0, 1.0)
+        assert json.loads(out)[0]["f_shift_thz"] == pytest.approx(
+            thz_from_omega(w), rel=1e-9)
         # and the collinear Lorentz sweep: the same 17 carriers without a
         # causal point, the same point at every other one
-        sweeps = []
-        for method in ("newton", "closed-form"):
-            code, out, _ = run_cli(capsys, "doppler-sweep", "--x1", "0",
-                                   "--f0-start-thz", "380", "--f0-end-thz",
-                                   "460", "--n", "81", "--method", method,
-                                   "--format", "json")
-            assert code == 0
-            sweeps.append(json.loads(out))
-        newton, closed = sweeps
-        assert [r["error"] for r in newton] == [r["error"] for r in closed]
-        assert [r["error"] for r in newton].count("NoRootInBand") == 17
-        for a, b in zip(newton, closed):
-            if a["error"] is None:
-                assert a["f_shift_thz"] == pytest.approx(b["f_shift_thz"],
-                                                         rel=1e-9)
-                assert abs(a["tau"] - b["tau"]) <= 1e-9 * max(1.0,
-                                                              abs(b["tau"]))
+        code, out, _ = run_cli(capsys, "doppler-sweep", "--x1", "0",
+                               "--f0-start-thz", "380", "--f0-end-thz",
+                               "460", "--n", "81", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        sc = Scenario()
+        expected = []
+        for row in rows:
+            try:
+                w, tau, _ = fld._collinear_point(
+                    sc.medium(), omega_from_thz(row["f0_thz"]), sc.v, sc.x2,
+                    sc.t)
+            except errors.NoRootInBand:
+                expected.append("NoRootInBand")
+                continue
+            expected.append(None)
+            assert row["f_shift_thz"] == pytest.approx(thz_from_omega(w),
+                                                       rel=1e-9)
+            assert abs(row["tau"] - tau) <= 1e-9 * max(1.0, abs(tau))
+        assert [r["error"] for r in rows] == expected
+        assert expected.count("NoRootInBand") == 17
 
 
 class TestDopplerSweep:
@@ -373,8 +405,8 @@ class TestDopplerSweep:
         code, out, err = run_cli(capsys, "doppler-sweep", "--medium",
                                  "nondispersive", "--f0-start-thz", "380",
                                  "--f0-end-thz", "460", "--n", "9",
-                                 "--method", "closed-form", "--x1", "0",
-                                 "--x2", "10", "--t", "0", "--v", "0.5")
+                                 "--x1", "0", "--x2", "10", "--t", "0",
+                                 "--v", "0.5")
         assert code == 0
         metric = float(err.split("=")[1])
         assert metric < 1e-10
@@ -388,8 +420,8 @@ class TestDopplerSweep:
         code, out, err = run_cli(capsys, "doppler-sweep", "--medium",
                                  "lorentz", "--f0-start-thz", "380",
                                  "--f0-end-thz", "460", "--n", "9",
-                                 "--method", "closed-form", "--x1", "0",
-                                 "--x2", "1.595", "--t", "2", "--v", "0.5")
+                                 "--x1", "0", "--x2", "1.595", "--t", "2",
+                                 "--v", "0.5")
         assert code == 0
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         assert len(rows) == 9
@@ -404,8 +436,8 @@ class TestDopplerSweep:
         code, out, _ = run_cli(capsys, "doppler-sweep", "--medium",
                                "nondispersive", "--f0-start-thz", "100",
                                "--f0-end-thz", "200", "--n", "2",
-                               "--method", "closed-form", "--x1", "0",
-                               "--x2", "10", "--t", "0", "--v", "0.5")
+                               "--x1", "0", "--x2", "10", "--t", "0",
+                               "--v", "0.5")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
@@ -528,6 +560,16 @@ class TestExitCodeTable:
             code, prefix = cli.exit_code(cls("x"))
             assert code in self.DOCUMENTED - {0, 1}, cls.__name__
             assert prefix.startswith("error"), cls.__name__
+        # README's exit-code list names each type in the rows for 2 and 4
+        readme = (Path(cli.__file__).resolve().parents[2]
+                  / "README.md").read_text()
+        codes = readme.split("Exit codes: ")[1]
+        rows = {2: codes.split("2 usage error")[1].split("3 no conv")[0],
+                4: codes.split("4 no root")[1].split(".")[0]}
+        for types, code, _ in cli.EXIT_CODES:
+            if code in rows:
+                for cls in types:
+                    assert f"`{cls.__name__}`" in rows[code], cls.__name__
 
     @pytest.mark.parametrize("cls, code", [
         (errors.ZeroFrequency, 2), (errors.DegenerateMedium, 2),
@@ -558,7 +600,7 @@ class TestExitCodeTable:
         # a bare ValueError, a ValueError from the band march, denormal rows
         ("doppler-sweep", "--f0-start-thz=-5", "--f0-end-thz=5", "--n=3"),
         ("doppler-sweep", "--f0-start-thz=400", "--f0-end-thz=1e300", "--n=3",
-         "--method=closed-form", "--x1=0"),
+         "--x1=0"),
         ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=1e-320"),
         # a zero carrier radiates no wave to shift
         ("doppler", "--f0-thz=0"),

@@ -48,13 +48,9 @@ def media(draw, flags=FLOAT_FLAGS, kinds=tuple(MEDIUM_FLAGS)):
 
 
 @SETTINGS
-@given(medium=media(),
-       method=st.sampled_from([None, "newton", "closed-form"]),
-       max_iter=st.one_of(st.none(), st.integers(-2, 120)))
-def test_doppler_returns_a_documented_code(capsys, medium, method, max_iter):
+@given(medium=media(), max_iter=st.one_of(st.none(), st.integers(-2, 120)))
+def test_doppler_returns_a_documented_code(capsys, medium, max_iter):
     argv = ["doppler"]
-    if method is not None:
-        argv.append(f"--method={method}")
     if max_iter is not None:
         argv.append(f"--max-iter={max_iter}")
     code, out = check_exit(capsys, argv + medium)
@@ -65,16 +61,13 @@ def test_doppler_returns_a_documented_code(capsys, medium, method, max_iter):
 
 
 @SETTINGS
-@given(medium=media(FLOAT_FLAGS[1:]),
-       method=st.sampled_from([None, "newton", "closed-form"]),
-       start=VALUES, end=VALUES, n=st.integers(-2, 6))
-def test_doppler_sweep_returns_a_documented_code(capsys, medium, method, start,
-                                                 end, n):
+@given(medium=media(FLOAT_FLAGS[1:]), start=VALUES, end=VALUES,
+       n=st.integers(-2, 6))
+def test_doppler_sweep_returns_a_documented_code(capsys, medium, start, end,
+                                                 n):
     # --n stays small: every point is a full solve
     argv = ["doppler-sweep", f"--f0-start-thz={start!r}",
             f"--f0-end-thz={end!r}", f"--n={n}"]
-    if method is not None:
-        argv.append(f"--method={method}")
     check_exit(capsys, argv + medium)
 
 
