@@ -89,7 +89,7 @@ class NoCherenkovRoot(DopshiftError):
 # -- oracle -----------------------------------------------------------------
 
 class NoConvergenceInR(DopshiftError):
-    """Cutoff-radius doubling exceeded its budget without stabilizing."""
+    """Cutoff-radius doubling reached its radius or node budget unsettled."""
 
 
 class PhaseComplexOnBox(DopshiftError):

@@ -208,67 +208,6 @@ def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
     return min(found, key=lambda p: abs(p.omega_s - omega_ref))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb], where f changes sign, by Brent's method.
-
-    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
-    with the step rules of the widely used C ``brentq`` routine, step for
-    step, so it returns the same float: an inverse quadratic or secant step
-    when it is short enough, else bisection, to the tolerance 2 delta,
-    delta = (xtol + rtol |x|)/2.
-    Raises ValueError when f is NaN or f(xa), f(xb) share a sign, and
-    RuntimeError after 100 iterations without convergence.
-    """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-            else:                                            # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(
-        f"failed to converge after 100 iterations, value is {xcur}")
-
-
 def _band_interval(model, omega0: float):
     """The band of ``dispersion._band_table`` holding omega0, clipped to
     [1e-3, 10] omega0; None unless omega0 > 0 propagates and a band holds
@@ -327,8 +266,8 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
     both = propagating[:-1] & propagating[1:]
     roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
     for i in np.flatnonzero(both & (fa * fb < 0)):
-        roots.append(_brentq(g, float(grid[i]), float(grid[i + 1]),
-                             xtol=1e-14, rtol=1e-15))
+        roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
+                                 xtol=1e-14, rtol=1e-15))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     if not roots:
@@ -478,7 +417,7 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
 
         lo, hi = tau_closed - 1.0, tau_closed + 1.0
         if ch2(lo) * ch2(hi) < 0:
-            tau_s = _brentq(ch2, lo, hi, xtol=1e-15, rtol=1e-15)
+            tau_s = sph._brentq(ch2, lo, hi, xtol=1e-15, rtol=1e-15)
         else:
             tau_s = tau_closed
         g = trj.geometry(traj, x, tau_s)

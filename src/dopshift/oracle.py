@@ -44,6 +44,7 @@ _CHUNK = 1 << 19          # elements per evaluation block
 _SKIP_REL = 1e-12         # amplitude floor, relative to the sampled maximum
 _POINTS_PER_OSC = 12      # quadrature nodes per local phase oscillation
 _GL_ORDER = 16            # Gauss-Legendre order of each panel
+_MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,8 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str
         return 0.0 + 0.0j
     xs, wxs = _axis_rule(ext_x, grid, gx, _POINTS_PER_OSC, _GL_ORDER)
     ys, wys = _axis_rule(ext_y, grid, gy, _POINTS_PER_OSC, _GL_ORDER)
+    if (nodes := len(xs) * len(ys)) > _MAX_NODES:
+        raise NoConvergenceInR(f"the pass at R = {R:g} needs {nodes} nodes")
     wxs = wxs * smooth_bump(xs / R, profile)
     wys = wys * smooth_bump(ys / R, profile)
     floor = _SKIP_REL * amp_scale
@@ -236,7 +239,8 @@ def oscillatory_integral_2d(ig: OscillatoryIntegrand, R0: float = 2.0,
 
     Doubles the cutoff radius until two successive values differ (relative
     to the latest magnitude, with an absolute floor of ``tol``) by less than
-    ``tol``; raises when 2**max_doublings * R0 is exceeded.
+    ``tol``; raises when 2**max_doublings * R0 is exceeded, or before a pass
+    whose tensor grid would exceed ``_MAX_NODES`` nodes.
     """
     if R0 <= 0 or tol <= 0:
         raise ValueError("R0 and tol must be positive")

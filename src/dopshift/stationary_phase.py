@@ -10,6 +10,7 @@ omega - omega0 = k(omega) v_rad; the 2x2 Hessian decides the saddle type and
 the amplitude normalization of the leading-order contribution.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -319,12 +320,12 @@ def _retardation(geo, vg):
     return disc, np.sqrt(np.maximum(disc, 0.0)) - ev
 
 
-def _line_roots(ctx, geo, w):
+def _line_roots(ctx, geo, w, wave=None):
     """tau and D = omega - omega0 - k v_rad on the near and the far causal
-    root of the retardation equation at each omega (NaN where there is
-    none), and its discriminant disc, from ``_retardation``."""
+    root of the retardation equation at each omega (NaN where there is none;
+    Re k and v_g from ``wave``, or computed), and its discriminant disc."""
     ee, ev, vv = geo
-    k, vg = disp.wavenumber_and_group(ctx.dispersion, w)
+    k, vg = wave or disp.wavenumber_and_group(ctx.dispersion, w)
     disc, den = _retardation(geo, vg)
     near = (disc >= 0) & (den > 0)
     vg2, dw = vg * vg, w - ctx.omega0
@@ -387,46 +388,127 @@ def _hidden(w, rows, disc, ev):
     return cells, turns, joints
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
+    with the step rules of the widely used C ``brentq`` routine, step for
+    step, so it returns the same float: an inverse quadratic or secant step
+    when it is short enough, else bisection, to the tolerance 2 delta,
+    delta = (xtol + rtol |x|)/2.
+    Raises ValueError when f is NaN or f(xa), f(xb) share a sign, and
+    RuntimeError after 100 iterations without convergence.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:                                            # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"failed to converge after 100 iterations, value is {xcur}")
+
+
 def _bands(model, omega0: float, speed: float = 0.0) -> list:
-    """(lo, hi) of each band of ``dispersion._band_table`` met by a geometric
-    scan of [1e-3, 10] omega0, and by one of [10, 2 / (1 - n speed)] omega0
-    when that reaches further, widened to the scan nodes around it.  A
-    point's omega / omega0 = 1 / (1 - n v_rad) with |v_rad| <= speed is at
-    most 1 / (1 - n speed) where the index is at most n: 1 in a plasma and
-    in a Lorentz medium above its resonances, a NonDispersive medium's own.
-    Nothing bounds it when n speed >= 1."""
+    """(lo, hi) of each band of ``dispersion._band_table`` cut to [1e-3, 10]
+    omega0, then to [10, 2 / (1 - n speed)] omega0 when n speed < 1 and that
+    reaches further: omega / omega0 = 1 / (1 - n v_rad) is at most that where
+    the index is at most n (1 in a plasma and in a Lorentz medium above its
+    resonances).  Band ends are the table's exact edges, the first and last
+    propagating floats; range ends are widened outward to the lattice
+    2**(j/256), so a window depends on omega0 only through its cut's cell."""
+    def node(x, up):    # the lattice node at or above x (up), or below it
+        j = round(256.0 * math.log2(x))
+        j += int(2.0 ** (j / 256) < x) if up else -int(2.0 ** (j / 256) > x)
+        return 2.0 ** (j / 256)
+
     n = model.index if isinstance(model, disp.NonDispersive) else 1.0
     top = 2.0 / (1.0 - n * speed) if n * speed < 1.0 else 0.0
-    out = []
-    for first, last in [(1e-3, 10.0)] + ([(10.0, top)] if top > 10.0 else []):
-        scan = np.geomspace(first * omega0, last * omega0, 4 * _LINE_GRID)
-        runs = []   # [a, b): the scan nodes in a band, runs that touch merged
-        for lo, hi in disp._band_table(model):
-            a, b = np.searchsorted(scan, lo), np.searchsorted(scan, hi, "right")
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            elif a < b:
-                runs.append([a, b])
-        out += [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
-                for a, b in runs]
-    return out
+    ends = [node(e * omega0, e > 1e-3)
+            for e in [1e-3, 10.0] + ([top] if top > 10.0 else [])]
+    return [(max(lo, first), min(hi, last))
+            for first, last in zip(ends, ends[1:]) if first < last
+            for lo, hi in disp._band_table(model) if lo < last and hi > first]
+
+
+@functools.lru_cache(maxsize=64)
+def _base_grid(model, bands: tuple, nodes: int) -> tuple:
+    """Read-only (omega, Re k, v_g) on ``nodes`` nodes per window of ``bands``
+    and one in each stop band between two, so no cell bridges two bands.
+    A window end where the array route reads v_g NaN (n can round to 0 at an
+    exact edge) steps inward, float by float, until v_g is finite (for at
+    most 64 floats, and not past the next node)."""
+    gaps = [0.5 * (a + b) for (_, a), (b, _) in zip(bands, bands[1:])]
+    w = np.sort(np.concatenate([gaps, *(np.linspace(*b, nodes)
+                                        for b in bands)]))
+    w = w[np.r_[True, w[1:] != w[:-1]]]     # once where two windows meet
+    end = np.searchsorted(w, np.ravel(bands))
+    to = w[np.clip(end + np.tile([1, -1], len(bands)), 0, len(w) - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):    # n 0 at an end
+        k, vg = disp.wavenumber_and_group(model, w)
+        for _ in range(64):
+            if not (nan := np.isnan(vg[end]) & (w[end] != to)).any():
+                break
+            w[end[nan]] = np.nextafter(w[end[nan]], to[nan])
+            k[end[nan]], vg[end[nan]] = disp.wavenumber_and_group(
+                model, w[end[nan]])
+    for a in (w, k, vg):
+        a.flags.writeable = False
+    return w, k, vg
 
 
 def solve_line(ctx: PhaseContext, tol: float = 1e-10,
                max_iter: int = 60) -> list:
-    """Every causal stationary point with omega in [1e-3, 10] omega0, or up
-    to 2 / (1 - n |v|) omega0 for a fast source (``_bands``), on a
-    ``StraightLine`` or ``OffsetLine``, sorted by tau_s.
-
-    ``_bands`` finds the propagating bands.  On a grid of each,
-    ``_line_roots`` gives D on the near and far branch; cells that may hide
-    a root (``_hidden``) are split until none wider than 1e-11 omega is
-    left.  Each sign change of D, on a branch or
-    across a fold, is polished by ``solve_newton`` from inside its bracket,
-    and raises NoConvergence (the bracket as diagnostics) unless it ends at
-    a causal point in the bracket.  A point that two brackets share, or
-    where D touches zero without a sign change, has ``degenerate=True``.
-    """
+    """Every causal stationary point on a ``StraightLine`` or ``OffsetLine``
+    with omega in [1e-3, 10] omega0 (and a fast source's range), widened to a
+    lattice (``_bands``), sorted by tau_s.  ``_line_roots`` gives D on the
+    near and far branch on the windows' cached grid (``_base_grid``); cells
+    that may hide a root (``_hidden``) are split down to 1e-11 omega.
+    ``solve_newton`` polishes each sign change of D in its bracket: across a
+    fold from its joint, on a branch from the secant root or, when that
+    misses a causal point in the bracket, from the root of D in it that
+    Brent's method finds.  A bracket left unpolished raises NoConvergence; a
+    point two brackets share, or where D touches zero, is ``degenerate``."""
     if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
     geo = _line_geometry(ctx)
@@ -434,9 +516,8 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
         if ctx.omega0 else []
     if not bands or geo[0] == 0:
         return []       # no band in range, or the source at x at time t
-    w = np.concatenate([np.linspace(lo, hi, _LINE_GRID) for lo, hi in bands])
-    w = w[np.concatenate(([True], w[1:] != w[:-1]))]   # once where bands meet
-    rows, disc = _line_roots(ctx, geo, w)
+    w, *wave = _base_grid(ctx.dispersion, tuple(bands), _LINE_GRID)
+    rows, disc = _line_roots(ctx, geo, w, wave)
     while True:
         cells, turns, joints = _hidden(w, rows, disc, geo[1])
         i = np.flatnonzero(cells & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
@@ -449,33 +530,49 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
         w = np.r_[w, new][order]
         rows = [np.r_[r, n][order] for r, n in zip(rows, new_rows)]
         disc = np.r_[disc, new_disc][order]
-    # (lo, hi, seed omega, seed tau, tangent): sign changes, joints, and one
-    # try per run of turns left in the finest cells, from its node nearest
-    # zero (D touches zero there, or rounding makes the run)
+    # (lo, hi, seed omega, seed tau, tangent, branch): joints, sign changes on
+    # the near (0) or far (1) branch, one try per run of turns left in the
+    # finest cells from its node nearest zero (D touches zero, or rounding)
     tries = [(min(w[j], w[m]), max(w[j], w[m]), w[j],
-              0.5 * (rows[0][j] + rows[2][j]), False) for j, m in joints]
-    for tau, d, turn in zip(rows[::2], rows[1::2], turns):
+              0.5 * (rows[0][j] + rows[2][j]), False, None) for j, m in joints]
+    for b, (tau, d, turn) in enumerate(zip(rows[::2], rows[1::2], turns)):
         sb = np.signbit(d)
-        tries += [(w[j], w[j + 1], 0.5 * (w[j] + w[j + 1]),
-                   0.5 * (tau[j] + tau[j + 1]), False) for j in np.flatnonzero(
-                       (sb[:-1] != sb[1:]) & ~np.isnan(d[:-1] + d[1:]))]
+        j = np.flatnonzero((sb[:-1] != sb[1:]) & ~np.isnan(d[:-1] + d[1:]))
+        f = np.divide(d[j], d[j] - d[j + 1], out=np.full(len(j), 0.5),
+                      where=d[j] != d[j + 1])   # the secant root in the cell
+        tries += [(w[i], w[i + 1], w[i] + g * (w[i + 1] - w[i]),
+                   tau[i] + g * (tau[i + 1] - tau[i]), False, b)
+                  for i, g in zip(j, f)]
         turn = np.flatnonzero(turn) + 1
         if len(turn):
             for run in np.split(turn, np.flatnonzero(
                     np.diff(w[turn]) > _DEDUPE_SEP * w[turn[1:]]) + 1):
                 j = run[np.argmin(np.abs(d[run]))]
                 tries.append((w[run[0] - 1], w[run[-1] + 1], w[j], tau[j],
-                              True))
-    found = []
-    for lo, hi, omega, tau, tangent in sorted(tries, key=lambda q: q[4]):
+                              True, None))
+
+    def polish(seed, lo, hi):   # solve_newton's point if causal, in [lo, hi]
         try:
-            sp = solve_newton(ctx, seed=(omega, tau), tol=tol,
-                              max_iter=max_iter)
+            sp = solve_newton(ctx, seed=seed, tol=tol, max_iter=max_iter)
         except START_FAILURES:
-            sp = None
+            return None
         pad = _DEDUPE_SEP * hi
-        if sp is None or not (lo - pad <= sp.omega_s <= hi + pad
-                              and ctx.t - sp.tau_s > 0):
+        return sp if lo - pad <= sp.omega_s <= hi + pad \
+            and ctx.t - sp.tau_s > 0 else None
+
+    found = []
+    for lo, hi, omega, tau, tangent, b in sorted(tries, key=lambda q: q[4]):
+        sp = polish((omega, tau), lo, hi)
+        if sp is None and b is not None:    # from the root of the branch's D
+            try:
+                root = _brentq(lambda x: _line_roots(ctx, geo, np.r_[x])[0]
+                               [2 * b + 1][0], lo, hi, xtol=0.0, rtol=1e-15)
+            except (ValueError, RuntimeError):
+                pass        # NaN inside the bracket
+            else:
+                seed = root, _line_roots(ctx, geo, np.r_[root])[0][2 * b][0]
+                sp = polish(seed, lo, hi)
+        if sp is None:
             if tangent:
                 continue            # the extremum stays clear of zero
             raise NoConvergence(

@@ -5,6 +5,7 @@ import pytest
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
+from dopshift import stationary_phase as sph
 
 
 @pytest.fixture
@@ -12,9 +13,10 @@ def rotate_array_index(monkeypatch):
     """Call with an angle in radians to turn the n of the array route
     (``dispersion.index_and_mask``) by it, leaving scalar ``sample`` as is:
     a stand-in for a rounding difference between the two routes larger than
-    the one numpy and Python show.  The band scan's grid cache is emptied
-    when the route turns and after the test, so the scan evaluates the
-    turned route and no later test reads a turned grid."""
+    the one numpy and Python show.  The grid caches of the band scan and of
+    ``solve_line`` are emptied when the route turns and after the test, so
+    the scans evaluate the turned route and no later test reads a turned
+    grid."""
     def rotate(angle):
         exact = disp.branch_sqrt_product
 
@@ -24,5 +26,7 @@ def rotate_array_index(monkeypatch):
 
         monkeypatch.setattr(disp, "branch_sqrt_product", rotated)
         fld._band_grid.cache_clear()
+        sph._base_grid.cache_clear()
     yield rotate
     fld._band_grid.cache_clear()
+    sph._base_grid.cache_clear()

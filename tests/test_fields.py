@@ -10,6 +10,7 @@ import pytest
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
+from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift import validation as val
 from dopshift.errors import (BelowCutoff, GroupVelocityMatchesSource,
@@ -94,7 +95,7 @@ def _scalar_scan_roots(model, omega0, v, sign, omega_range, n_scan=4001):
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0:
-            roots.append(fld._brentq(g, a, b, xtol=1e-14, rtol=1e-15))
+            roots.append(sph._brentq(g, a, b, xtol=1e-14, rtol=1e-15))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
     return sorted(roots)
@@ -276,20 +277,20 @@ class TestBrent:
     def test_matches_scipy_on_smooth_functions(self, xtol, rtol):
         optimize = pytest.importorskip("scipy.optimize")
         for f, a, b in self.SMOOTH:
-            assert fld._brentq(f, a, b, xtol=xtol, rtol=rtol) == \
+            assert sph._brentq(f, a, b, xtol=xtol, rtol=rtol) == \
                 optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
 
     def test_matches_scipy_on_scan_brackets(self, monkeypatch):
         optimize = pytest.importorskip("scipy.optimize")
         calls = []
-        port = fld._brentq
+        port = sph._brentq
 
         def recording(f, a, b, **tol):
             root = port(f, a, b, **tol)
             calls.append((f, a, b, tol, root))
             return root
 
-        monkeypatch.setattr(fld, "_brentq", recording)
+        monkeypatch.setattr(sph, "_brentq", recording)
         for f0 in np.linspace(405.0, 720.0, 22):
             for model in (LORENTZ, disp.NonDispersive(eps=2.25, mu=1.0)):
                 for sign in (+1, -1):
@@ -304,17 +305,17 @@ class TestBrent:
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError):
-            fld._brentq(math.cos, 0.1, 0.2, xtol=1e-15, rtol=1e-15)
+            sph._brentq(math.cos, 0.1, 0.2, xtol=1e-15, rtol=1e-15)
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
-            fld._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45,
+            sph._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45,
                         0.0, 1.0, xtol=1e-15, rtol=1e-15)
 
     def test_no_convergence_raises(self):
         with pytest.raises(RuntimeError):
             # cos has no float zero, so a zero tolerance is never met
-            fld._brentq(math.cos, 0.1, 3.0, xtol=0.0, rtol=0.0)
+            sph._brentq(math.cos, 0.1, 3.0, xtol=0.0, rtol=0.0)
 
 
 class TestRetard1D:
@@ -365,6 +366,20 @@ class TestDoppler2D:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < gaps[1] / 10.0        # quadratic approach in x1
 
+
+    def test_collinear_point_next_to_the_band_top(self):
+        # event B: the causal point nearest the carrier sits in the last
+        # cell below the 433.1145 THz band top; the 1-D reference scan finds
+        # it, as the enumerated route does
+        w0, v = omega_from_thz(441.6937004289885), -0.6122854815120783
+        x2, t = 0.8581163197374959, 3.0052730629750757
+        w, tau, grad = fld._collinear_point(LORENTZ, w0, v, x2, t)
+        assert thz_from_omega(w) == pytest.approx(433.11454, abs=1e-5)
+        sp = fld._nearest_point(sph.PhaseContext(
+            t=t, x=(0.0, x2, 0.0), omega0=w0,
+            trajectory=trj.OffsetLine(v=v, H=0.0), dispersion=LORENTZ), w0)
+        assert (w, tau) == pytest.approx((sp.omega_s, sp.tau_s), rel=1e-10)
+        assert t - tau > 0 and grad <= 1e-9
 
 class TestMetamaterialReferenceTargets:
     """The validation targets recomputed without _lorentz_chain or Newton:

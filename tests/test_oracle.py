@@ -89,6 +89,18 @@ class TestQuadrature:
         with pytest.raises(NoConvergenceInR):
             orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-6, max_doublings=0)
 
+    def test_node_budget_raises_before_a_pass(self, monkeypatch):
+        # a budget of exactly the R = 2 pass's nodes: that pass runs, and the
+        # R = 4 pass raises, naming its node count, instead of running
+        ig, _, _ = orc.gaussian_saddle_case(20.0)
+        grid, gx, gy, _, ext_x, ext_y = orc._probe_box(ig, 2.0)
+        nx, ny = (len(orc._axis_rule(ext, grid, g, orc._POINTS_PER_OSC,
+                                     orc._GL_ORDER)[0])
+                  for ext, g in ((ext_x, gx), (ext_y, gy)))
+        monkeypatch.setattr(orc, "_MAX_NODES", nx * ny)
+        with pytest.raises(NoConvergenceInR, match=r"R = 4 needs \d+ nodes"):
+            orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-12)
+
 
 def golden_integrand(case, lam, ibp):
     ig = {"gaussian": orc.gaussian_saddle_case,

@@ -16,7 +16,7 @@ from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift.errors import (DegeneratePoint, DopshiftError, EvanescentRegime,
                              NoConvergence, ObserverOnTrajectory)
-from dopshift.units import omega_from_thz
+from dopshift.units import omega_from_thz, thz_from_omega
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
 VACUUM = disp.NonDispersive(eps=1.0, mu=1.0)
@@ -418,6 +418,17 @@ LINE_EVENTS = {
 }
 
 
+def lattice_node(x, side):
+    """The node 2**(j/256) at or above x (side 1) or at or below it (-1),
+    by a search over the integers j."""
+    j = math.floor(256 * math.log2(x))
+    while 2.0 ** (j / 256) > x:
+        j -= 1
+    while 2.0 ** ((j + 1) / 256) <= x:
+        j += 1
+    return 2.0 ** ((j + (side > 0 and 2.0 ** (j / 256) < x)) / 256)
+
+
 def assert_causal_stationary(ctx, points, rtol=1e-9):
     for p in points:
         assert p.converged and ctx.t - p.tau_s > 0
@@ -515,55 +526,60 @@ class TestSolveLine:
         assert sum(p.degenerate for p in points) == 1
 
     def test_bands_equal_the_array_scan(self):
-        # the recipe before the band table: the same geometric scan with
-        # the flags of index_and_mask
-        def scanned(model, omega0):
-            scan = np.geomspace(1e-3 * omega0, 10.0 * omega0,
-                                4 * sph._LINE_GRID)
-            runs = np.flatnonzero(np.diff(np.r_[
-                False, disp.index_and_mask(model, scan)[1], False]))
-            return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
-                    for a, b in zip(runs[::2], runs[1::2])]
-
+        # every node of a geometric scan of the widened range where the
+        # array route propagates lies in a window, and no other; a window
+        # end inside the range is an exact band edge: it propagates and the
+        # next float outward does not
         rng = np.random.default_rng(11)
         lorentz = disp.lorentz_from_thz()
         carriers = [(lorentz, omega_from_thz(f))
                     for f in rng.uniform(100.0, 3000.0, 1600)]
         carriers += [(PLASMA, w) for w in rng.uniform(0.01, 50.0, 400)]
         for model, w0 in carriers:
-            assert sph._bands(model, w0) == scanned(model, w0)
+            first, last = lattice_node(1e-3 * w0, -1), lattice_node(10 * w0, 1)
+            bands = sph._bands(model, w0)
+            ends = [end for band in bands for end in band]
+            assert ends == sorted(ends)
+            assert all(first <= end <= last for end in ends)
+            scan = np.geomspace(first, last, 4 * sph._LINE_GRID)
+            inside = np.zeros(len(scan), dtype=bool)
+            for lo, hi in bands:
+                inside |= (lo <= scan) & (scan <= hi)
+            assert np.array_equal(inside, disp.index_and_mask(model, scan)[1])
+            for end, out in zip(ends, [-math.inf, math.inf] * len(bands)):
+                assert disp.index_and_flag(model, end)[1]
+                if end not in (first, last):
+                    assert not disp.index_and_flag(
+                        model, math.nextafter(end, out))[1]
 
     def test_fast_source_scans_past_ten_carriers(self):
-        # a scan of [10, 2 / (1 - n speed)] omega0 follows the slow-source
-        # one only where that reaches past 10 omega0 and n speed < 1
+        # a range [10, 2 / (1 - n speed)] omega0 follows the slow-source one
+        # only where that reaches past 10 omega0 and n speed < 1; it starts
+        # at the lattice node at or above 10 omega0, where the slow one ends
         lorentz, w0 = disp.lorentz_from_thz(), omega_from_thz(420.0)
+        ten = lattice_node(10.0 * w0, 1)
         for model, speed in ((lorentz, 0.75), (PLASMA, 0.75),
                              (disp.NonDispersive(eps=4.0), 0.5)):
             assert sph._bands(model, w0, speed) == sph._bands(model, w0)
+        # a fast range that ends in the lattice cell of 10 omega0 is empty
+        top = 0.5 * (10.0 * w0 + ten)
+        assert sph._bands(PLASMA, w0, 1.0 - 2.0 * w0 / top) \
+            == sph._bands(PLASMA, w0)
         for model, speed, top in ((PLASMA, 0.95, 40.0), (lorentz, 0.95, 40.0),
                                   (disp.NonDispersive(eps=4.0), 0.45, 20.0)):
             slow, fast = sph._bands(model, w0), sph._bands(model, w0, speed)
-            assert fast[:len(slow)] == slow and slow[-1][1] == 10.0 * w0
-            assert fast[len(slow)][0] == 10.0 * w0
-            assert fast[-1][1] == pytest.approx(top * w0, rel=1e-12)
+            assert fast[:len(slow)] == slow and slow[-1][1] == ten
+            assert fast[len(slow)][0] == ten
+            assert top * w0 <= fast[-1][1] * (1 + 1e-12) \
+                and fast[-1][1] < 2.0 ** (1 / 256) * top * w0
 
     def test_bands_equal_the_table_mask(self):
-        # the runs found by searching the scan equal the runs of a mask of
-        # the table's bands on it, also where two bands hold no scan node
-        # between them and their runs merge
-        def masked(model, omega0):
-            scan = np.geomspace(1e-3 * omega0, 10.0 * omega0,
-                                4 * sph._LINE_GRID)
-            masks = [(lo <= scan) & (scan <= hi)
-                     for lo, hi in disp._band_table(model)]
-            runs = np.flatnonzero(np.diff(np.r_[False, np.any(masks, axis=0),
-                                                False]))
-            merges = sum(map(np.any, masks)) - len(runs) // 2
-            return [(scan[max(a - 1, 0)], scan[min(b, len(scan) - 1)])
-                    for a, b in zip(runs[::2], runs[1::2])], merges
-
+        # each table band that meets the widened range is one window, cut to
+        # it; between two windows the base grid has one node, in the stop
+        # band, also where the stop band is narrower than a cell of a
+        # geometric scan of 2052 nodes over the range
         rng = np.random.default_rng(8)
-        merges = 0
+        narrow = 0
         for _ in range(600):
             model = disp.LorentzMetamaterial(
                 *rng.uniform(0.0, 3.0, 1), *rng.uniform(0.2, 3.0, 1),
@@ -571,10 +587,90 @@ class TestSolveLine:
                 *rng.uniform(0.0, 3.0, 1), *rng.uniform(0.2, 3.0, 1),
                 float(rng.choice([0.0, rng.uniform(0.0, 0.05)])))
             for w0 in np.exp(rng.uniform(math.log(0.05), math.log(5.0), 3)):
-                want, merged = masked(model, w0)
-                assert sph._bands(model, w0) == want
-                merges += merged
-        assert merges > 0
+                first = lattice_node(1e-3 * w0, -1)
+                last = lattice_node(10.0 * w0, 1)
+                bands = sph._bands(model, w0)
+                assert bands == [(max(lo, first), min(hi, last))
+                                 for lo, hi in disp._band_table(model)
+                                 if lo < last and hi > first]
+                w, _, vg = sph._base_grid(model, tuple(bands), sph._LINE_GRID)
+                for (_, a), (b, _) in zip(bands, bands[1:]):
+                    gap = np.flatnonzero((a < w) & (w < b))
+                    assert len(gap) == 1 and np.isnan(vg[gap[0]])
+                    assert not disp.index_and_flag(model, w[gap[0]])[1]
+                    narrow += b / a < (1e4) ** (1 / (4 * sph._LINE_GRID - 1))
+        assert narrow > 0
+
+    @pytest.mark.parametrize("name", ["planar", "lorentz-offset",
+                                      "plasma-behind"])
+    def test_brent_polish_when_newton_fails_from_the_seed(self, monkeypatch,
+                                                          name):
+        # Newton fails from every bracket seed, so each branch bracket is
+        # polished from the root of its D that Brent's method finds there
+        ctx = LINE_EVENTS[name]
+        want = sph.solve_line(ctx)
+        roots, newton, brent = [], sph.solve_newton, sph._brentq
+
+        def recorded(*args, **tols):
+            roots.append(brent(*args, **tols))
+            return roots[-1]
+
+        def from_roots_only(ctx, seed=None, **solve):
+            if not roots or seed[0] != roots[-1]:
+                raise NoConvergence("stalled", None)
+            return newton(ctx, seed=seed, **solve)
+
+        monkeypatch.setattr(sph, "_brentq", recorded)
+        monkeypatch.setattr(sph, "solve_newton", from_roots_only)
+        got = sph.solve_line(ctx)
+        assert len(roots) == len(got) == len(want)
+        assert_causal_stationary(ctx, got)
+        for p, q in zip(got, want):
+            assert (p.omega_s, p.tau_s) == pytest.approx((q.omega_s, q.tau_s),
+                                                         rel=1e-10)
+
+    def test_point_next_to_the_band_top(self):
+        # event A: a causal point in the last cell below the 433.1145 THz
+        # band top, found by the collinear closed form, besides 266.547 THz
+        ctx = line_event(1.5928411849550361, (0.0, -0.7472298760956733, 0.0),
+                         427.11223286123567, 0.3762991939247624)
+        points = sph.solve_line(ctx)
+        assert_causal_stationary(ctx, points)
+        assert [thz_from_omega(p.omega_s) for p in points] == [
+            pytest.approx(433.10935, abs=1e-5),
+            pytest.approx(266.547, abs=1e-3)]
+
+    @pytest.mark.parametrize("f0, v, H, x, t", [
+        (389.92574646456904, 0.0012743450800039042, 0.4942328919780496,
+         (0.1933390811445721, -0.9308754214360468, 0.028383152948668444),
+         2.7752431816546514),
+        (383.1018628940401, 0.0033470917924597614, 0.040631155557995235,
+         (0.5263619028029625, -0.7378420234173586, -0.7335867153006435),
+         0.6534212290363833),
+        (392.86403238245526, 0.0006776427471261993, 0.453143166569087,
+         (-0.043354838578155475, -0.8534292120355349, 0.29111494209700184),
+         4.238129155378864)])
+    def test_events_that_raised_return_causal_points(self, f0, v, H, x, t):
+        # slow-source events next to the resonances whose polish raised
+        # NoConvergence on the geometric-scan windows
+        ctx = line_event(t, x, f0, v, H=H)
+        points = sph.solve_line(ctx)
+        assert points
+        assert_causal_stationary(ctx, points)
+        assert all(p.residual_norm <= 1e-10 for p in points)
+
+    def test_slow_source_stress(self):
+        # 600 slow sources on an OffsetLine near the observer, carriers
+        # 380-420 THz: no bracket is left unpolished
+        rng = np.random.default_rng(2026)
+        for _ in range(600):
+            v, f0 = rng.uniform(5e-4, 1e-2), rng.uniform(380.0, 420.0)
+            x = tuple(rng.uniform(-1.0, 1.0, 3))
+            t, H = rng.uniform(0.0, 5.0), rng.uniform(0.0, 0.5)
+            ctx = line_event(t, x, f0, v, H=H)
+            points = sph.solve_line(ctx)
+            assert_causal_stationary(ctx, points)
+            assert all(p.residual_norm <= 1e-10 for p in points)
 
     def test_needs_a_straight_line(self):
         ctx = sph.PhaseContext(
@@ -597,6 +693,86 @@ class TestSolveLine:
         grid = sph.solve_grid(plasma_ctx(), *box, n_omega=5, n_tau=5)
         assert [c.point.omega_s for c in out] == pytest.approx(
             [p.omega_s for p in grid], rel=1e-12)
+
+
+class TestBaseGridCache:
+    """solve_line's base grid and its k and v_g are cached per medium and
+    windows; the cached arrays are read-only and equal a fresh evaluation."""
+
+    def test_cached_arrays_are_read_only(self):
+        sph.solve_line(LINE_EVENTS["planar"])
+        bands = sph._bands(LORENTZ, LINE_EVENTS["planar"].omega0, 0.5)
+        for a in sph._base_grid(LORENTZ, tuple(bands), sph._LINE_GRID):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    @pytest.mark.parametrize("name", sorted(LINE_EVENTS))
+    def test_cached_arrays_equal_fresh_evaluation(self, name):
+        ctx = LINE_EVENTS[name]
+        speed = float(np.linalg.norm(trj.velocity(ctx.trajectory, ctx.t)))
+        bands = tuple(sph._bands(ctx.dispersion, ctx.omega0, speed))
+        w, k, vg = sph._base_grid(ctx.dispersion, bands, sph._LINE_GRID)
+        fresh = disp.wavenumber_and_group(ctx.dispersion, np.array(w))
+        assert k.tobytes() == fresh[0].tobytes()
+        assert vg.tobytes() == fresh[1].tobytes()
+
+    def test_events_share_an_entry_and_the_cache_is_bounded(self):
+        # events that differ only in observer, time, speed and offset share
+        # one grid; carriers in many lattice cells fill the cache no
+        # further than its bound
+        sph._base_grid.cache_clear()
+        for i in range(10):
+            sph.solve_line(line_event(2.0 + i, (0.01, 1.6 + 0.1 * i, 0.0),
+                                      420.0, 0.01 + 0.001 * i, H=0.01 * i))
+        assert sph._base_grid.cache_info()[:2] == (9, 1)
+        maxsize = sph._base_grid.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for f0 in np.linspace(380.0, 800.0, 2 * maxsize):
+            sph.solve_line(line_event(2.0, (0.01, 1.6, 0.0), f0, 0.01))
+        assert sph._base_grid.cache_info().currsize == maxsize
+
+    @pytest.mark.parametrize("frac, v", [(0.01, 0.3), (0.2, 0.6),
+                                         (0.5, -0.3)])
+    def test_lossless_band_edge_steps_inward(self, frac, v):
+        # the array route reads v_g NaN at this lossless medium's lowest
+        # edge of its top band (n rounds to 0), where the scalar route
+        # propagates; the window starts at the first float above it with a
+        # finite v_g, with no warning, and a point built in the cell next to
+        # the edge is found
+        model = disp.LorentzMetamaterial(1.8583255415614937,
+                                         1.5245792138881886, 0.0,
+                                         1.5831397553305253,
+                                         1.2623382692538334, 0.0)
+        edge = disp._band_table(model)[-1][0]
+        assert disp.index_and_flag(model, edge)[1]
+        with np.errstate(all="ignore"):
+            assert np.isnan(disp.wavenumber_and_group(model, [edge])[1][0])
+
+        def event(w):   # observer ahead on the axis; S_w = S_tau = 0 there
+            x = (0.0, 2.0 * disp.sample(model, w).v_group, 0.0)
+            ctx = sph.PhaseContext(t=2.0, x=x, omega0=0.0, dispersion=model,
+                                   trajectory=trj.OffsetLine(v=v))
+            return replace(ctx, omega0=sph.gradient(ctx, w, 0.0)[1])
+
+        ctx, w_s = event(1.001 * edge), None
+        sph._base_grid.cache_clear()
+        for _ in range(3):      # the window depends on omega0's lattice cell
+            bands = tuple(sph._bands(model, ctx.omega0, abs(v)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, _, vg = sph._base_grid(model, bands, sph._LINE_GRID)
+            i = np.searchsorted(w, edge)
+            w_s = w[i] + frac * (w[i + 1] - w[i])
+            ctx = event(w_s)
+        with np.errstate(all="ignore"):
+            skipped = disp.wavenumber_and_group(
+                model, np.arange(edge, w[i], np.spacing(edge)))[1]
+        assert np.isfinite(vg[i]) and len(skipped) and np.isnan(skipped).all()
+        assert bands == tuple(sph._bands(model, ctx.omega0, abs(v)))
+        points = sph.solve_line(ctx)
+        assert_causal_stationary(ctx, points)
+        assert any(p.omega_s == pytest.approx(w_s, rel=1e-12)
+                   and abs(p.tau_s) < 1e-9 for p in points)
 
 
 class TestEnvelopeIdentity:
