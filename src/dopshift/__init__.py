@@ -10,7 +10,7 @@ from .fields import (DopplerClass, FieldContribution, SourceModel,
                      metamaterial_doppler_1d, metamaterial_doppler_2d,
                      moving_source_fields, nondispersive_doppler,
                      plasma_doppler_closed_form, retard_1d)
-from .stationary_phase import (PhaseContext, StationaryPoint, contribution,
+from .stationary_phase import (PhaseContext, StationaryPoint,
                                saddle_contribution, solve_grid, solve_line,
                                solve_newton)
 from .trajectory import CustomTrajectory, OffsetLine, StraightLine
@@ -26,7 +26,7 @@ __all__ = [
     "metamaterial_doppler_1d", "metamaterial_doppler_2d",
     "moving_source_fields", "nondispersive_doppler",
     "plasma_doppler_closed_form", "retard_1d", "PhaseContext",
-    "StationaryPoint", "contribution", "saddle_contribution",
+    "StationaryPoint", "saddle_contribution",
     "solve_grid", "solve_line", "solve_newton",
     "CustomTrajectory",
     "OffsetLine", "StraightLine", "omega_from_thz", "thz_from_omega",

@@ -212,7 +212,7 @@ def cmd_plasma(args) -> int:
 
 
 def cmd_cherenkov(args) -> int:
-    _check_ranges(args, "eps", "mu", "x1", "x2", "x3", "t")
+    _check_ranges(args, "eps", "mu", "v", "x1", "x2", "x3", "t")
     try:
         model = disp.NonDispersive(eps=args.eps, mu=args.mu)
         contr = fld.cherenkov_solve(model, (0.0, 0.0, args.v),

@@ -126,9 +126,10 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
 
     Without ``seed_box``, one Newton solve from ``seed`` or ``default_seed``.
     On a line kind a ``seed_box`` selects every causal point
-    (``stationary_phase.solve_line``) and ``n_seeds`` is unused; both stay
-    only because the benchmark passes them.  On a ``CustomTrajectory``
-    Newton runs from an ``n_seeds`` grid over the box.
+    (``stationary_phase.solve_line``; for a zero carrier, the Cherenkov
+    points) and ``n_seeds`` is unused; both stay only because the benchmark
+    passes them.  On a ``CustomTrajectory`` Newton runs from an ``n_seeds``
+    grid over the box.
     No stationary point yields an empty list.  Degenerate (caustic) points
     are kept in the list with zero fields and ``point.degenerate`` set.
     """
@@ -361,16 +362,7 @@ def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
                                  point=sp, w2d_relative_error=rel)
 
 
-def _positive_phase_speed_min(model, omega_lo, omega_hi, n=400):
-    """Smallest positive phase speed 1/Re n on the scanned propagating grid."""
-    w = np.linspace(omega_lo, omega_hi, n)
-    n_real, propagating = disp.index_and_mask(model, w[w > 0])
-    n_real = n_real[propagating & (n_real > 0)]
-    return float(np.min(1.0 / n_real)) if n_real.size else math.inf
-
-
-def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
-                    ) -> FieldContribution:
+def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
     """Zero-carrier radiating point of a uniformly moving charge.
 
     The radiating condition is v_rad(x, tau_s) = c(omega_s) > 0 together with
@@ -379,7 +371,11 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
         v t - zeta - |x_perp| sqrt(|beta**2 - 1|) > 0,   beta = v/v_g,
 
     where zeta is the observer coordinate along the motion and x_perp the
-    transverse offset.  In a frequency-independent medium every frequency
+    transverse offset (``gate``).  In a dispersive medium the points are the
+    zero-carrier points of ``stationary_phase.solve_line``, with omega in
+    [1e-3, 10] (and a fast source's range); the latest emission (largest
+    tau_s) is returned, and NoCherenkovRoot is raised when there is none.
+    In a frequency-independent medium every frequency
     radiates on the same cone: the returned point carries the solved emission
     time, omega_s = 0 as a placeholder, and a degenerate Hessian (the
     stationary point is the tangency of the retardation roots), so the
@@ -430,20 +426,10 @@ def cherenkov_solve(model, v_vec, x, t, omega_scan=(1e-3, 10.0)
             method="closed-form", degenerate=True)
         return _assemble(source, ctx, sp, gate=in_cone(s.v_group))
 
-    # Dispersive medium: refuse when no propagating frequency is slow enough,
-    # else solve the joint system with the generic Newton engine.
-    cmin = _positive_phase_speed_min(model, *omega_scan)
-    if cmin >= speed:
-        raise NoCherenkovRoot(
-            f"minimum phase speed {cmin:g} >= source speed {speed:g}")
-    last_err = None
-    for w0 in np.geomspace(max(omega_scan[0], 1e-3), omega_scan[1], 12):
-        try:
-            sp = sph.solve_newton(ctx, seed=(w0, t - 1.0), tol=1e-11)
-        except sph.START_FAILURES as err:
-            last_err = err
-            continue
-        if sp.omega_s > 1e-8:
-            v_group = disp.sample(model, sp.omega_s).v_group
-            return _assemble(source, ctx, sp, gate=in_cone(v_group))
-    raise NoCherenkovRoot(f"no nontrivial-frequency root found ({last_err})")
+    found = sph.solve_line(ctx)
+    if not found:
+        raise NoCherenkovRoot("no causal radiating point in the scanned "
+                              "frequency range")
+    sp = found[-1]      # sorted by tau_s: the latest emission
+    return _assemble(source, ctx, sp,
+                     gate=in_cone(disp.sample(model, sp.omega_s).v_group))

@@ -35,7 +35,7 @@ from .errors import (GradientVanishesUnbounded, NoConvergenceInR,
 
 __all__ = [
     "OscillatoryIntegrand", "OracleResult", "smooth_bump",
-    "oscillatory_integral_2d", "apply_phase_operator", "ibp_regularize",
+    "oscillatory_integral_2d", "ibp_regularize",
     "amplitude_decay_profile", "convergence_rate_study", "StudyRow",
     "gaussian_saddle_case", "fresnel_case", "hyperbolic_saddle_case",
 ]
@@ -259,28 +259,6 @@ def oscillatory_integral_2d(ig: OscillatoryIntegrand, R0: float = 2.0,
 
 
 # -- integration-by-parts regularization ------------------------------------
-
-def apply_phase_operator(ig: OscillatoryIntegrand, u: Callable,
-                         grad_u: Callable) -> Callable:
-    """The first-order operator L with L e^{i lam S} = e^{i lam S}:
-
-        L u = (u - i grad(lam S) . grad u) / (1 + |grad(lam S)|**2).
-
-    The gradient of the full phase lam * S is what leaves the oscillatory
-    exponential unchanged by L.  Requires the analytic phase gradient and the
-    gradient of u.
-    """
-    if ig.phase_grad is None:
-        raise ValueError("phase_grad callback required")
-
-    def lu(w, t):
-        gx, gy = ig.phase_grad(w, t)
-        sx, sy = ig.lam * gx, ig.lam * gy
-        ux, uy = grad_u(w, t)
-        return (u(w, t) - 1j * (sx * ux + sy * uy)) / (1.0 + sx ** 2 + sy ** 2)
-
-    return lu
-
 
 def _check_gradient_growth(ig: OscillatoryIntegrand, radii=(8.0, 16.0, 32.0),
                            n_angle: int = 64):

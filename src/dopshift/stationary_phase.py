@@ -26,7 +26,7 @@ from .errors import (DegeneratePoint, EvanescentRegime, LeftPropagatingBand,
 __all__ = [
     "PhaseContext", "StationaryPoint", "phase", "gradient", "hessian",
     "classify", "default_seed", "solve_newton", "solve_grid", "solve_line",
-    "contribution", "saddle_contribution",
+    "saddle_contribution",
 ]
 
 _ARMIJO = 1e-4
@@ -501,7 +501,8 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
                max_iter: int = 60) -> list:
     """Every causal stationary point on a ``StraightLine`` or ``OffsetLine``
     with omega in [1e-3, 10] omega0 (and a fast source's range), widened to a
-    lattice (``_bands``), sorted by tau_s.  ``_line_roots`` gives D on the
+    lattice (``_bands``), sorted by tau_s; a zero carrier scans as omega0 = 1,
+    and its points are the Cherenkov points.  ``_line_roots`` gives D on the
     near and far branch on the windows' cached grid (``_base_grid``); cells
     that may hide a root (``_hidden``) are split down to 1e-11 omega.
     ``solve_newton`` polishes each sign change of D in its bracket: across a
@@ -512,8 +513,9 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
     if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
     geo = _line_geometry(ctx)
-    bands = _bands(ctx.dispersion, ctx.omega0, math.sqrt(geo[2])) \
-        if ctx.omega0 else []
+    # A zero carrier (the Cherenkov condition omega = k v_rad) scans the
+    # windows of omega0 = 1: [1e-3, 10] in normalized frequency.
+    bands = _bands(ctx.dispersion, ctx.omega0 or 1.0, math.sqrt(geo[2]))
     if not bands or geo[0] == 0:
         return []       # no band in range, or the source at x at time t
     w, *wave = _base_grid(ctx.dispersion, tuple(bands), _LINE_GRID)
@@ -610,13 +612,3 @@ def saddle_contribution(lam: float, phase_value: float, det: float,
     return pref * np.exp(1j * (lam * phase_value + 0.25 * math.pi * signature)) \
         * amplitude
 
-
-def contribution(ctx: PhaseContext, sp: StationaryPoint,
-                 amplitude: complex) -> complex:
-    """Saddle contribution of a converged stationary point of the field phase."""
-    if not sp.converged:
-        raise NoConvergence("contribution of a non-converged point", sp)
-    if sp.degenerate:
-        raise DegeneratePoint("contribution at a caustic point")
-    s_val = phase(ctx, sp.omega_s, sp.tau_s)
-    return saddle_contribution(ctx.lam, s_val, sp.det, sp.signature, amplitude)

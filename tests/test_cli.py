@@ -604,7 +604,10 @@ class TestExitCodeTable:
         ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=1e-320"),
         # a zero carrier radiates no wave to shift
         ("doppler", "--f0-thz=0"),
-        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=10", "--n=3")])
+        ("doppler-sweep", "--f0-start-thz=0", "--f0-end-thz=10", "--n=3"),
+        # the range rule stops the speed before its norm can overflow
+        ("cherenkov", "--v=1e300")])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")

@@ -554,8 +554,33 @@ class TestCherenkov:
     def test_plasma_refuses(self):
         # phase velocity above c everywhere: no radiating point for v < 1
         with pytest.raises(NoCherenkovRoot):
-            fld.cherenkov_solve(PLASMA, (0.0, 0.0, 0.9), (0.3, 0.4, 0.2), 2.0,
-                                omega_scan=(1.1, 8.0))
+            fld.cherenkov_solve(PLASMA, (0.0, 0.0, 0.9), (0.3, 0.4, 0.2), 2.0)
+
+    def test_keeps_a_point_of_the_newton_search(self):
+        # the pin is the point of Newton from 12 geometric starts, a route
+        # independent of the enumeration
+        contr = fld.cherenkov_solve(
+            LORENTZ, (0.0, 0.0, 0.7727188172282535),
+            (-0.9595425525798269, 0.8912013625972119, -0.729824274981469),
+            2.0002757138240024)
+        assert abs(contr.point.omega_s - 0.40674156684085017) <= 1e-9
+        assert abs(contr.point.tau_s + 3.381540771017001) <= 1e-9
+        assert contr.gate
+
+    def test_answers_a_draw_the_newton_search_refused(self):
+        # Newton from 12 geometric starts finds no root here; the point is
+        # checked on the stationary identities
+        v, t = 0.9025220936968503, 1.0484748362708456
+        x = (0.2984807381089507, 0.7431116910505926, -0.18380306388803147)
+        sp = fld.cherenkov_solve(LORENTZ, (0.0, 0.0, v), x, t).point
+        assert abs(sp.omega_s - 0.34317905239153856) <= 1e-9
+        assert abs(sp.tau_s + 1.2003131208403628) <= 1e-9
+        s = disp.sample(LORENTZ, sp.omega_s)
+        g = trj.geometry(trj.StraightLine(velocity=(0.0, 0.0, v)), x,
+                         sp.tau_s)
+        assert abs(sp.omega_s - s.k.real * g.v_rad) <= 1e-10
+        assert abs(g.r / s.v_group - (t - sp.tau_s)) <= 1e-10
+        assert t - sp.tau_s > 0
 
     def test_cone_angle(self):
         model = disp.NonDispersive(eps=4.0, mu=1.0)

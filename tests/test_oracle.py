@@ -195,22 +195,6 @@ class TestPooledBlocks:
         assert len(calls) == 8
 
 
-class TestPhaseOperator:
-    def test_identity_on_oscillatory_exponential(self):
-        # L e^{iS} = e^{iS} pointwise with analytic callbacks
-        grad = lambda w, t: (t * np.ones_like(w), w * np.ones_like(t))
-        ig = orc.OscillatoryIntegrand(
-            amplitude=lambda w, t: np.ones_like(w), phase=lambda w, t: w * t,
-            lam=1.0, phase_grad=grad)
-        u = lambda w, t: np.exp(1j * w * t)
-        grad_u = lambda w, t: (1j * t * np.exp(1j * w * t),
-                               1j * w * np.exp(1j * w * t))
-        lu = orc.apply_phase_operator(ig, u, grad_u)
-        pts = np.random.default_rng(0).normal(size=(40, 2)) * 3
-        for w, t in pts:
-            assert abs(lu(w, t) - u(w, t)) <= 1e-12
-
-
 class TestIbpRegularization:
     def _elliptic(self, lam=6.0, amp=None):
         grad = lambda w, t: (w * np.ones_like(t), t * np.ones_like(w))

@@ -679,9 +679,21 @@ class TestSolveLine:
         with pytest.raises(TypeError):
             sph.solve_line(ctx)
 
-    def test_zero_carrier_has_no_range(self):
-        ctx = plasma_ctx(w0=0.0)
-        assert sph.solve_line(ctx) == []
+    def test_zero_carrier_gives_the_cherenkov_points(self):
+        # omega = k v_rad needs n > 1: none in a plasma
+        assert sph.solve_line(plasma_ctx(w0=0.0)) == []
+        v, t = 0.6577626746939156, 2.9526709626224497
+        x = (-0.04271508525353984, -0.022070603558518975,
+             0.15197787874615964)
+        ctx = sph.PhaseContext(
+            t=t, x=x, omega0=0.0, dispersion=LORENTZ,
+            trajectory=trj.StraightLine(velocity=(0.0, 0.0, v)))
+        points = sph.solve_line(ctx)
+        assert len(points) == 2
+        assert_causal_stationary(ctx, points)
+        sp = fld.cherenkov_solve(LORENTZ, (0.0, 0.0, v), x, t).point
+        assert (sp.omega_s, sp.tau_s) == (points[-1].omega_s,
+                                          points[-1].tau_s)
 
     def test_seed_box_on_custom_trajectory_keeps_the_grid(self):
         src = fld.SourceModel(omega0=2.0)
@@ -836,18 +848,6 @@ class TestContribution:
                                           max_doublings=2)
         pred = sph.saddle_contribution(lam, 0.0, sp.det, sp.signature, 1.0)
         assert abs(res.value - pred) / abs(res.value) <= 3.0 / lam
-
-    def test_context_contribution_matches_parts(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ctx = sph.PhaseContext(t=1.0, x=(0.0, 4.0, 0.0), omega0=2.0,
-                                   trajectory=trj.StraightLine(
-                                       velocity=(0.0, 0.5, 0.0)),
-                                   dispersion=PLASMA, lam=4.0)
-        sp = sph.solve_newton(ctx)
-        s_val = sph.phase(ctx, sp.omega_s, sp.tau_s)
-        assert sph.contribution(ctx, sp, 1.0 + 0.0j) == \
-            sph.saddle_contribution(4.0, s_val, sp.det, sp.signature, 1.0 + 0.0j)
 
 
 class TestStationaryIdentity:
