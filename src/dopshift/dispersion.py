@@ -35,8 +35,8 @@ from .units import omega_from_thz
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
     "DispersionSample", "branch_sqrt_product", "permittivity", "permeability",
-    "refraction_index", "sample", "index_and_flag", "index_and_mask",
-    "wavenumber_and_group", "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
+    "refraction_index", "sample", "index_and_flag", "wavenumber_and_group",
+    "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
 ]
 
 
@@ -270,59 +270,30 @@ def _lorentz_chain(model: LorentzMetamaterial, w):
     return eps, mu, n, k, kp, 2.0 * dn.real + w * d2n.real
 
 
-def index_and_mask(model: DispersionModel, omega) -> tuple:
-    """Re n and the propagating flag on an array of frequencies.
-
-    Re n equals ``sample(model, w).n.real`` to rounding: numpy and Python
-    divide complex numbers differently, and on the default metamaterial the
-    two routes' n differ by up to about 5e-13 of |n|.  Such a difference can
-    flip the propagating rule where Re n**2 and Im n**2 nearly tie, as at a
-    bisected band edge, so points within 1e-6 |n|**2 of the tie are taken
-    from the scalar ``index_and_flag`` (flag and Re n, both equal to
-    ``sample``'s).  The flag then equals
-    ``sample(model, w).propagating`` wherever the two routes' n agree to
-    well within 1e-6 of |n|, which fails only next to an exact zero of a
-    nearly lossless eps or mu.  Where ``sample`` raises (eps or mu exactly
-    zero, where n = 0; a plasma at omega = 0) the point is marked not
-    propagating; a metamaterial |omega| above 1e50 raises
-    FrequencyOutOfRange, as in ``sample``.
-    """
-    w = np.asarray(omega, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("frequency must be finite")
-    if isinstance(model, NonDispersive):
-        return np.full(w.shape, model.index), np.ones(w.shape, dtype=bool)
-    if isinstance(model, ColdPlasma):
-        k2 = _plasma_k2(model, w)
-        propagating = k2 > 0
-        k = np.copysign(np.sqrt(np.where(propagating, k2, 0.0)), w)
-        return np.divide(k, w, out=np.zeros_like(w),
-                         where=propagating), propagating
-    _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
-    n = _lorentz_index(model, w)[2]
-    n_real, propagating = n.real, _wave_dominated(n)
-    tie = n.real ** 2 - n.imag ** 2
-    for i in np.flatnonzero((np.abs(tie) <= 1e-6 * np.abs(n) ** 2) & (n != 0)):
-        n_real.flat[i], propagating.flat[i] = index_and_flag(
-            model, float(w.flat[i]))
-    return n_real, propagating
-
-
 def wavenumber_and_group(model: DispersionModel, omega) -> tuple:
     """Re k and v_g on an array of frequencies, from the helpers ``sample``
     uses; v_g is NaN where ``sample``'s ``v_group`` is None, which right at
-    a band edge may differ by rounding (no tie re-check as in
-    ``index_and_mask``)."""
+    a band edge may differ by rounding (numpy and Python divide complex
+    numbers differently).  Raises ValueError on a non-finite frequency and,
+    as ``sample`` does, FrequencyOutOfRange for a metamaterial |omega|
+    above 1e50."""
     w = np.asarray(omega, dtype=float)
-    if isinstance(model, LorentzMetamaterial):
-        _check_lorentz_range(float(np.max(np.abs(w), initial=0.0)))
+    w_max = float(np.abs(w).max(initial=0.0))
+    if not math.isfinite(w_max):
+        raise ValueError("frequency must be finite")
+    if isinstance(model, NonDispersive):    # v_g = 1/n without dispersion
+        return w * model.index, np.full(w.shape, 1.0 / model.index)
+    if isinstance(model, ColdPlasma):   # v_g v_p = 1, so v_g = n = k/omega
+        k2 = _plasma_k2(model, w)
+        ok = k2 > 0
+        k = np.copysign(np.sqrt(np.where(ok, k2, 0.0)), w)
+        n = np.divide(k, w, out=np.zeros_like(w), where=ok)
+        return w * n, np.where(ok, n, np.nan)
+    _check_lorentz_range(w_max)
+    with np.errstate(divide="ignore", invalid="ignore"):    # n 0 at an edge
         (_, _, n, k, kp), _ = _lorentz_slope(model, w)
-        ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
-        return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
-    n_real, propagating = index_and_mask(model, w)
-    # v_g = 1/n without dispersion; v_g v_p = 1 in a cold plasma, so v_g = n
-    vg = 1.0 / n_real if isinstance(model, NonDispersive) else n_real
-    return w * n_real, np.where(propagating, vg, np.nan)
+    ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
+    return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
 
 
 def index_and_flag(model: DispersionModel, omega: float) -> tuple:

@@ -13,7 +13,6 @@ a(tau_s) e^{i(S + pi/4 sgn)} / (4 pi r sqrt|det|).
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -209,62 +208,48 @@ def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
     return min(found, key=lambda p: abs(p.omega_s - omega_ref))
 
 
-def _band_interval(model, omega0: float):
-    """The band of ``dispersion._band_table`` holding omega0, clipped to
-    [1e-3, 10] omega0; None unless omega0 > 0 propagates and a band holds
-    it (the flag can propagate between bands where it is rounding noise)."""
-    if not (disp.index_and_flag(model, omega0)[1] and omega0 > 0):
-        return None
-    band = next((b for b in disp._band_table(model)
-                 if b[0] <= omega0 <= b[1]), None)
-    return band and (max(band[0], 1e-3 * omega0), min(band[1], 10.0 * omega0))
-
-
-@functools.lru_cache(maxsize=8)
-def _band_grid(model, lo: float, hi: float) -> tuple:
-    """Read-only 4001-node grid of [lo, hi] and its ``index_and_mask``, which
-    every carrier of a band and both signs share."""
-    grid = np.linspace(lo, hi, 4001)
-    arrays = (grid, *disp.index_and_mask(model, grid))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
                             omega_range=None) -> list[float]:
     """Roots of g(w) = w (1 + sign * n(w) v) - w0 on the propagating band.
 
-    Scans the band containing omega0 clipped to [1e-3, 10] omega0 (or the
-    given range) on a 4001-point grid evaluated in one array call, brackets
-    the sign changes, and polishes each with Brent's method on the scalar
+    Scans the window of ``stationary_phase._bands`` that holds omega0 (or
+    the given range) on its cached 4001-node grid (``_base_grid``): where
+    v_g is finite the residual is w + sign v Re k - w0.  Brackets the sign
+    changes and polishes each with Brent's method on the scalar
     ``dispersion.index_and_flag``.
+    A given ``omega_range`` must lie inside one propagating band, as every
+    ``_bands`` window does: next to a band edge inside the range the grid's
+    finite v_g can differ from the scalar flag by rounding, and the polish
+    then raises ValueError on a NaN residual.
     Returns every root found (ascending); callers select among multiple.
     """
     if not -1.0 < v < 1.0:
         raise ValueError("source speed must lie in (-1, 1)")
     if omega_range is None:
-        omega_range = _band_interval(model, omega0)
-        if omega_range is None:
+        # no window for omega0 <= 0, where a plasma's flag raises; the flag
+        # can propagate between bands as rounding noise
+        held = [b for b in sph._bands(model, omega0) if b[0] <= omega0 <= b[1]]
+        if not held or not disp.index_and_flag(model, omega0)[1]:
             raise NoRootInBand(f"no propagating band holds omega0={omega0:g}")
-
-    def residual(w, n_real):
-        return w * (1.0 + sign * n_real * v) - omega0
+        omega_range = held[0]
 
     def g(w):
         n_real, propagating = disp.index_and_flag(model, w)
-        return residual(w, n_real) if propagating else math.nan
+        return w * (1.0 + sign * n_real * v) - omega0 if propagating \
+            else math.nan
 
-    grid, n_real, propagating = _band_grid(model, *map(float, omega_range))
-    vals = np.where(propagating, residual(grid, n_real), np.nan)
-    # The array Re n rounds differently from sample's (by about 5e-13 of
-    # |n|), so a residual this close to zero could take the other sign on
+    grid, k, vg = sph._base_grid(model, (tuple(map(float, omega_range)),),
+                                 4001)
+    ok = np.isfinite(vg)
+    vals = np.where(ok, grid + sign * v * k - omega0, np.nan)
+    # The array Re k rounds differently from sample's (by about 5e-13 of
+    # |k|), so a residual this close to zero could take the other sign on
     # the scalar route that the polish uses: take those points from g.
-    scale = np.abs(grid) * (1.0 + np.abs(n_real * v)) + abs(omega0)
+    scale = np.abs(grid) + np.abs(v * k) + abs(omega0)
     for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
         vals[i] = g(float(grid[i]))
     fa, fb = vals[:-1], vals[1:]
-    both = propagating[:-1] & propagating[1:]
+    both = ok[:-1] & ok[1:]
     roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
     for i in np.flatnonzero(both & (fa * fb < 0)):
         roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
@@ -303,7 +288,7 @@ def _collinear_point(model, omega0: float, v: float, x2: float, t: float):
                            trajectory=trj.OffsetLine(v=v, H=0.0),
                            dispersion=model)
     pairs = []
-    for band in sph._bands(model, omega0, abs(v)) if omega0 > 0 else ():
+    for band in sph._bands(model, omega0, abs(v)):
         for sign in (+1, -1):
             try:
                 roots = metamaterial_doppler_1d(model, omega0, v, sign, band)

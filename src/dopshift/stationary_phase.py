@@ -456,7 +456,9 @@ def _bands(model, omega0: float, speed: float = 0.0) -> list:
     the index is at most n (1 in a plasma and in a Lorentz medium above its
     resonances).  Band ends are the table's exact edges, the first and last
     propagating floats; range ends are widened outward to the lattice
-    2**(j/256), so a window depends on omega0 only through its cut's cell."""
+    2**(j/256), so a window depends on omega0 only through its cut's cell.
+    None is cut for omega0 <= 0 (or NaN), nor where the cut underflows to 0
+    or its top lattice node overflows."""
     def node(x, up):    # the lattice node at or above x (up), or below it
         j = round(256.0 * math.log2(x))
         j += int(2.0 ** (j / 256) < x) if up else -int(2.0 ** (j / 256) > x)
@@ -464,8 +466,10 @@ def _bands(model, omega0: float, speed: float = 0.0) -> list:
 
     n = model.index if isinstance(model, disp.NonDispersive) else 1.0
     top = 2.0 / (1.0 - n * speed) if n * speed < 1.0 else 0.0
-    ends = [node(e * omega0, e > 1e-3)
-            for e in [1e-3, 10.0] + ([top] if top > 10.0 else [])]
+    cut = [e * omega0 for e in [1e-3, 10.0] + ([top] if top > 10.0 else [])]
+    if not (0.0 < cut[0] and cut[-1] * 2.0 ** (1 / 256) < math.inf):
+        return []
+    ends = [node(e, i > 0) for i, e in enumerate(cut)]
     return [(max(lo, first), min(hi, last))
             for first, last in zip(ends, ends[1:]) if first < last
             for lo, hi in disp._band_table(model) if lo < last and hi > first]
@@ -474,18 +478,26 @@ def _bands(model, omega0: float, speed: float = 0.0) -> list:
 @functools.lru_cache(maxsize=64)
 def _base_grid(model, bands: tuple, nodes: int) -> tuple:
     """Read-only (omega, Re k, v_g) on ``nodes`` nodes per window of ``bands``
-    and one in each stop band between two, so no cell bridges two bands.
+    (ascending, as ``_bands`` gives them), in window order: a node two
+    windows share appears once, and a stop band between two gets one node,
+    so no cell bridges two bands.  Both line scans read it.
     A window end where the array route reads v_g NaN (n can round to 0 at an
     exact edge) steps inward, float by float, until v_g is finite (for at
     most 64 floats, and not past the next node)."""
-    gaps = [0.5 * (a + b) for (_, a), (b, _) in zip(bands, bands[1:])]
-    w = np.sort(np.concatenate([gaps, *(np.linspace(*b, nodes)
-                                        for b in bands)]))
-    w = w[np.r_[True, w[1:] != w[:-1]]]     # once where two windows meet
-    end = np.searchsorted(w, np.ravel(bands))
-    to = w[np.clip(end + np.tile([1, -1], len(bands)), 0, len(w) - 1)]
-    with np.errstate(divide="ignore", invalid="ignore"):    # n 0 at an end
-        k, vg = disp.wavenumber_and_group(model, w)
+    parts, end, size = [], [], 0
+    for i, (lo, hi) in enumerate(bands):
+        part = np.linspace(lo, hi, nodes)
+        if i:   # the node shared with the window before, or a stop band's
+            a = bands[i - 1][1]
+            part = part[1:] if lo == a else np.r_[0.5 * (a + lo), part]
+        parts.append(part)
+        size += len(part)
+        end += [size - nodes, size - 1]
+    w = np.concatenate(parts) if len(parts) > 1 else parts[0]   # no copy
+    k, vg = disp.wavenumber_and_group(model, w)
+    if any(math.isnan(vg[e]) for e in end):     # n 0 at an exact edge
+        end = np.array(end)
+        to = w[end + (1, -1) * len(bands)]
         for _ in range(64):
             if not (nan := np.isnan(vg[end]) & (w[end] != to)).any():
                 break

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
+from dopshift import stationary_phase as sph
 from dopshift.errors import (DegenerateMedium, EvanescentRegime,
                              FrequencyOutOfRange, ZeroFrequency)
 from dopshift.units import omega_from_thz, thz_from_omega
@@ -165,10 +166,11 @@ def _edge_grid(omega_edge, n=2001):
 
 
 class TestIndexAndMask:
-    """The array route equals the scalar routes: the propagating mask
-    exactly, Re n to 1e-12 of |n| (numpy and Python divide complex numbers
-    with different roundings).  The scalar ``index_and_flag`` equals
-    ``sample`` bit for bit and raises what it raises."""
+    """The array route ``wavenumber_and_group`` equals the scalar routes:
+    its finite-v_g mask the propagating flag exactly, Re k to 1e-12 of
+    |omega n| (numpy and Python divide complex numbers with different
+    roundings).  The scalar ``index_and_flag`` equals ``sample`` bit for
+    bit and raises what it raises."""
 
     @pytest.mark.parametrize("model,omegas", [
         (LORENTZ, omega_from_thz(np.linspace(380.0, 520.0, 14001))),
@@ -183,28 +185,31 @@ class TestIndexAndMask:
         (disp.NonDispersive(eps=2.0, mu=1.5), np.linspace(0.1, 10.0, 101)),
     ])
     def test_equals_scalar_sample(self, model, omegas):
-        n_real, mask = disp.index_and_mask(model, omegas)
+        k, vg = disp.wavenumber_and_group(model, omegas)
         re, mag, flag = _scalar_route(model, omegas)
         if not isinstance(model, disp.NonDispersive):
             assert flag.any() and not flag.all()    # the grid meets an edge
-        np.testing.assert_array_equal(mask, flag)
-        assert np.all(np.abs(n_real - re) <= 1e-12 * mag)
+        np.testing.assert_array_equal(np.isfinite(vg), flag)
+        assert np.all(np.abs(k - omegas * re) <= 1e-12 * np.abs(omegas) * mag)
 
     @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
     def test_band_edges_equal_scalar_sample(self, rotate_array_index, angle):
         # the band table bisects each edge to within an ulp of where the
         # propagating rule flips, so there the two routes' roundings could
-        # disagree; the turned n is 20 times further off than numpy's
-        edges = sorted({e for f0 in np.linspace(380.0, 1000.0, 63)
-                        for e in fld._band_interval(
-                            LORENTZ, omega_from_thz(f0)) or ()})
-        omegas = np.array([e + k * np.spacing(e) for e in edges
-                           for k in range(-2, 3)])
+        # disagree.  A window end where the array route reads v_g NaN steps
+        # inward, so each end of the scans' grid has a finite v_g and the
+        # scalar route, on which the scans polish, propagates there; also
+        # with the array n turned 20 times further off than numpy's
         rotate_array_index(angle)
-        n_real, mask = disp.index_and_mask(LORENTZ, omegas)
-        flag = _scalar_route(LORENTZ, omegas)[2]
-        assert flag.any() and not flag.all()
-        np.testing.assert_array_equal(mask, flag)
+        ends, moved = set(), 0
+        for f0 in np.linspace(380.0, 1000.0, 63):
+            for band in sph._bands(LORENTZ, omega_from_thz(f0)):
+                w, _, vg = sph._base_grid(LORENTZ, (band,), 4001)
+                assert np.isfinite(vg[[0, -1]]).all()
+                ends |= {float(w[0]), float(w[-1])}
+                moved += (w[0], w[-1]) != band
+        assert all(disp.index_and_flag(LORENTZ, e)[1] for e in ends)
+        assert moved or not angle
 
     @pytest.mark.parametrize("model,omega,error", [
         (LORENTZ, math.nan, ValueError),
@@ -233,14 +238,19 @@ class TestIndexAndMask:
             disp._wave_floats(model, omega)
 
     def test_zero_frequency_plasma_not_propagating(self):
-        n_real, mask = disp.index_and_mask(disp.ColdPlasma(omega_p=1.0),
-                                           np.array([0.0, 2.0]))
-        assert mask.tolist() == [False, True]
-        assert n_real[0] == 0.0
+        k, vg = disp.wavenumber_and_group(disp.ColdPlasma(omega_p=1.0),
+                                          np.array([0.0, 2.0]))
+        assert np.isnan(vg[0]) and np.isfinite(vg[1])
+        assert k[0] == 0.0
 
     def test_nonfinite_raises(self):
-        with pytest.raises(ValueError):
-            disp.index_and_mask(LORENTZ, np.array([1.0, math.nan]))
+        for model in (LORENTZ, disp.ColdPlasma(omega_p=1.0),
+                      disp.NonDispersive()):
+            for w in (math.nan, math.inf, -math.inf):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="finite"):
+                        disp.wavenumber_and_group(model, np.array([1.0, w]))
 
     def test_branch_sqrt_product_arrays(self):
         rng = np.random.default_rng(5)
@@ -262,6 +272,10 @@ def _flag(model, w):
         return disp.index_and_flag(model, w)[1]
     except DegenerateMedium:
         return False
+
+
+def _flags(model, omegas):
+    return np.array([_flag(model, w) for w in omegas.tolist()])
 
 
 def _table_mask(model, omegas):
@@ -319,7 +333,7 @@ class TestBandTable:
     @pytest.mark.parametrize("model", TABLE_MODELS)
     def test_mask_equals_index_and_mask(self, model):
         # random frequencies over every edge, plus the edges and their
-        # neighbouring floats, where the array route rechecks ties
+        # neighbouring floats, against the scalar flag that defines the table
         rng = np.random.default_rng(5)
         edges = [e for band in disp._band_table(model) for e in band
                  if 0.0 < e < math.inf]
@@ -327,9 +341,8 @@ class TestBandTable:
         omegas = np.r_[rng.uniform(0.0, top, 20000),
                        [e + k * np.spacing(e) for e in edges
                         for k in range(-3, 4)]]
-        with np.errstate(all="ignore"):
-            mask = disp.index_and_mask(model, omegas)[1]
-        np.testing.assert_array_equal(_table_mask(model, omegas), mask)
+        np.testing.assert_array_equal(_table_mask(model, omegas),
+                                      _flags(model, omegas))
 
     @settings(max_examples=200, deadline=None)
     @given(model=lorentz_models)
@@ -343,9 +356,8 @@ class TestBandTable:
                         math.hypot(model.omega_te, model.omega_pe),
                         math.hypot(model.omega_tm, model.omega_pm))
         omegas = rng.uniform(1e-9, top, 2000)
-        with np.errstate(all="ignore"):
-            mask = disp.index_and_mask(model, omegas)[1]
-        np.testing.assert_array_equal(_table_mask(model, omegas), mask)
+        np.testing.assert_array_equal(_table_mask(model, omegas),
+                                      _flags(model, omegas))
 
     def test_numpy_fields_do_not_share_a_table(self):
         # a model with numpy.float64 fields hashes equal to the float one
@@ -463,8 +475,7 @@ class TestLorentzOverflow:
         assert disp.sample(LORENTZ, 1e50).v_group == pytest.approx(1.0)
         for route in (lambda w: disp.sample(LORENTZ, w),
                       lambda w: disp.wavenumber_and_group(LORENTZ, [1.0, w]),
-                      lambda w: disp.index_and_flag(LORENTZ, w),
-                      lambda w: disp.index_and_mask(LORENTZ, [1.0, w])):
+                      lambda w: disp.index_and_flag(LORENTZ, w)):
             for w in (1e52, -1e52, 1e200):
                 with pytest.raises(FrequencyOutOfRange):
                     route(w)

@@ -79,6 +79,12 @@ GOLDEN_ROOTS = [
 ]
 
 
+def _window(model, omega0):
+    """The window of ``stationary_phase._bands`` that holds omega0: the
+    range the band scan takes when given none."""
+    return next(b for b in sph._bands(model, omega0) if b[0] <= omega0 <= b[1])
+
+
 def _scalar_scan_roots(model, omega0, v, sign, omega_range, n_scan=4001):
     """The collinear scan with every grid point taken from scalar sample."""
     def g(w):
@@ -133,9 +139,27 @@ class TestDoppler1D:
         w0 = 1.8080194274339623e-15
         assert disp.index_and_flag(model, w0)[1]
         assert not any(lo <= w0 <= hi for lo, hi in disp._band_table(model))
-        assert fld._band_interval(model, w0) is None
         with pytest.raises(NoRootInBand, match="no propagating band holds"):
             fld.metamaterial_doppler_1d(model, w0, 0.5)
+
+    @pytest.mark.parametrize("omega0",
+                             [0.0, -1.0, 1e-322, 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("model", [LORENTZ, PLASMA, VACUUM],
+                             ids=["lorentz", "plasma", "vacuum"])
+    def test_carrier_not_above_zero_raises(self, model, omega0):
+        # refused before the plasma index, which diverges at 0, is sampled,
+        # and wherever the cut [1e-3, 10] omega0 underflows to 0 or
+        # overflows (1e-322, 1e308), which would reach log2(0) or round(inf)
+        with pytest.raises(NoRootInBand, match="no propagating band holds"):
+            fld.metamaterial_doppler_1d(model, omega0, 0.5)
+
+    @pytest.mark.parametrize("model", [LORENTZ, PLASMA, VACUUM],
+                             ids=["lorentz", "plasma", "vacuum"])
+    def test_nonfinite_range_raises(self, model):
+        for omega_range in ((1.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ValueError, match="frequency must be finite"):
+                fld.metamaterial_doppler_1d(model, 1.5, 0.5,
+                                            omega_range=omega_range)
 
     @pytest.mark.parametrize("angle", [0.0, 1e-11, -1e-11])
     @pytest.mark.parametrize("medium,f0_thz,v,sign,golden", GOLDEN_ROOTS)
@@ -166,7 +190,7 @@ class TestDoppler1D:
         # a range that starts or ends on a root puts a residual within
         # rounding of zero on the grid
         w0 = omega_from_thz(415.0)
-        lo, hi = fld._band_interval(LORENTZ, w0)
+        lo, hi = _window(LORENTZ, w0)
         root = fld.metamaterial_doppler_1d(LORENTZ, w0, 0.5)[0]
         rotate_array_index(angle)
         for band in [(lo, root), (root, hi)]:
@@ -181,12 +205,13 @@ class TestDoppler1D:
 
 
 class TestBandCaches:
-    """The band table and the scan grid are cached; the cached arrays are
+    """The band table and the scan grid (``stationary_phase._base_grid``,
+    which ``solve_line`` reads too) are cached; the cached arrays are
     read-only and equal a fresh evaluation."""
 
     def test_cached_grid_is_read_only(self):
-        band = fld._band_interval(LORENTZ, omega_from_thz(420.0))
-        for a in fld._band_grid(LORENTZ, *band):
+        band = _window(LORENTZ, omega_from_thz(420.0))
+        for a in sph._base_grid(LORENTZ, (band,), 4001):
             with pytest.raises(ValueError):
                 a[0] = a[1]
 
@@ -196,16 +221,17 @@ class TestBandCaches:
     def test_cached_grid_equals_fresh_evaluation(self, model, f0):
         w0 = omega_from_thz(f0)
         fld.metamaterial_doppler_1d(model, w0, 0.5)
-        band = fld._band_interval(model, w0)
+        band = _window(model, w0)
         grid = np.linspace(*band, 4001)
-        for cached, fresh in zip(fld._band_grid(model, *band),
-                                 (grid, *disp.index_and_mask(model, grid))):
+        for cached, fresh in zip(
+                sph._base_grid(model, (band,), 4001),
+                (grid, *disp.wavenumber_and_group(model, grid))):
             assert cached.tobytes() == fresh.tobytes()
 
     def test_one_table_and_one_grid_per_band(self):
         # 800 scans of the 409.82-433.11 THz band: one table, one grid
         disp._band_table.cache_clear()
-        fld._band_grid.cache_clear()
+        sph._base_grid.cache_clear()
         for f0 in np.linspace(410.0, 432.0, 400):
             for sign in (+1, -1):
                 try:
@@ -214,9 +240,39 @@ class TestBandCaches:
                 except NoRootInBand:
                     pass
         tables, grids = disp._band_table.cache_info(), \
-            fld._band_grid.cache_info()
+            sph._base_grid.cache_info()
         assert (tables.misses, tables.hits) == (1, 799)
         assert (grids.misses, grids.hits) == (1, 799)
+
+    def test_line_scan_and_band_scan_in_either_order(self):
+        # solve_line and the band scan read one grid cache; whichever runs
+        # first, both return the same bits
+        w0, v = omega_from_thz(420.0), 0.5
+        ctx = sph.PhaseContext(t=2.0, x=(0.01, 1.595, 0.0), omega0=w0,
+                               trajectory=trj.OffsetLine(v=v),
+                               dispersion=LORENTZ)
+
+        def line():
+            return [repr((p.omega_s, p.tau_s, p.det, p.residual_norm))
+                    for p in sph.solve_line(ctx)]
+
+        def scan():
+            out = []
+            for band in [None, *sph._bands(LORENTZ, w0, v)]:
+                for sign in (+1, -1):
+                    try:
+                        out.append(repr(fld.metamaterial_doppler_1d(
+                            LORENTZ, w0, v, sign, band)))
+                    except NoRootInBand:
+                        out.append(None)
+            return out
+
+        runs = []
+        for order in ((line, scan), (scan, line)):
+            sph._base_grid.cache_clear()
+            runs.append({f.__name__: f() for f in order})
+        assert runs[0] == runs[1] and runs[0]["line"]
+        assert any(runs[0]["scan"])
 
     def test_threaded_scans_equal_serial(self):
         # every thread starts on empty caches; a torn cache entry or a
@@ -238,7 +294,7 @@ class TestBandCaches:
 
         serial = [scan(*c) for c in carriers]
         disp._band_table.cache_clear()
-        fld._band_grid.cache_clear()
+        sph._base_grid.cache_clear()
         results = [None] * len(carriers)
 
         def work(k):

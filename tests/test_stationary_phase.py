@@ -527,7 +527,7 @@ class TestSolveLine:
 
     def test_bands_equal_the_array_scan(self):
         # every node of a geometric scan of the widened range where the
-        # array route propagates lies in a window, and no other; a window
+        # scalar route propagates lies in a window, and no other; a window
         # end inside the range is an exact band edge: it propagates and the
         # next float outward does not
         rng = np.random.default_rng(11)
@@ -535,6 +535,7 @@ class TestSolveLine:
         carriers = [(lorentz, omega_from_thz(f))
                     for f in rng.uniform(100.0, 3000.0, 1600)]
         carriers += [(PLASMA, w) for w in rng.uniform(0.01, 50.0, 400)]
+        scanned = set()
         for model, w0 in carriers:
             first, last = lattice_node(1e-3 * w0, -1), lattice_node(10 * w0, 1)
             bands = sph._bands(model, w0)
@@ -545,7 +546,11 @@ class TestSolveLine:
             inside = np.zeros(len(scan), dtype=bool)
             for lo, hi in bands:
                 inside |= (lo <= scan) & (scan <= hi)
-            assert np.array_equal(inside, disp.index_and_mask(model, scan)[1])
+            # (first, last) sets the nodes: each node set is checked once
+            if (model, first, last) not in scanned:
+                scanned.add((model, first, last))
+                assert inside.tolist() == [disp.index_and_flag(model, w)[1]
+                                           for w in scan.tolist()]
             for end, out in zip(ends, [-math.inf, math.inf] * len(bands)):
                 assert disp.index_and_flag(model, end)[1]
                 if end not in (first, last):
@@ -572,6 +577,21 @@ class TestSolveLine:
             assert fast[len(slow)][0] == ten
             assert top * w0 <= fast[-1][1] * (1 + 1e-12) \
                 and fast[-1][1] < 2.0 ** (1 / 256) * top * w0
+
+    @pytest.mark.parametrize("w0", [1e-322, 1e308, math.inf, math.nan])
+    def test_no_window_where_the_cut_leaves_the_floats(self, w0):
+        # 1e-3 omega0 underflows to 0, or a lattice node above the cut
+        # overflows (a fast source's 2 / (1 - n speed) reaches further):
+        # no window, so no point, where log2(0) or round(inf) would raise
+        for model in (disp.lorentz_from_thz(), PLASMA, VACUUM):
+            assert sph._bands(model, w0) == []
+            assert sph._bands(model, w0, 0.9) == []
+        assert sph._bands(VACUUM, 1e300, 0.9)
+        assert not sph._bands(VACUUM, 1e300, 1.0 - 1e-10)
+        ctx = sph.PhaseContext(t=1.0, x=(0.3, 0.2, 0.1), omega0=w0,
+                               trajectory=trj.StraightLine((0.0, 0.5, 0.0)),
+                               dispersion=VACUUM)
+        assert sph.solve_line(ctx) == []
 
     def test_bands_equal_the_table_mask(self):
         # each table band that meets the widened range is one window, cut to
