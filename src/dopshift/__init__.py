@@ -8,8 +8,8 @@ from .dispersion import (ColdPlasma, DispersionSample, LorentzMetamaterial,
 from .fields import (DopplerClass, FieldContribution, SourceModel,
                      cherenkov_solve, doppler_classification,
                      metamaterial_doppler_1d, metamaterial_doppler_2d,
-                     moving_source_fields, nondispersive_doppler,
-                     plasma_doppler_closed_form, retard_1d)
+                     moving_source_fields, plasma_doppler_closed_form,
+                     retard_1d)
 from .stationary_phase import (PhaseContext, StationaryPoint,
                                saddle_contribution, solve_grid, solve_line,
                                solve_newton)
@@ -24,9 +24,8 @@ __all__ = [
     "NonDispersive", "lorentz_from_thz", "DopplerClass", "FieldContribution",
     "SourceModel", "cherenkov_solve", "doppler_classification",
     "metamaterial_doppler_1d", "metamaterial_doppler_2d",
-    "moving_source_fields", "nondispersive_doppler",
-    "plasma_doppler_closed_form", "retard_1d", "PhaseContext",
-    "StationaryPoint", "saddle_contribution",
+    "moving_source_fields", "plasma_doppler_closed_form", "retard_1d",
+    "PhaseContext", "StationaryPoint", "saddle_contribution",
     "solve_grid", "solve_line", "solve_newton",
     "CustomTrajectory",
     "OffsetLine", "StraightLine", "omega_from_thz", "thz_from_omega",

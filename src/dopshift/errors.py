@@ -61,10 +61,6 @@ class LeftPropagatingBand(DopshiftError):
 
 # -- fields -----------------------------------------------------------------
 
-class SuperluminalRadialSpeed(DopshiftError):
-    """|radial speed| >= phase speed in the non-dispersive closed form."""
-
-
 class BelowCutoff(DopshiftError):
     """Source eigenfrequency at or below the plasma cutoff."""
 

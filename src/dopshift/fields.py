@@ -23,12 +23,11 @@ from . import dispersion as disp
 from . import stationary_phase as sph
 from . import trajectory as trj
 from .errors import (BelowCutoff, GroupVelocityMatchesSource,
-                     NoCherenkovRoot, NoRootInBand,
-                     SuperluminalMach, SuperluminalRadialSpeed)
+                     NoCherenkovRoot, NoRootInBand, SuperluminalMach)
 
 __all__ = [
     "SourceModel", "FieldContribution", "DopplerClass", "moving_source_fields",
-    "nondispersive_doppler", "plasma_doppler_closed_form", "plasma_head_on",
+    "plasma_doppler_closed_form", "plasma_head_on",
     "metamaterial_doppler_1d", "retard_1d", "metamaterial_doppler_2d",
     "PlanarDopplerSolution", "cherenkov_solve", "doppler_classification",
 ]
@@ -103,7 +102,7 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
     if gate and not sp.degenerate and np.any(direction):
         a = float(source.envelope(sp.tau_s))
         curl, graddiv = trj.amplitude_factors(np.array(u), r, direction)
-        scale = sph.saddle_contribution(ctx.lam, s_val, sp.det, sp.signature,
+        scale = sph.saddle_contribution(1.0, s_val, sp.det, sp.signature,
                                         a / (8.0 * math.pi ** 2 * r))
         h_vec = 1j * k * curl * scale
         e_vec = (sp.omega_s * complex(mu) * direction - graddiv) * scale / 1j
@@ -118,12 +117,11 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
 
 
 def moving_source_fields(source: SourceModel, traj, model, x, t,
-                         tol: float = 1e-10, max_iter: int = 60,
-                         seed=None, seed_box=None, n_seeds=(8, 8)
+                         seed_box=None, n_seeds=(8, 8)
                          ) -> list[FieldContribution]:
     """Leading-order contributions at observer (t, x), sorted by emission time.
 
-    Without ``seed_box``, one Newton solve from ``seed`` or ``default_seed``.
+    Without ``seed_box``, one Newton solve from ``default_seed``.
     On a line kind a ``seed_box`` selects every causal point
     (``stationary_phase.solve_line``; for a zero carrier, the Cherenkov
     points) and ``n_seeds`` is unused; both stay only because the benchmark
@@ -135,28 +133,17 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
     ctx = sph.PhaseContext(t=t, x=tuple(trj.as_vec3(x)), omega0=source.omega0,
                            trajectory=traj, dispersion=model)
     if seed_box is not None and not isinstance(traj, trj.CustomTrajectory):
-        points = sph.solve_line(ctx, tol=tol, max_iter=max_iter)
+        points = sph.solve_line(ctx)
     elif seed_box is not None:
         points = sph.solve_grid(ctx, seed_box[0], seed_box[1],
-                                n_omega=n_seeds[0], n_tau=n_seeds[1],
-                                tol=tol, max_iter=max_iter)
+                                n_omega=n_seeds[0], n_tau=n_seeds[1])
     else:
         try:
-            points = [sph.solve_newton(ctx, seed=seed, tol=tol,
-                                       max_iter=max_iter)]
+            points = [sph.solve_newton(ctx)]
         except sph.START_FAILURES:
             points = []
     out = [_assemble(source, ctx, sp, gate=True) for sp in points]
     return sorted(out, key=lambda c: c.point.tau_s)
-
-
-def nondispersive_doppler(omega0: float, v_rad: float, c: float = 1.0) -> float:
-    """w_s = w0 / (1 - v_rad/c) for a frequency-independent light speed."""
-    if c <= 0:
-        raise ValueError("phase speed must be positive")
-    if abs(v_rad) >= c:
-        raise SuperluminalRadialSpeed(f"|v_rad|={abs(v_rad):g} >= c={c:g}")
-    return omega0 / (1.0 - v_rad / c)
 
 
 def plasma_doppler_closed_form(omega0: float, omega_p: float, mach: float,
@@ -198,11 +185,11 @@ def plasma_head_on(omega0: float, omega_p: float, mach: float,
 
 
 def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
-                   **solve) -> sph.StationaryPoint:
-    """The causal stationary point of ``stationary_phase.solve_line`` (which
-    takes ``solve``) nearest omega_ref in frequency; NoRootInBand when there
-    is none."""
-    found = sph.solve_line(ctx, **solve)
+                   tol: float = 1e-10) -> sph.StationaryPoint:
+    """The causal stationary point of ``stationary_phase.solve_line`` (at
+    ``tol``) nearest omega_ref in frequency; NoRootInBand when there is
+    none."""
+    found = sph.solve_line(ctx, tol)
     if not found:
         raise NoRootInBand("no causal stationary point")
     return min(found, key=lambda p: abs(p.omega_s - omega_ref))
@@ -232,6 +219,9 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
         if not held or not disp.index_and_flag(model, omega0)[1]:
             raise NoRootInBand(f"no propagating band holds omega0={omega0:g}")
         omega_range = held[0]
+    else:       # before np.linspace meets a NaN or an inf
+        for end in omega_range:
+            disp._check_finite(end)
 
     def g(w):
         n_real, propagating = disp.index_and_flag(model, w)
@@ -325,8 +315,7 @@ class PlanarDopplerSolution:
 
 
 def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
-                            x2: float, t: float, tol: float = 1e-10,
-                            max_iter: int = 80) -> PlanarDopplerSolution:
+                            x2: float, t: float) -> PlanarDopplerSolution:
     """Joint (omega, tau) solve for planar geometry (x3 = 0, offset H = 0).
 
     Of every causal stationary point it takes the one closest in frequency
@@ -337,7 +326,7 @@ def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
     traj = trj.OffsetLine(v=v, H=0.0)
     ctx = sph.PhaseContext(t=t, x=(x1, x2, 0.0), omega0=omega0,
                            trajectory=traj, dispersion=model)
-    sp = _nearest_point(ctx, omega0, tol=tol, max_iter=max_iter)
+    sp = _nearest_point(ctx, omega0)
     s = disp.sample(model, sp.omega_s)
     r = math.hypot(x1, x2 - v * sp.tau_s)
     denom = r - s.n.real * v * (x2 - v * sp.tau_s)

@@ -45,6 +45,7 @@ _SKIP_REL = 1e-12         # amplitude floor, relative to the sampled maximum
 _POINTS_PER_OSC = 12      # quadrature nodes per local phase oscillation
 _GL_ORDER = 16            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
+_MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class OscillatoryIntegrand:
     """Amplitude, phase and scale of one oscillatory integral.
 
     ``amplitude`` and ``phase`` must accept numpy arrays (broadcasting over
-    the two arguments) and be pure.  ``growth_bound`` is the polynomial
-    growth order of the amplitude.  ``phase_grad`` (analytic, returning the
+    the two arguments) and be pure.  ``phase_grad`` (analytic, returning the
     pair of partials) is required by the integration-by-parts regularizer and
     used when available to size quadrature panels.  The quadrature calls the
     callbacks on the calling thread only, block after block (they need not be
@@ -64,7 +64,6 @@ class OscillatoryIntegrand:
     amplitude: Callable
     phase: Callable
     lam: float
-    growth_bound: float = 0.0
     phase_grad: Optional[Callable] = None
 
     def __post_init__(self):
@@ -233,20 +232,20 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str
 
 
 def oscillatory_integral_2d(ig: OscillatoryIntegrand, R0: float = 2.0,
-                            tol: float = 1e-6, profile: str = "exp",
-                            max_doublings: int = 10) -> OracleResult:
+                            tol: float = 1e-6, profile: str = "exp"
+                            ) -> OracleResult:
     """Cutoff-regularized value of the 2-D oscillatory integral.
 
     Doubles the cutoff radius until two successive values differ (relative
     to the latest magnitude, with an absolute floor of ``tol``) by less than
-    ``tol``; raises when 2**max_doublings * R0 is exceeded, or before a pass
-    whose tensor grid would exceed ``_MAX_NODES`` nodes.
+    ``tol``; raises when 2**10 * R0 is exceeded, or before a pass whose
+    tensor grid would exceed ``_MAX_NODES`` nodes.
     """
     if R0 <= 0 or tol <= 0:
         raise ValueError("R0 and tol must be positive")
     prev = None
     R = R0
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         cur = _integrate_once(ig, R, profile)
         if prev is not None:
             diff = abs(cur - prev)
@@ -386,8 +385,9 @@ class StudyRow:
     relative_error: float
 
 
-def convergence_rate_study(case, lambdas, R0: float = 3.0, tol: float = 1e-6):
-    """Relative error of the saddle value against the oracle, per lam.
+def convergence_rate_study(case, lambdas):
+    """Relative error of the saddle value against the oracle (R0 3, tol
+    1e-6), per lam.
 
     Returns (rows, slope) with slope the fitted exponent of error vs lam.
     """
@@ -397,7 +397,7 @@ def convergence_rate_study(case, lambdas, R0: float = 3.0, tol: float = 1e-6):
     rows = []
     for lam in lambdas:
         ig, asym, _ = case(lam)
-        res = oscillatory_integral_2d(ig, R0=R0, tol=tol)
+        res = oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
         err = abs(asym - res.value) / abs(res.value)
         rows.append(StudyRow(lam=lam, asymptotic=asym, oracle=res.value,
                              relative_error=err))

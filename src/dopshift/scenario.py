@@ -24,7 +24,6 @@ length-scale/c units.  Example::
 
     [solve]
     tol = 1e-10
-    max_iter = 80
 
     [output]
     format = csv              ; csv | json
@@ -55,7 +54,7 @@ _MEDIUM_KEYS = {"lorentz": set(_LORENTZ_KEYS), "plasma": {"f_p_thz"},
 _SECTION_KEYS = {"medium": ("kind", *set().union(*_MEDIUM_KEYS.values())),
                  "source": ("f0_thz", "v", "h"),
                  "observer": ("x1", "x2", "x3", "t"),
-                 "solve": ("tol", "max_iter"),
+                 "solve": ("tol",),
                  "output": ("format", "path")}
 
 
@@ -71,7 +70,6 @@ class Scenario:
     x3: float = 0.0
     t: float = 2.0
     tol: float = 1e-10
-    max_iter: int = 80
     out_format: str = "csv"
     out_path: str = "-"
 
@@ -90,8 +88,8 @@ class Scenario:
             _in_range(name, getattr(self, name))
         if not -1.0 < self.v < 1.0:
             raise ScenarioError("source speed must lie in (-1, 1)")
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
-            raise ScenarioError("tol must be finite and > 0, max_iter >= 1")
+        if not 0 < self.tol < math.inf:
+            raise ScenarioError("tol must be finite and > 0")
         self.medium()           # rejects invalid medium parameters
         return self
 

@@ -12,7 +12,6 @@ the amplitude normalization of the leading-order contribution.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -31,6 +30,7 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+_MAX_ITER = 60        # Newton iterations; no solve has needed more than 8
 _DEGENERACY_RTOL = 1e-10
 _DEDUPE_SEP = 1e-6
 # solve_line: base grid nodes per propagating band, sub-cells per split
@@ -44,29 +44,20 @@ START_FAILURES = (NoConvergence, LeftPropagatingBand, EvanescentRegime,
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """Observer, source and medium data defining the phase.
-
-    ``lam`` is the large asymptotic parameter.  ``lam == 1.0`` is the
-    fold-the-scale-into-the-phase convention used by the field formulas, so
-    only values in (1, 10) trigger the small-parameter warning.
-    """
+    """Observer, source and medium data defining the phase.  The large
+    parameter is folded into the phase (lam = 1), as the field formulas
+    take it."""
 
     t: float
     x: tuple
     omega0: float
     trajectory: trj.Trajectory
     dispersion: disp.DispersionModel
-    lam: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(map(float, self.x)))
         if self.omega0 < 0:
             raise ValueError("source eigenfrequency must be >= 0")
-        if self.lam < 1.0:
-            raise ValueError("asymptotic parameter must be >= 1")
-        if 1.0 < self.lam < 10.0:
-            warnings.warn("asymptotic parameter below 10; leading-order "
-                          "accuracy degrades like 1/lam", stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -208,8 +199,9 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
 
 
 def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
-                 tol: float = 1e-10, max_iter: int = 60) -> StationaryPoint:
-    """Damped Newton on the stationary system grad S = 0.
+                 tol: float = 1e-10) -> StationaryPoint:
+    """Damped Newton on the stationary system grad S = 0, at most 60
+    iterations.
 
     Backtracking line search on the merit 0.5*|F|^2 (Armijo constant 1e-4,
     step halving, at most 40 halvings).  Trial points outside the propagating
@@ -221,7 +213,7 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
     w, tau = default_seed(ctx) if seed is None else (float(seed[0]), float(seed[1]))
     d = _grad_and_hess(ctx, w, tau)
     band_exits = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         res = _norm(d)
         if res <= tol:
             return _make_point(d, w, tau, it - 1)
@@ -270,10 +262,10 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
                 diagnostics=_failed_point(w, tau, res, it))
     res = _norm(d)
     if res <= tol:
-        return _make_point(d, w, tau, max_iter)
+        return _make_point(d, w, tau, _MAX_ITER)
     raise NoConvergence(
-        f"no convergence in {max_iter} iterations, residual {res:.3e}",
-        diagnostics=_failed_point(w, tau, res, max_iter))
+        f"no convergence in {_MAX_ITER} iterations, residual {res:.3e}",
+        diagnostics=_failed_point(w, tau, res, _MAX_ITER))
 
 
 def _failed_point(w, tau, res, iters) -> StationaryPoint:
@@ -283,8 +275,8 @@ def _failed_point(w, tau, res, iters) -> StationaryPoint:
 
 
 def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
-               tau_box: Tuple[float, float], n_omega: int = 8, n_tau: int = 8,
-               tol: float = 1e-10, max_iter: int = 60) -> list:
+               tau_box: Tuple[float, float], n_omega: int = 8,
+               n_tau: int = 8) -> list:
     """Newton from a seed grid; distinct converged points, sorted by tau_s.
 
     Points closer than 1e-6 (relative, per component) are deduplicated.
@@ -293,8 +285,7 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
     for w0 in np.linspace(*omega_box, n_omega):
         for t0 in np.linspace(*tau_box, n_tau):
             try:
-                sp = solve_newton(ctx, seed=(w0, t0), tol=tol,
-                                  max_iter=max_iter)
+                sp = solve_newton(ctx, seed=(w0, t0))
             except START_FAILURES:
                 continue
             if not any(_repeats(sp, q) for q in found):
@@ -509,8 +500,7 @@ def _base_grid(model, bands: tuple, nodes: int) -> tuple:
     return w, k, vg
 
 
-def solve_line(ctx: PhaseContext, tol: float = 1e-10,
-               max_iter: int = 60) -> list:
+def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     """Every causal stationary point on a ``StraightLine`` or ``OffsetLine``
     with omega in [1e-3, 10] omega0 (and a fast source's range), widened to a
     lattice (``_bands``), sorted by tau_s; a zero carrier scans as omega0 = 1,
@@ -567,7 +557,7 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10,
 
     def polish(seed, lo, hi):   # solve_newton's point if causal, in [lo, hi]
         try:
-            sp = solve_newton(ctx, seed=seed, tol=tol, max_iter=max_iter)
+            sp = solve_newton(ctx, seed=seed, tol=tol)
         except START_FAILURES:
             return None
         pad = _DEDUPE_SEP * hi

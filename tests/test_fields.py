@@ -14,28 +14,12 @@ from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift import validation as val
 from dopshift.errors import (BelowCutoff, GroupVelocityMatchesSource,
-                             NoCherenkovRoot, NoRootInBand,
-                             SuperluminalMach, SuperluminalRadialSpeed)
+                             NoCherenkovRoot, NoRootInBand, SuperluminalMach)
 from dopshift.units import omega_from_thz, thz_from_omega
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
 VACUUM = disp.NonDispersive(eps=1.0, mu=1.0)
 LORENTZ = disp.lorentz_from_thz()
-
-
-class TestNondispersiveDoppler:
-    def test_at_rest(self):
-        assert fld.nondispersive_doppler(3.0, 0.0) == 3.0
-
-    def test_half_speed_approach(self):
-        assert fld.nondispersive_doppler(3.0, 0.5, 1.0) == pytest.approx(6.0)
-
-    def test_half_speed_recession(self):
-        assert fld.nondispersive_doppler(3.0, -0.5, 1.0) == pytest.approx(2.0)
-
-    def test_superluminal_raises(self):
-        with pytest.raises(SuperluminalRadialSpeed):
-            fld.nondispersive_doppler(3.0, 1.0, 1.0)
 
 
 class TestPlasmaClosedForm:
@@ -155,6 +139,7 @@ class TestDoppler1D:
 
     @pytest.mark.parametrize("model", [LORENTZ, PLASMA, VACUUM],
                              ids=["lorentz", "plasma", "vacuum"])
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_range_raises(self, model):
         for omega_range in ((1.0, math.inf), (math.nan, 2.0)):
             with pytest.raises(ValueError, match="frequency must be finite"):

@@ -84,10 +84,11 @@ class TestQuadrature:
         with pytest.raises(PhaseComplexOnBox):
             orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-5)
 
-    def test_doubling_budget_exhausted(self):
+    def test_doubling_budget_exhausted(self, monkeypatch):
         ig, _, _ = orc.gaussian_saddle_case(20.0)
+        monkeypatch.setattr(orc, "_MAX_DOUBLINGS", 0)
         with pytest.raises(NoConvergenceInR):
-            orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-6, max_doublings=0)
+            orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-6)
 
     def test_node_budget_raises_before_a_pass(self, monkeypatch):
         # a budget of exactly the R = 2 pass's nodes: that pass runs, and the
@@ -214,7 +215,8 @@ class TestIbpRegularization:
             got = orc.oscillatory_integral_2d(reg, R0=4.0, tol=2e-5).value
             assert abs(got - base) <= 1e-3 * abs(base)
 
-    def test_regularized_constant_amplitude_becomes_integrable(self):
+    def test_regularized_constant_amplitude_becomes_integrable(
+            self, monkeypatch):
         # the raw unit-amplitude integral converges only through the cutoff;
         # after j applications the amplitude decays and plain R-doubling
         # quadrature reproduces the same value (j=3 is limited by the
@@ -222,10 +224,10 @@ class TestIbpRegularization:
         ig = self._elliptic(lam=6.0, amp=lambda w, t: np.ones(
             np.broadcast(w, t).shape))
         exact = 2j * np.pi / 6.0
+        monkeypatch.setattr(orc, "_MAX_DOUBLINGS", 4)
         for j, tol in ((1, 1e-7), (2, 1e-7), (3, 1e-4)):
             reg = orc.ibp_regularize(ig, j)
-            res = orc.oscillatory_integral_2d(reg, R0=4.0, tol=10 * tol,
-                                              max_doublings=4)
+            res = orc.oscillatory_integral_2d(reg, R0=4.0, tol=10 * tol)
             assert abs(res.value - exact) / abs(exact) <= tol
 
     def test_decay_improves(self):
