@@ -349,9 +349,9 @@ def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
     zero-carrier points of ``stationary_phase.solve_line``, with omega in
     [1e-3, 10] (and a fast source's range); the latest emission (largest
     tau_s) is returned, and NoCherenkovRoot is raised when there is none.
-    In a frequency-independent medium every frequency
-    radiates on the same cone: the returned point carries the solved emission
-    time, omega_s = 0 as a placeholder, and a degenerate Hessian (the
+    In a frequency-independent medium every frequency radiates on the same
+    cone: the returned point carries the closed-form emission time,
+    omega_s = 0 as a placeholder, and a degenerate Hessian (the
     stationary point is the tangency of the retardation roots), so the
     leading-order field formula does not apply and the fields are zero.
     """
@@ -378,18 +378,9 @@ def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
         if c >= speed:
             raise NoCherenkovRoot(
                 f"phase speed {c:g} >= source speed {speed:g}")
-        # (ch2'): v_rad(tau) = c has the closed-form bracket below; solve it
-        # numerically so the reported angle carries a residual, not a formula.
-        tau_closed = (zeta - c * x_perp / math.sqrt(speed * speed - c * c)) / speed
-
-        def ch2(tau):
-            return trj.geometry(traj, x, tau).v_rad - c
-
-        lo, hi = tau_closed - 1.0, tau_closed + 1.0
-        if ch2(lo) * ch2(hi) < 0:
-            tau_s = sph._brentq(ch2, lo, hi, xtol=1e-15, rtol=1e-15)
-        else:
-            tau_s = tau_closed
+        # (ch2'): v_rad(tau) = c in closed form; the residual is the
+        # geometry's, so the reported angle still carries one
+        tau_s = (zeta - c * x_perp / math.sqrt(speed * speed - c * c)) / speed
         g = trj.geometry(traj, x, tau_s)
         res = math.hypot(g.v_rad - c, g.r / s.v_group - (t - tau_s))
         h = np.array([[0.0, 1.0 - g.v_rad / s.v_group],

@@ -10,12 +10,11 @@ used so the cutoff folds into the per-axis quadrature weights.
 
 Quadrature: per axis, order-16 Gauss-Legendre panels sized from the local
 phase gradient so the node density never drops below 12 points per local
-phase oscillation; the 2-D tensor product is evaluated in
-blocks of rows, negligible-amplitude points skipped; each block's
-exponential and contraction with the axis weights run on a thread pool of one
-thread per usable CPU, and the block sums are added in block order, so the
-value is the same on any CPU count.  R doubles until two successive values
-agree to the requested tolerance.
+phase oscillation; the 2-D tensor product is evaluated densely in blocks of
+rows; each block's exponential and contraction with the axis weights run on
+a thread pool of one thread per usable CPU, and the block sums are added in
+block order, so the value is the same on any CPU count.  R doubles until two
+successive values agree to the requested tolerance.
 
 An integration-by-parts regularizer is also provided: the transpose of the
 first-order operator L with L e^{iS} = e^{iS} maps the amplitude to one of
@@ -41,7 +40,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19          # elements per evaluation block
-_SKIP_REL = 1e-12         # amplitude floor, relative to the sampled maximum
+_SKIP_REL = 1e-12         # amplitude floor of the node extents, per peak
+_PROBE_N = 129            # probe nodes per axis
 _POINTS_PER_OSC = 12      # quadrature nodes per local phase oscillation
 _GL_ORDER = 16            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
@@ -52,13 +52,16 @@ _MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
 class OscillatoryIntegrand:
     """Amplitude, phase and scale of one oscillatory integral.
 
-    ``amplitude`` and ``phase`` must accept numpy arrays (broadcasting over
-    the two arguments) and be pure.  ``phase_grad`` (analytic, returning the
-    pair of partials) is required by the integration-by-parts regularizer and
-    used when available to size quadrature panels.  The quadrature calls the
-    callbacks on the calling thread only, block after block (they need not be
-    thread-safe, but must not overwrite an array they returned); its result
-    does not depend on the CPU count.
+    ``amplitude`` and ``phase`` must be pure and broadcast over their two
+    arguments.  The quadrature calls them one way only: with two 2-D arrays
+    that broadcast to a block of nodes (a column of w and a row of t, or two
+    meshgrids), and broadcasts their results to that block.  ``phase_grad``
+    (analytic, returning the pair of partials) is required by the
+    integration-by-parts regularizer and used when available to size
+    quadrature panels.  The quadrature calls the callbacks on the calling
+    thread only, block after block (they need not be thread-safe, but must
+    not overwrite an array they returned); its result does not depend on the
+    CPU count.
     """
 
     amplitude: Callable
@@ -98,18 +101,18 @@ def smooth_bump(u, profile: str = "exp") -> np.ndarray:
     return _bump_profile(2.0 * (1.0 - u), sharp)
 
 
-def _probe_box(ig: OscillatoryIntegrand, R: float, n: int = 129):
+def _probe_box(ig: OscillatoryIntegrand, R: float):
     """Per-axis oscillation-rate and amplitude profiles over the box.
 
     The per-axis rate combines the phase gradient (scaled by lam) with the
     amplitude's log-derivative, so panels resolve peaked amplitudes (the
     integration-by-parts weights vary on the 1/lam scale) as well as the
     oscillation.  Also returns per-axis effective amplitude extents: beyond
-    them every probed |amplitude| sits below the skip floor, so quadrature
-    nodes there are wasted (the cutoff only widens its plateau as R grows
-    and cannot revive them).
+    them every probed |amplitude| sits below the ``_SKIP_REL`` floor, so
+    quadrature nodes there are wasted (the cutoff only widens its plateau as
+    R grows and cannot revive them).
     """
-    g = np.linspace(-R, R, n)
+    g = np.linspace(-R, R, _PROBE_N)
     X, Y = np.meshgrid(g, g, indexing="ij")
     S = np.asarray(ig.phase(X, Y))
     if np.iscomplexobj(S) or not np.all(np.isfinite(S)):
@@ -140,18 +143,17 @@ def _probe_box(ig: OscillatoryIntegrand, R: float, n: int = 129):
     return g, gx, gy, amp_scale, ext_x, ext_y
 
 
-def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray,
-               points_per_osc: int, gl_order: int):
+def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray):
     """Panelized Gauss-Legendre nodes/weights on [-extent, extent].
 
     ``gprof`` is the per-axis total variation rate (lam * |dS/du| plus the
-    amplitude log-derivative); panel widths keep at least ``points_per_osc``
+    amplitude log-derivative); panel widths keep at least ``_POINTS_PER_OSC``
     nodes per local 2*pi span of it and never exceed a fixed fraction of the
     node range.  The width chosen from the rate at the panel start is
     re-checked against the largest rate anywhere on the prospective panel.
     """
-    nodes, weights = leggauss(gl_order)
-    span_phase = gl_order * 2.0 * math.pi / points_per_osc
+    nodes, weights = leggauss(_GL_ORDER)
+    span_phase = _GL_ORDER * 2.0 * math.pi / _POINTS_PER_OSC
     xs, ws = [], []
     u = -extent
     wmax = extent / 6.0
@@ -182,7 +184,7 @@ def _workers() -> int:
 
 def _block_sum(lam, amp, P, wx, wy):
     """sum_ij wx_i wy_j amp_ij exp(i lam P_ij) over one block."""
-    val = np.zeros(np.shape(amp), dtype=complex)
+    val = np.zeros((len(wx), len(wy)), dtype=complex)
     np.multiply(P, lam, out=val.imag)        # val = 1j * lam * P
     np.exp(val, out=val)
     val *= amp
@@ -196,13 +198,12 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str
     grid, gx, gy, amp_scale, ext_x, ext_y = _probe_box(ig, R)
     if amp_scale == 0.0:
         return 0.0 + 0.0j
-    xs, wxs = _axis_rule(ext_x, grid, gx, _POINTS_PER_OSC, _GL_ORDER)
-    ys, wys = _axis_rule(ext_y, grid, gy, _POINTS_PER_OSC, _GL_ORDER)
+    xs, wxs = _axis_rule(ext_x, grid, gx)
+    ys, wys = _axis_rule(ext_y, grid, gy)
     if (nodes := len(xs) * len(ys)) > _MAX_NODES:
         raise NoConvergenceInR(f"the pass at R = {R:g} needs {nodes} nodes")
     wxs = wxs * smooth_bump(xs / R, profile)
     wys = wys * smooth_bump(ys / R, profile)
-    floor = _SKIP_REL * amp_scale
     total = 0.0 + 0.0j
     rows_per_chunk = max(1, _CHUNK // len(ys))
     Y = ys[None, :]
@@ -212,18 +213,9 @@ def _integrate_once(ig: OscillatoryIntegrand, R: float, profile: str
     with ThreadPoolExecutor(workers) as pool:
         for i0 in range(0, len(xs), rows_per_chunk):
             X = xs[i0:i0 + rows_per_chunk, None]
-            amp = np.broadcast_to(ig.amplitude(X, Y), (len(X), len(ys)))
-            mag = np.abs(amp)
-            if mag.min() >= floor:
-                args = (amp, ig.phase(X, Y), wxs[i0:i0 + len(X)], wys)
-            else:
-                xi, yi = np.nonzero(mag >= floor)
-                if xi.size == 0:
-                    continue
-                # the live points as one row, of unit row weight
-                args = (amp[xi, yi][None], ig.phase(xs[i0 + xi], ys[yi]),
-                        np.ones(1), wxs[i0 + xi] * wys[yi])
-            pending.append(pool.submit(_block_sum, ig.lam, *args))
+            pending.append(pool.submit(
+                _block_sum, ig.lam, ig.amplitude(X, Y), ig.phase(X, Y),
+                wxs[i0:i0 + len(X)], wys))
             if len(pending) > workers:
                 total += pending.pop(0).result()
         for fut in pending:

@@ -354,12 +354,15 @@ def _joints(w, rows, disc, near, far):
     return out
 
 
-def _hidden(w, rows, disc, ev):
+def _hidden(w, rows, disc, geo):
     """Cells that may hide a root: the cells around a turn; a cell where a
     root ends, unless D carried on across it keeps its sign; for e.v < 0,
     one where the near root ends with no far root (it ends at a fold, which
     the far root reaches first); a joint with no node past its fold yet.
-    Also returns the ``_turns`` of each branch and the ``_joints``."""
+    Also returns the ``_turns`` of each branch and the ``_joints``; a
+    collinear event (e parallel to v) has none: disc = v_g^2 |e|^2 has no
+    fold, and its roots meet only where v_g = 0, both at the passage r = 0."""
+    ee, ev, vv = geo
     cells = np.zeros(len(w) - 1, dtype=bool)
     turns = [_turns(d) for d in rows[1::2]]
     near, far = valids = [~np.isnan(d) for d in rows[1::2]]
@@ -373,7 +376,8 @@ def _hidden(w, rows, disc, ev):
     if ev < 0:
         cells |= near[:-1] & ~near[1:] & ~far[:-1] \
             | ~near[:-1] & near[1:] & ~far[1:]
-    joints = _joints(w, rows, disc, near, far)
+    joints = _joints(w, rows, disc, near, far) \
+        if vv * ee - ev * ev > 1e-12 * vv * ee else []
     for j, m in joints:
         cells[min(j, m)] |= not disc[m] < 0
     return cells, turns, joints
@@ -510,8 +514,10 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     ``solve_newton`` polishes each sign change of D in its bracket: across a
     fold from its joint, on a branch from the secant root or, when that
     misses a causal point in the bracket, from the root of D in it that
-    Brent's method finds.  A bracket left unpolished raises NoConvergence; a
-    point two brackets share, or where D touches zero, is ``degenerate``."""
+    Brent's method finds, unless |D| there shows a pole or jump of D (the
+    bracket is then skipped).  A bracket left unpolished raises
+    NoConvergence; a point two brackets share, or where D touches zero, is
+    ``degenerate``."""
     if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
         raise TypeError("solve_line needs a StraightLine or OffsetLine")
     geo = _line_geometry(ctx)
@@ -523,7 +529,7 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     w, *wave = _base_grid(ctx.dispersion, tuple(bands), _LINE_GRID)
     rows, disc = _line_roots(ctx, geo, w, wave)
     while True:
-        cells, turns, joints = _hidden(w, rows, disc, geo[1])
+        cells, turns, joints = _hidden(w, rows, disc, geo)
         i = np.flatnonzero(cells & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
         if not len(i):
             break
@@ -574,8 +580,13 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
             except (ValueError, RuntimeError):
                 pass        # NaN inside the bracket
             else:
-                seed = root, _line_roots(ctx, geo, np.r_[root])[0][2 * b][0]
-                sp = polish(seed, lo, hi)
+                (t_r,), (d_r,) = _line_roots(ctx, geo, np.r_[root])[0][
+                    2 * b:2 * b + 2]
+                # 1e-15 omega off a root leaves |D| far below this: D changed
+                # sign through a pole or a jump, with no root
+                if abs(d_r) > 1e-8 * max(1.0, root, ctx.omega0):
+                    continue
+                sp = polish((root, t_r), lo, hi)
         if sp is None:
             if tangent:
                 continue            # the extremum stays clear of zero

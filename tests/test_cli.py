@@ -357,6 +357,32 @@ class TestDoppler:
                                        sc.v, sc.x2, sc.t)
         assert cli._fmt(thz_from_omega(w)) == "679.153898"
 
+    def test_lossless_collinear_event_answers(self, capsys, tmp_path):
+        # a collinear event whose bracket below the lossless electric pole
+        # raised NoConvergence (exit 3): D passes a pole there, not a root
+        p = tmp_path / "collinear.ini"
+        p.write_text(textwrap.dedent("""\
+            [medium]
+            kind = lorentz
+            f_pe_thz = 850.1491646010827
+            f_te_thz = 399.69740813424426
+            f_pm_thz = 355.8305353610498
+            f_tm_thz = 628.9173053382137
+            gamma_e_thz = 0
+            gamma_m_thz = 0
+            [source]
+            f0_thz = 922.4600641191422
+            v = 0.3
+            [observer]
+            x1 = 0
+            x2 = 0.01
+            x3 = 0
+            t = 2
+            """))
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p))
+        assert code == 0 and "Traceback" not in err
+        assert out.splitlines()[1].split(",")[1] == "941.880945"
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "doppler", "--medium", "nondispersive",
                                "--f0-thz", "100", "--v", "0.2", "--x1", "0",

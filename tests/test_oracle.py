@@ -1,7 +1,8 @@
 """Oscillatory-integral quadrature: analytic values, cutoff independence,
 linearity, conjugation, the phase-operator identity, the
 integration-by-parts regularizer, and the pooled block loop: golden values,
-independence of the worker count and callbacks kept on the calling thread."""
+independence of the worker count, callbacks kept on the calling thread and
+called on 2-D blocks only."""
 
 import threading
 
@@ -95,8 +96,7 @@ class TestQuadrature:
         # R = 4 pass raises, naming its node count, instead of running
         ig, _, _ = orc.gaussian_saddle_case(20.0)
         grid, gx, gy, _, ext_x, ext_y = orc._probe_box(ig, 2.0)
-        nx, ny = (len(orc._axis_rule(ext, grid, g, orc._POINTS_PER_OSC,
-                                     orc._GL_ORDER)[0])
+        nx, ny = (len(orc._axis_rule(ext, grid, g)[0])
                   for ext, g in ((ext_x, gx), (ext_y, gy)))
         monkeypatch.setattr(orc, "_MAX_NODES", nx * ny)
         with pytest.raises(NoConvergenceInR, match=r"R = 4 needs \d+ nodes"):
@@ -117,9 +117,10 @@ def bits(res):
 
 # (case, lam, ibp): value, R_used and estimated_error at R0 = 3, tol = 1e-6,
 # recorded with the single-threaded block loop that summed w_i w_j f e^{iS}
-# over each block before the pooled loop replaced it.  Only the summation
-# order changed, so the values must agree to 1e-12 relative and R_used must
-# be identical.
+# over each block, and skipped the nodes whose |amplitude| was below 1e-12
+# of the probed peak, before the pooled dense loop replaced it.  Only the
+# summation order and that sub-floor tail changed, so the values must agree
+# to 1e-12 relative and R_used must be identical.
 GOLDEN = {
     ("gaussian", 20.0, False):
         (0.015668791665479704 + 0.3133758257823419j, 12.0,
@@ -173,6 +174,25 @@ class TestPooledBlocks:
                                      phase_grad=on(ig.phase_grad)),
             R0=3.0, tol=1e-6)
         assert seen == {threading.get_ident()}
+
+    def test_callbacks_see_only_2d_blocks(self):
+        # every block, even one whose amplitude is far below the peak, is
+        # one dense (rows, len(ys)) product; no 1-D gather of live points
+        ig, _, _ = orc.gaussian_saddle_case(20.0)
+        seen = set()
+
+        def on(fn):
+            def wrapped(w, t):
+                seen.add((np.ndim(w), np.ndim(t)))
+                return fn(w, t)
+            return wrapped
+
+        orc.oscillatory_integral_2d(
+            orc.OscillatoryIntegrand(amplitude=on(ig.amplitude),
+                                     phase=on(ig.phase), lam=ig.lam,
+                                     phase_grad=ig.phase_grad),
+            R0=3.0, tol=1e-6)
+        assert seen == {(2, 2)}
 
     def test_callback_error_on_a_later_block_reaches_the_caller(self):
         class Boom(Exception):

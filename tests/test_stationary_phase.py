@@ -661,6 +661,37 @@ class TestSolveLine:
             pytest.approx(433.10935, abs=1e-5),
             pytest.approx(266.547, abs=1e-3)]
 
+    @pytest.mark.parametrize("model, w0, v, x2, t", [
+        # its bracket [0.62705359, 0.62827787] ends at omega_te, where k and
+        # so D pass through infinity as the emission point reaches x
+        (disp.LorentzMetamaterial(1.33633567090917, 0.628277867343859, 0.0,
+                                  0.5593242421461435, 0.9885849027092708,
+                                  0.0), 1.45, 0.3, 0.01, 2.0),
+        # D changes sign through a pole in a bracket
+        (disp.LorentzMetamaterial(1.3817172944258123, 0.5605779089022338,
+                                  0.0, 0.33968962485291443,
+                                  0.5409227449934632, 0.0),
+         0.5570920295557232, 0.4577604525030023, -0.32135867851510946,
+         2.243402721840744),
+        # at the lossless band edge omega_tm, v_g -> 0 and the near and far
+        # roots meet at the passage r = 0: a joint, but no fold
+        (disp.LorentzMetamaterial(0.8918147412097404, 1.3235039933454333,
+                                  0.0, 0.5606535642257884,
+                                  0.6782192965721179, 0.0),
+         0.9641273569692755, 0.4734526975931457, -0.12799699281533794,
+         1.3517154396412727)], ids=["omega-te-end", "pole", "fake-joint"])
+    def test_lossless_collinear_events_answer(self, model, w0, v, x2, t):
+        # collinear events in lossless media that raised NoConvergence; each
+        # set holds the collinear closed-form point
+        ctx = sph.PhaseContext(t=t, x=(0.0, x2, 0.0), omega0=w0,
+                               trajectory=trj.OffsetLine(v=v),
+                               dispersion=model)
+        points = sph.solve_line(ctx)
+        assert_causal_stationary(ctx, points)
+        w, tau, _ = fld._collinear_point(model, w0, v, x2, t)
+        assert any(abs(p.omega_s - w) <= 1e-9 and abs(p.tau_s - tau) <= 1e-9
+                   for p in points)
+
     @pytest.mark.parametrize("f0, v, H, x, t", [
         (389.92574646456904, 0.0012743450800039042, 0.4942328919780496,
          (0.1933390811445721, -0.9308754214360468, 0.028383152948668444),
