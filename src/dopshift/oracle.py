@@ -9,7 +9,7 @@ is independent of the bump profile.  A product bump chi(u1/R) chi(u2/R) is
 used so the cutoff folds into the per-axis quadrature weights.
 
 Quadrature: per axis, order-16 Gauss-Legendre panels sized from the local
-phase gradient so the node density never drops below 12 points per local
+phase gradient so the node density never drops below 8 points per local
 phase oscillation; the 2-D tensor product is evaluated densely in blocks of
 rows; each block's exponential and contraction with the axis weights run on
 a thread pool of one thread per usable CPU, and the block sums are added in
@@ -42,7 +42,7 @@ __all__ = [
 _CHUNK = 1 << 19          # elements per evaluation block
 _SKIP_REL = 1e-12         # amplitude floor of the node extents, per peak
 _PROBE_N = 129            # probe nodes per axis
-_POINTS_PER_OSC = 12      # quadrature nodes per local phase oscillation
+_POINTS_PER_OSC = 8       # quadrature nodes per local phase oscillation
 _GL_ORDER = 16            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
 _MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
@@ -149,8 +149,8 @@ def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray):
     ``gprof`` is the per-axis total variation rate (lam * |dS/du| plus the
     amplitude log-derivative); panel widths keep at least ``_POINTS_PER_OSC``
     nodes per local 2*pi span of it and never exceed a fixed fraction of the
-    node range.  The width chosen from the rate at the panel start is
-    re-checked against the largest rate anywhere on the prospective panel.
+    node range.  A width re-checked against the largest rate at five probes
+    across it only narrows: a panel never outgrows the span probed.
     """
     nodes, weights = leggauss(_GL_ORDER)
     span_phase = _GL_ORDER * 2.0 * math.pi / _POINTS_PER_OSC
@@ -164,7 +164,7 @@ def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray):
             gloc = max(float(np.max(probes)), 1e-12)
             w_new = min(span_phase / gloc, wmax)
             if w_new >= 0.9 * w:
-                w = w_new
+                w = min(w, w_new)
                 break
             w = w_new
         w = max(w, 2.0 * extent * 1e-7)

@@ -34,8 +34,40 @@ class TestQuadrature:
     def test_fresnel_value(self):
         ig, val, _ = orc.fresnel_case(40.0)
         res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
-        assert abs(res.value - val) / abs(val) <= 1e-3
+        assert abs(res.value - val) / abs(val) <= 1e-10
         assert res.estimated_error <= 1e-6 * abs(res.value) * 1.01
+
+    def test_fresnel_pass_at_lam_34(self):
+        # a panel re-grown past its probes carried 47 rad of phase here, and
+        # this single pass was off by 1.25 relative
+        ig, val, _ = orc.fresnel_case(34.0)
+        got = orc._integrate_once(ig, 12.0, "exp")
+        assert abs(got - val) <= 1e-10 * abs(val)
+
+    @pytest.mark.parametrize("lam", [24.0, 29.0, 33.5])
+    def test_fresnel_converges(self, lam):
+        # these raised NoConvergenceInR while panels outgrew their probes
+        ig, val, _ = orc.fresnel_case(lam)
+        res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
+        assert abs(res.value - val) <= 1e-10 * abs(val)
+
+    @pytest.mark.parametrize("lam", [24.0, 34.0, 36.0])
+    @pytest.mark.parametrize("R", [3.0, 6.0, 12.0])
+    def test_panels_keep_their_phase_budget(self, lam, R):
+        # the rate profile integrated over each panel on a fine grid: no
+        # panel carries much more than _GL_ORDER nodes' worth of phase (the
+        # slack is for a profile peak between two of the five probes)
+        ig, _, _ = orc.fresnel_case(lam)
+        grid, gx, _, _, ext, _ = orc._probe_box(ig, R)
+        _, ws = orc._axis_rule(ext, grid, gx)
+        widths = ws.reshape(-1, orc._GL_ORDER).sum(axis=1)
+        edges = -ext + np.concatenate(([0.0], np.cumsum(widths)))
+        budget = orc._GL_ORDER * 2.0 * np.pi / orc._POINTS_PER_OSC
+        for a, b in zip(edges[:-1], edges[1:]):
+            u = np.linspace(a, b, 2001)
+            g = np.interp(u, grid, gx)
+            phase = np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(u))
+            assert phase <= 1.05 * budget
 
     def test_hyperbolic_saddle_vs_asymptotics(self):
         lam = 30.0
@@ -104,10 +136,11 @@ class TestQuadrature:
 
 
 def golden_integrand(case, lam, ibp):
-    ig = {"gaussian": orc.gaussian_saddle_case,
-          "hyperbolic": orc.hyperbolic_saddle_case,
-          "fresnel": orc.fresnel_case}[case](lam)[0]
-    return orc.ibp_regularize(ig, 1) if ibp else ig
+    """The integrand of a GOLDEN key and its case's exact value."""
+    ig, _, exact = {"gaussian": orc.gaussian_saddle_case,
+                    "hyperbolic": orc.hyperbolic_saddle_case,
+                    "fresnel": orc.fresnel_case}[case](lam)
+    return (orc.ibp_regularize(ig, 1) if ibp else ig), exact
 
 
 def bits(res):
@@ -115,47 +148,68 @@ def bits(res):
             res.estimated_error.hex())
 
 
-# (case, lam, ibp): value, R_used and estimated_error at R0 = 3, tol = 1e-6,
-# recorded with the single-threaded block loop that summed w_i w_j f e^{iS}
-# over each block, and skipped the nodes whose |amplitude| was below 1e-12
-# of the probed peak, before the pooled dense loop replaced it.  Only the
-# summation order and that sub-floor tail changed, so the values must agree
-# to 1e-12 relative and R_used must be identical.
+# (case, lam, ibp): value, R_used and estimated_error at R0 = 3, tol = 1e-6.
+# The hyperbolic lam 20 pin was recorded before the pooled dense block loop
+# replaced the single-threaded one, which only changed the summation order.
+# The other three were re-pinned when panels stopped growing past the span
+# their probes covered and the rule went from 12 to 8 nodes per oscillation;
+# R_used stayed the same on all four:
+# - Gaussian lam 20: the value moved by 3.8e-10 and its error against the
+#   exact 2 pi/(1 - 20i) fell from 1.2e-9 to 5.3e-15; estimated_error, the
+#   R = 6 to R = 12 difference, fell from 3.6e-10 to 1.6e-11 with it.
+# - Fresnel lam 20: the value moved by 1.0e-12 relative, the edge of the
+#   bound below, and its error against 2 pi i/20 fell from 9.6e-13 to 3.5e-14.
+# - hyperbolic under IBP, lam 24: estimated_error went from 5.3e-13 to
+#   2.4e-10, because the R = 3 pass moved; the value moved by 1.3e-14.
+# Values must agree to 1e-12 relative and R_used must be identical.
 GOLDEN = {
     ("gaussian", 20.0, False):
-        (0.015668791665479704 + 0.3133758257823419j, 12.0,
-         3.6195960166908683e-10),
+        (0.015668791289726185 + 0.3133758257944924j, 12.0,
+         1.616100789643064e-11),
     ("hyperbolic", 20.0, False):
         (0.313767301057426 - 2.0024657018372243e-17j, 6.0,
          1.1593415116806302e-10),
     ("fresnel", 20.0, False):
-        (-2.4551531461096136e-13 + 0.3141592653591558j, 12.0,
-         2.353333330611433e-09),
+        (1.0556786953559404e-14 + 0.3141592653589758j, 12.0,
+         2.3533425888934307e-09),
     ("hyperbolic", 24.0, True):
-        (0.2615724267994421 + 1.3964369982438723e-14j, 6.0,
-         5.297556812192584e-13),
+        (0.26157242679947473 + 4.3744213934472196e-16j, 6.0,
+         2.3896685978891196e-10),
 }
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """The result of a GOLDEN key at a worker count, computed once."""
+    cache = {}
+
+    def result(key, workers):
+        if (key, workers) not in cache:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(orc, "_workers", lambda: workers)
+                cache[key, workers] = orc.oscillatory_integral_2d(
+                    golden_integrand(*key)[0], R0=3.0, tol=1e-6)
+        return cache[key, workers]
+
+    return result
 
 
 class TestPooledBlocks:
     @pytest.mark.parametrize("key", list(GOLDEN))
-    def test_golden_values(self, key):
+    def test_golden_values(self, pooled, key):
         value, r_used, err = GOLDEN[key]
-        res = orc.oscillatory_integral_2d(golden_integrand(*key), R0=3.0,
-                                          tol=1e-6)
+        res = pooled(key, 1)
         assert res.R_used == r_used
         assert abs(res.value - value) <= 1e-12 * abs(value)
         # the difference of two values that each moved by < 1e-12 |value|
         assert abs(res.estimated_error - err) <= 2e-12 * abs(value)
+        if not key[2]:     # IBP values sit on a central-difference floor
+            exact = golden_integrand(*key)[1]
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
     @pytest.mark.parametrize("key", list(GOLDEN))
-    def test_bit_identical_for_any_worker_count(self, monkeypatch, key):
-        ig = golden_integrand(*key)
-        got = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(orc, "_workers", lambda n=workers: n)
-            got.append(bits(orc.oscillatory_integral_2d(ig, R0=3.0,
-                                                        tol=1e-6)))
+    def test_bit_identical_for_any_worker_count(self, pooled, key):
+        got = [bits(pooled(key, workers)) for workers in (1, 2, 3)]
         assert got[0] == got[1] == got[2]
 
     def test_callbacks_run_on_the_calling_thread(self):
