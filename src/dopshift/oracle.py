@@ -9,7 +9,7 @@ is independent of the bump profile.  A product bump chi(u1/R) chi(u2/R) is
 used so the cutoff folds into the per-axis quadrature weights.
 
 Quadrature: per axis, order-16 Gauss-Legendre panels sized from the local
-phase gradient so the node density never drops below 8 points per local
+phase gradient so the node density never drops below 6 points per local
 phase oscillation; the 2-D tensor product is evaluated densely in blocks of
 rows; each block's exponential and contraction with the axis weights run on
 a thread pool of one thread per usable CPU, and the block sums are added in
@@ -42,7 +42,7 @@ __all__ = [
 _CHUNK = 1 << 19          # elements per evaluation block
 _SKIP_REL = 1e-12         # amplitude floor of the node extents, per peak
 _PROBE_N = 129            # probe nodes per axis
-_POINTS_PER_OSC = 8       # quadrature nodes per local phase oscillation
+_POINTS_PER_OSC = 6       # quadrature nodes per local phase oscillation
 _GL_ORDER = 16            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
 _MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
