@@ -7,9 +7,8 @@ from .dispersion import (ColdPlasma, DispersionSample, LorentzMetamaterial,
                          NonDispersive, lorentz_from_thz)
 from .fields import (DopplerClass, FieldContribution, SourceModel,
                      cherenkov_solve, doppler_classification,
-                     metamaterial_doppler_1d, metamaterial_doppler_2d,
-                     moving_source_fields, plasma_doppler_closed_form,
-                     retard_1d)
+                     metamaterial_doppler_1d, moving_source_fields,
+                     plasma_doppler_closed_form, retard_1d)
 from .stationary_phase import (PhaseContext, StationaryPoint,
                                saddle_contribution, solve_grid, solve_line,
                                solve_newton)
@@ -23,8 +22,8 @@ __all__ = [
     "units", "ColdPlasma", "DispersionSample", "LorentzMetamaterial",
     "NonDispersive", "lorentz_from_thz", "DopplerClass", "FieldContribution",
     "SourceModel", "cherenkov_solve", "doppler_classification",
-    "metamaterial_doppler_1d", "metamaterial_doppler_2d",
-    "moving_source_fields", "plasma_doppler_closed_form", "retard_1d",
+    "metamaterial_doppler_1d", "moving_source_fields",
+    "plasma_doppler_closed_form", "retard_1d",
     "PhaseContext", "StationaryPoint", "saddle_contribution",
     "solve_grid", "solve_line", "solve_newton",
     "CustomTrajectory",

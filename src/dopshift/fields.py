@@ -28,8 +28,8 @@ from .errors import (BelowCutoff, GroupVelocityMatchesSource,
 __all__ = [
     "SourceModel", "FieldContribution", "DopplerClass", "moving_source_fields",
     "plasma_doppler_closed_form", "plasma_head_on",
-    "metamaterial_doppler_1d", "retard_1d", "metamaterial_doppler_2d",
-    "PlanarDopplerSolution", "cherenkov_solve", "doppler_classification",
+    "metamaterial_doppler_1d", "retard_1d", "cherenkov_solve",
+    "doppler_classification",
 ]
 
 
@@ -159,8 +159,6 @@ def plasma_doppler_closed_form(omega0: float, omega_p: float, mach: float,
     if omega0 <= omega_p:
         raise BelowCutoff(f"omega0={omega0:g} <= omega_p={omega_p:g}")
     disc = omega0 * omega0 - (1.0 - mach * mach) * omega_p * omega_p
-    if disc < 0:
-        raise BelowCutoff("no real shifted frequency")
     sign = 1.0 if approaching else -1.0
     return (omega0 + sign * mach * math.sqrt(disc)) / (1.0 - mach * mach)
 
@@ -298,44 +296,6 @@ def _collinear_point(model, omega0: float, v: float, x2: float, t: float):
     return min(pairs, key=lambda p: abs(p[0] - omega0))
 
 
-@dataclass(frozen=True)
-class PlanarDopplerSolution:
-    """Converged planar stationary point plus the closed-form cross-check.
-
-    ``w2d_relative_error`` measures how well the converged frequency matches
-    the algebraic solution w = w0 r / (r - n v (x2 - v tau)) of the Doppler
-    equation at the converged tau (matching-sign branch of the printed
-    quadratic form).
-    """
-
-    omega_s: float
-    tau_s: float
-    point: sph.StationaryPoint
-    w2d_relative_error: float
-
-
-def metamaterial_doppler_2d(model, omega0: float, v: float, x1: float,
-                            x2: float, t: float) -> PlanarDopplerSolution:
-    """Joint (omega, tau) solve for planar geometry (x3 = 0, offset H = 0).
-
-    Of every causal stationary point it takes the one closest in frequency
-    to the carrier (``_nearest_point``, NoRootInBand when there is none);
-    the planar closed form is evaluated afterwards as a consistency check
-    and reported in the result.
-    """
-    traj = trj.OffsetLine(v=v, H=0.0)
-    ctx = sph.PhaseContext(t=t, x=(x1, x2, 0.0), omega0=omega0,
-                           trajectory=traj, dispersion=model)
-    sp = _nearest_point(ctx, omega0)
-    s = disp.sample(model, sp.omega_s)
-    r = math.hypot(x1, x2 - v * sp.tau_s)
-    denom = r - s.n.real * v * (x2 - v * sp.tau_s)
-    w_closed = omega0 * r / denom if denom != 0 else math.inf
-    rel = abs(sp.omega_s - w_closed) / max(abs(sp.omega_s), 1e-300)
-    return PlanarDopplerSolution(omega_s=sp.omega_s, tau_s=sp.tau_s,
-                                 point=sp, w2d_relative_error=rel)
-
-
 def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
     """Zero-carrier radiating point of a uniformly moving charge.
 
@@ -388,7 +348,7 @@ def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
         sp = sph.StationaryPoint(
             omega_s=0.0, tau_s=tau_s, hessian=h, det=float(np.linalg.det(h)),
             signature=0, residual_norm=res, iterations=0, converged=True,
-            method="closed-form", degenerate=True)
+            degenerate=True)
         return _assemble(source, ctx, sp, gate=in_cone(s.v_group))
 
     found = sph.solve_line(ctx)

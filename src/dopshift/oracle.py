@@ -34,9 +34,7 @@ from .errors import (GradientVanishesUnbounded, NoConvergenceInR,
 
 __all__ = [
     "OscillatoryIntegrand", "OracleResult", "smooth_bump",
-    "oscillatory_integral_2d", "ibp_regularize",
-    "amplitude_decay_profile", "convergence_rate_study", "StudyRow",
-    "gaussian_saddle_case", "fresnel_case", "hyperbolic_saddle_case",
+    "oscillatory_integral_2d", "ibp_regularize", "gaussian_saddle_case", "fresnel_case", "hyperbolic_saddle_case",
 ]
 
 _CHUNK = 1 << 19          # elements per evaluation block
@@ -317,15 +315,7 @@ def ibp_regularize(ig: OscillatoryIntegrand, j: int) -> OscillatoryIntegrand:
     return replace(ig, amplitude=amp)
 
 
-def amplitude_decay_profile(amplitude: Callable, radii, n_angle: int = 48):
-    """max |amplitude| on circles of the given radii (for decay-rate checks)."""
-    th = np.linspace(0.0, 2.0 * math.pi, n_angle, endpoint=False)
-    return np.array([float(np.max(np.abs(amplitude(r * np.cos(th),
-                                                   r * np.sin(th)))))
-                     for r in radii])
-
-
-# -- model cases and the convergence study -----------------------------------
+# -- model cases -------------------------------------------------------------
 
 def gaussian_saddle_case(lam: float):
     """Gaussian amplitude on the elliptic saddle S = (w**2 + t**2)/2.
@@ -367,32 +357,3 @@ def hyperbolic_saddle_case(lam: float):
     asymptotic = 2.0 * math.pi / lam
     exact = 2.0 * math.pi / math.sqrt(1.0 + lam * lam)
     return ig, asymptotic, exact
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    lam: float
-    asymptotic: complex
-    oracle: complex
-    relative_error: float
-
-
-def convergence_rate_study(case, lambdas):
-    """Relative error of the saddle value against the oracle (R0 3, tol
-    1e-6), per lam.
-
-    Returns (rows, slope) with slope the fitted exponent of error vs lam.
-    """
-    lambdas = list(lambdas)
-    if len(lambdas) < 3 or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("need at least 3 increasing lambda values")
-    rows = []
-    for lam in lambdas:
-        ig, asym, _ = case(lam)
-        res = oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
-        err = abs(asym - res.value) / abs(res.value)
-        rows.append(StudyRow(lam=lam, asymptotic=asym, oracle=res.value,
-                             relative_error=err))
-    slope = float(np.polyfit(np.log([r.lam for r in rows]),
-                             np.log([r.relative_error for r in rows]), 1)[0])
-    return rows, slope

@@ -70,7 +70,6 @@ class StationaryPoint:
     residual_norm: float
     iterations: int
     converged: bool
-    method: str
     degenerate: bool = False
 
 
@@ -131,7 +130,7 @@ def _make_point(d, omega, tau, iters) -> StationaryPoint:
         sig, degenerate = 0, True
     return StationaryPoint(omega_s=omega, tau_s=tau, hessian=h, det=det,
                            signature=sig, residual_norm=_norm(d),
-                           iterations=iters, converged=True, method="newton",
+                           iterations=iters, converged=True,
                            degenerate=degenerate)
 
 
@@ -271,7 +270,7 @@ def solve_newton(ctx: PhaseContext, seed: Optional[Tuple[float, float]] = None,
 def _failed_point(w, tau, res, iters) -> StationaryPoint:
     return StationaryPoint(omega_s=w, tau_s=tau, hessian=np.full((2, 2), np.nan),
                            det=math.nan, signature=0, residual_norm=res,
-                           iterations=iters, converged=False, method="newton")
+                           iterations=iters, converged=False)
 
 
 def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],

@@ -105,23 +105,24 @@ def _check_band_velocities():
 def _check_planar_reference_point():
     """Planar scenario (v=0.5, f0=420 THz, x=(0.01, 1.595), t=2) against its
     causal stationary point f = 713.783 +/- 0.5 THz, tau = -0.5577 +/- 0.02,
-    stationary residual < 1e-9, t - tau_s > 0, the enumerated causal point
-    closest to the carrier."""
+    stationary residual < 1e-9, t - tau_s > 0: the enumerated causal point
+    closest to the carrier (``fields._nearest_point``, as ``dopshift
+    doppler`` takes it)."""
     p = SCENARIO_2D
+    w0 = omega_from_thz(p["f0_thz"])
+    ctx = sph.PhaseContext(t=p["t"], x=(p["x1"], p["x2"], 0.0), omega0=w0,
+                           trajectory=trj.OffsetLine(v=p["v"], H=0.0),
+                           dispersion=disp.lorentz_from_thz())
     try:
-        sol = fld.metamaterial_doppler_2d(
-            disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
-            p["x1"], p["x2"], p["t"])
+        sp = fld._nearest_point(ctx, w0)
     except DopshiftError as err:
         return False, f"no converged stationary point: {err}"
-    f = thz_from_omega(sol.omega_s)
+    f = thz_from_omega(sp.omega_s)
     ok = (abs(f - REF_2D["f_thz"]) <= REF_2D["f_tol"]
-          and abs(sol.tau_s - REF_2D["tau"]) <= REF_2D["tau_tol"]
-          and sol.point.residual_norm < 1e-9
-          and p["t"] - sol.tau_s > 0)
-    return ok, (f"solved f = {f:.4f} THz, tau = {sol.tau_s:.5f}, residual = "
-                f"{sol.point.residual_norm:.2e}, w2d_relative_error = "
-                f"{sol.w2d_relative_error:.2e}")
+          and abs(sp.tau_s - REF_2D["tau"]) <= REF_2D["tau_tol"]
+          and sp.residual_norm < 1e-9 and p["t"] - sp.tau_s > 0)
+    return ok, (f"solved f = {f:.4f} THz, tau = {sp.tau_s:.5f}, residual = "
+                f"{sp.residual_norm:.2e}")
 
 
 @_timed
@@ -190,23 +191,30 @@ def _check_stationary_source():
 
 @_timed
 def _check_oracle_asymptotics():
-    """Gaussian-saddle error <= 5/lam at lam in {20, 40, 80} with consecutive
-    error ratios in [1.5, 2.5]; unit-amplitude quadratic phase exact to the
-    1e-6 quadrature tolerance.  Under 60 s."""
+    """Gaussian-saddle error of the saddle value against the oracle (R0 3,
+    tol 1e-6) <= 5/lam at lam in {20, 40, 80}, consecutive error ratios in
+    [1.5, 2.5] and the fitted exponent of error vs lam in [-1.5, -0.7];
+    unit-amplitude quadratic phase exact to the 1e-6 quadrature tolerance.
+    Under 60 s."""
     t0 = time.perf_counter()
-    rows, slope = orc.convergence_rate_study(orc.gaussian_saddle_case,
-                                             [20.0, 40.0, 80.0])
-    errs = [r.relative_error for r in rows]
-    bound_ok = all(e <= 5.0 / r.lam for e, r in zip(errs, rows))
+    lams = [20.0, 40.0, 80.0]
+    errs = []
+    for lam in lams:
+        ig, asym, _ = orc.gaussian_saddle_case(lam)
+        value = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6).value
+        errs.append(abs(asym - value) / abs(value))
+    bound_ok = all(e <= 5.0 / lam for e, lam in zip(errs, lams))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     ratio_ok = all(1.5 <= q <= 2.5 for q in ratios)
+    slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     ig, val, _ = orc.fresnel_case(40.0)
     res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
     fres = abs(res.value - val) / abs(val)
     elapsed = time.perf_counter() - t0
-    ok = bound_ok and ratio_ok and fres <= 1e-6 and elapsed < 60.0
+    ok = (bound_ok and ratio_ok and -1.5 <= slope <= -0.7 and fres <= 1e-6
+          and elapsed < 60.0)
     return ok, (f"errors {[f'{e:.4f}' for e in errs]} vs bounds "
-                f"{[f'{5 / r.lam:.4f}' for r in rows]}, ratios "
+                f"{[f'{5 / lam:.4f}' for lam in lams]}, ratios "
                 f"{[f'{q:.2f}' for q in ratios]}, slope {slope:.2f}, "
                 f"unit-amplitude error {fres:.2e}, {elapsed:.1f} s")
 

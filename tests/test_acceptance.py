@@ -17,8 +17,9 @@ Criteria (one test each, one PASS/FAIL line each):
   6.  Motionless source: omega_s = omega0 exactly, det = -1, signature 0,
       retarded time = r/v_g(omega0) to 1e-10.
   7.  Saddle value vs direct quadrature: error <= 5/lam at lam in
-      {20, 40, 80}, consecutive ratios in [1.5, 2.5]; unit-amplitude
-      quadratic phase exact to 1e-6; < 60 s.
+      {20, 40, 80}, consecutive ratios in [1.5, 2.5], fitted exponent of
+      error vs lam in [-1.5, -0.7]; unit-amplitude quadratic phase exact
+      to 1e-6; < 60 s.
   8.  Stationary identity on 100 randomized admissible contexts:
       |omega_s - omega0 - k v_rad| <= 1e-8 max(1, omega0), t - tau_s > 0.
   9.  Analytic gradient/Hessian vs central differences to 1e-6/1e-5 on 100

@@ -14,6 +14,8 @@ import pytest
 from dopshift import cli, errors, scenario, validation
 from dopshift import dispersion as disp
 from dopshift import fields as fld
+from dopshift import stationary_phase as sph
+from dopshift import trajectory as trj
 from dopshift.units import omega_from_thz, thz_from_omega
 from dopshift.scenario import Scenario, load_scenario
 from dopshift.errors import ScenarioError
@@ -325,19 +327,21 @@ class TestDoppler:
 
     def test_reference_2d_scenario_is_the_planar_point(self, capsys,
                                                         tmp_path):
-        # the causal point nearest the carrier, as metamaterial_doppler_2d
-        # takes it: 713.782905 THz, tau -0.557698682
+        # the causal point nearest the carrier on the planar context, as
+        # fields._nearest_point takes it: 713.782905 THz, tau -0.557698682
         p = tmp_path / "reference.ini"
         p.write_text(SCENARIO_TEXT)
         code, out, _ = run_cli(capsys, "doppler", "--config", str(p),
                                "--format", "json")
         assert code == 0
         row = json.loads(out)[0]
-        sol = fld.metamaterial_doppler_2d(disp.lorentz_from_thz(),
-                                          omega_from_thz(420.0), 0.5, 0.01,
-                                          1.595, 2.0)
-        assert row["f_shift_thz"] == thz_from_omega(sol.omega_s)
-        assert row["tau"] == sol.tau_s and row["retarded_time"] > 0
+        w0 = omega_from_thz(420.0)
+        sp = fld._nearest_point(sph.PhaseContext(
+            t=2.0, x=(0.01, 1.595, 0.0), omega0=w0,
+            trajectory=trj.OffsetLine(v=0.5, H=0.0),
+            dispersion=disp.lorentz_from_thz()), w0)
+        assert row["f_shift_thz"] == thz_from_omega(sp.omega_s)
+        assert row["tau"] == sp.tau_s and row["retarded_time"] > 0
 
     def test_lossless_pole_carrier_answers_by_both_methods(self, capsys,
                                                            tmp_path):

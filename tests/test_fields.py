@@ -47,6 +47,17 @@ class TestPlasmaClosedForm:
         with pytest.raises(BelowCutoff):
             fld.plasma_doppler_closed_form(0.9, 1.0, 0.5, True)
 
+    def test_carrier_one_ulp_above_cutoff(self):
+        # w0 > wp and 0 <= M < 1 give disc >= w0**2 - wp**2 >= 0 in floats
+        # too, so both branches answer right above the cutoff
+        for omega_p in (0.3, 1.0, 7.0):
+            w0 = math.nextafter(omega_p, math.inf)
+            for mach in (0.0, 0.999):
+                for approaching in (True, False):
+                    w = fld.plasma_doppler_closed_form(w0, omega_p, mach,
+                                                       approaching)
+                    assert math.isfinite(w) and w > 0
+
 
 # (medium, carrier THz, v, sign, repr of the roots).  The non-dispersive
 # 420 THz sign +1 root was 0.37725210395130276, one ulp above
@@ -371,28 +382,36 @@ class TestRetard1D:
             fld.retard_1d(0.5, 0.5, 1.0, 2.0)
 
 
+def _planar_point(w0, v, x1, x2, t):
+    """The causal point nearest the carrier on the planar context (x3 = 0,
+    offset H = 0), and the stationary-identity residual
+    |omega_s - omega0 - Re k v_rad| there."""
+    traj = trj.OffsetLine(v=v, H=0.0)
+    sp = fld._nearest_point(sph.PhaseContext(
+        t=t, x=(x1, x2, 0.0), omega0=w0, trajectory=traj,
+        dispersion=LORENTZ), w0)
+    k = disp.sample(LORENTZ, sp.omega_s).k.real
+    v_rad = trj.geometry(traj, (x1, x2, 0.0), sp.tau_s).v_rad
+    return sp, abs(sp.omega_s - w0 - k * v_rad)
+
+
 class TestDoppler2D:
     def test_stationary_limit(self):
         w0 = omega_from_thz(420.0)
-        sol = fld.metamaterial_doppler_2d(LORENTZ, w0, 0.0, 0.01, 1.595, 2.0)
+        sp, ident = _planar_point(w0, 0.0, 0.01, 1.595, 2.0)
         s = disp.sample(LORENTZ, w0)
         r = math.hypot(0.01, 1.595)
-        assert sol.omega_s == pytest.approx(w0, abs=1e-12)
-        assert sol.tau_s == pytest.approx(2.0 - r / s.v_group, rel=1e-12)
-        assert sol.w2d_relative_error <= 1e-6
+        assert sp.omega_s == pytest.approx(w0, abs=1e-12)
+        assert sp.tau_s == pytest.approx(2.0 - r / s.v_group, rel=1e-12)
+        assert ident <= 1e-10
 
     def test_slow_source_matches_planar_closed_form(self):
-        # slow enough that the retarded root exists inside the band
+        # slow enough that the retarded root exists inside the band; the
+        # planar Doppler relation is the stationary identity
         w0 = omega_from_thz(424.0)
-        v = 0.002
-        sol = fld.metamaterial_doppler_2d(LORENTZ, w0, v, 0.005, 0.05, 20.0)
-        assert sol.point.converged
-        assert sol.w2d_relative_error <= 1e-6
-        # stationary identity at the solution
-        s = disp.sample(LORENTZ, sol.omega_s)
-        g = trj.geometry(trj.OffsetLine(v=v, H=0.0), (0.005, 0.05, 0.0),
-                         sol.tau_s)
-        assert abs(sol.omega_s - w0 - s.k.real * g.v_rad) <= 1e-10
+        sp, ident = _planar_point(w0, 0.002, 0.005, 0.05, 20.0)
+        assert sp.converged
+        assert ident <= 1e-10
 
     def test_collinear_limit_is_continuous(self):
         # x1 -> 0 must approach the 1-D collinear answers monotonically
@@ -402,11 +421,11 @@ class TestDoppler2D:
         w_1d = min(roots, key=lambda q: abs(q - w0))
         gaps = []
         for x1 in (1e-1, 1e-2, 1e-3):
-            sol = fld.metamaterial_doppler_2d(LORENTZ, w0, v, x1, 0.05, 20.0)
-            gaps.append(abs(sol.omega_s - w_1d))
+            sp, ident = _planar_point(w0, v, x1, 0.05, 20.0)
+            assert ident <= 1e-10
+            gaps.append(abs(sp.omega_s - w_1d))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < gaps[1] / 10.0        # quadratic approach in x1
-
 
     def test_collinear_point_next_to_the_band_top(self):
         # event B: the causal point nearest the carrier sits in the last

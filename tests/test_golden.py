@@ -257,14 +257,19 @@ def test_planar_enumerated_point():
     # point nearest the target) to the enumerated point nearest the carrier;
     # the seed-box value stays as a check within 1e-10 relative.
     p = validation.SCENARIO_2D
-    sol = fld.metamaterial_doppler_2d(
-        disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
-        p["x1"], p["x2"], p["t"])
-    assert repr((sol.omega_s, sol.tau_s)) \
+    w0 = omega_from_thz(p["f0_thz"])
+    traj = trj.OffsetLine(v=p["v"], H=0.0)
+    x = (p["x1"], p["x2"], 0.0)
+    model = disp.lorentz_from_thz()
+    sp = fld._nearest_point(sph.PhaseContext(
+        t=p["t"], x=x, omega0=w0, trajectory=traj, dispersion=model), w0)
+    assert repr((sp.omega_s, sp.tau_s)) \
         == "(1.1219837606586465, -0.5576986819093858)"
-    assert [sol.omega_s, sol.tau_s] == pytest.approx(
+    assert [sp.omega_s, sp.tau_s] == pytest.approx(
         list(PLANAR_SEED_BOX), rel=1e-10, abs=0)
-    assert sol.w2d_relative_error < 1e-12
+    k = disp.sample(model, sp.omega_s).k.real
+    v_rad = trj.geometry(traj, x, sp.tau_s).v_rad
+    assert abs(sp.omega_s - w0 - k * v_rad) <= 1e-10
 
 
 # repr of (omega_s, tau_s, degenerate) of every point stationary_phase.

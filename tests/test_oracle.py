@@ -32,12 +32,6 @@ class TestBump:
 
 
 class TestQuadrature:
-    def test_fresnel_value(self):
-        ig, val, _ = orc.fresnel_case(40.0)
-        res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
-        assert abs(res.value - val) / abs(val) <= 1e-10
-        assert res.estimated_error <= 1e-6 * abs(res.value) * 1.01
-
     def test_fresnel_pass_at_lam_34(self):
         # a panel re-grown past its probes carried 47 rad of phase here, and
         # this single pass was off by 1.25 relative
@@ -82,7 +76,10 @@ class TestQuadrature:
             assert abs(got - 2.0 * np.sin(k) / k) <= 1e-14
 
     # the three model cases at lam 20, 24, ..., 40 (R0 3, tol 1e-6), with
-    # the R_used recorded at 8 nodes per oscillation, which 6 keeps
+    # the R_used recorded at 8 nodes per oscillation, which 6 keeps; each
+    # value also lies within 1e-10 relative of exact (the worst over lam 20
+    # to 40 in steps of 0.5 is 2.3e-13) and its estimated_error within the
+    # requested tolerance
     @pytest.mark.parametrize("case, lam, r_used", [
         (case, 20.0 + 4.0 * i, r)
         for case, rs in (("gaussian", (12.0,) * 5 + (6.0,)),
@@ -94,6 +91,8 @@ class TestQuadrature:
         res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
         assert res.R_used == r_used
         assert abs(res.value - exact) <= res.estimated_error
+        assert abs(res.value - exact) <= 1e-10 * abs(exact)
+        assert res.estimated_error <= 1e-6 * abs(res.value) * 1.01
 
     def test_hyperbolic_saddle_vs_asymptotics(self):
         lam = 30.0
@@ -360,7 +359,9 @@ class TestIbpRegularization:
                             * np.ones(np.broadcast(w, t).shape))
         reg = orc.ibp_regularize(ig, 3)
         radii = np.array([5.0, 10.0, 20.0])
-        prof = orc.amplitude_decay_profile(reg.amplitude, radii)
+        th = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        prof = [np.max(np.abs(reg.amplitude(r * np.cos(th), r * np.sin(th))))
+                for r in radii]
         slope = np.polyfit(np.log(radii), np.log(prof), 1)[0]
         assert slope <= -2.5          # ~ <x>**-3 targeted
 
@@ -378,23 +379,3 @@ class TestIbpRegularization:
                                       lam=5.0)
         with pytest.raises(ValueError):
             orc.ibp_regularize(ig, 1)
-
-
-class TestConvergenceStudy:
-    def test_gaussian_saddle_rates(self):
-        rows, slope = orc.convergence_rate_study(orc.gaussian_saddle_case,
-                                                 [20.0, 40.0, 80.0])
-        assert -1.5 <= slope <= -0.7
-        for a, b in zip(rows, rows[1:]):
-            q = a.relative_error / b.relative_error
-            assert 1.5 <= q <= 2.5
-
-    def test_fresnel_is_exact_to_quadrature(self):
-        ig, val, exact = orc.fresnel_case(40.0)
-        assert val == exact
-        res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
-        assert abs(res.value - exact) / abs(exact) <= 1e-6
-
-    def test_needs_increasing_lambdas(self):
-        with pytest.raises(ValueError):
-            orc.convergence_rate_study(orc.gaussian_saddle_case, [10.0, 5.0, 20.0])
