@@ -23,7 +23,6 @@ import numpy as np
 
 from . import dispersion as disp
 from . import fields as fld
-from . import stationary_phase as sph
 from . import trajectory as trj
 from . import validation
 from .errors import (BelowCutoff, DegenerateMedium, DopshiftError,
@@ -143,28 +142,9 @@ def cmd_dispersion_sweep(args) -> int:
     return EXIT_OK
 
 
-def _solve_scenario_point(sc: Scenario):
-    """The scenario's Doppler point: the causal point on the source's line
-    nearest the carrier.  Returns a result dict."""
-    model = sc.medium()
-    w0 = omega_from_thz(sc.f0_thz)
-    ctx = sph.PhaseContext(t=sc.t, x=(sc.x1, sc.x2, sc.x3), omega0=w0,
-                           trajectory=trj.OffsetLine(v=sc.v, H=sc.h),
-                           dispersion=model)
-    sp = fld._nearest_point(ctx, w0, tol=sc.tol)
-    w, tau = sp.omega_s, sp.tau_s
-    s = disp.sample(model, w)
-    vrad = trj.geometry(ctx.trajectory, ctx.x, tau).v_rad
-    cls = fld.doppler_classification(s.k.real, vrad)
-    return {"f0_thz": sc.f0_thz, "f_shift_thz": thz_from_omega(w), "tau": tau,
-            "retarded_time": sc.t - tau, "residual": sp.residual_norm,
-            "classification": cls.value, "det": sp.det,
-            "signature": sp.signature, "v_group": s.v_group}
-
-
 def cmd_doppler(args) -> int:
     sc = _scenario_from_args(args)
-    row = _solve_scenario_point(sc)
+    row = sc.doppler_point()
     _emit(list(row), [tuple(row.values())], sc.out_format, sc.out_path)
     return EXIT_OK
 
@@ -176,20 +156,12 @@ def cmd_doppler_sweep(args) -> int:
         print(f"error: need f0_start < f0_end and 2 <= n <= {_MAX_N}",
               file=sys.stderr)
         return EXIT_USAGE
-    header = ["f0_thz", "f_shift_thz", "tau", "error"]
-    rows = []
-    good = []
-    for f0 in np.linspace(args.f0_start_thz, args.f0_end_thz, args.n):
-        sc.f0_thz = float(f0)
-        try:
-            row = _solve_scenario_point(sc)
-            rows.append((float(f0), row["f_shift_thz"], row["tau"], None))
-            good.append((float(f0), row["f_shift_thz"]))
-        except DopshiftError as err:
-            rows.append((float(f0), None, None, type(err).__name__))
-    _emit(header, rows, sc.out_format, sc.out_path)
-    if len(good) >= 3:
-        metric = validation._secant_deviation(*np.array(good).T)
+    rows = sc.doppler_sweep(
+        np.linspace(args.f0_start_thz, args.f0_end_thz, args.n))
+    _emit(["f0_thz", "f_shift_thz", "tau", "error"], rows, sc.out_format,
+          sc.out_path)
+    metric, solved = validation._secant_deviation(rows)
+    if solved >= 3:
         print(f"nonlinearity_metric_thz = {metric:.9g}", file=sys.stderr)
     return EXIT_OK
 

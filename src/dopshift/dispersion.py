@@ -188,6 +188,7 @@ def _plasma_index(model: ColdPlasma, omega: float):
     omega where k**2 > 0, else the limiting-absorption k = i sqrt(-k**2)."""
     if omega == 0:
         raise ZeroFrequency("plasma index diverges at omega = 0")
+    _check_range(abs(omega))
     k2 = _plasma_k2(model, omega)
     if k2 > 0:
         k = math.copysign(math.sqrt(k2), omega)
@@ -234,13 +235,13 @@ def _lorentz_index(model: LorentzMetamaterial, w: float):
     return eps, mu, branch_sqrt_product(eps, mu), de, dm
 
 
-_LORENTZ_MAX_OMEGA = 1e50   # beyond it _lorentz_chain's cubes overflow
+_MAX_OMEGA = 1e50   # beyond it a plasma's k**3 and the Lorentz cubes overflow
 
 
-def _check_lorentz_range(w_max: float):
-    if w_max > _LORENTZ_MAX_OMEGA:
+def _check_range(w_max: float):
+    if w_max > _MAX_OMEGA:
         raise FrequencyOutOfRange(
-            f"|omega| = {w_max:g} > {_LORENTZ_MAX_OMEGA:g} (normalized)")
+            f"|omega| = {w_max:g} > {_MAX_OMEGA:g} (normalized)")
 
 
 def _lorentz_slope(model: LorentzMetamaterial, w):
@@ -275,21 +276,21 @@ def wavenumber_and_group(model: DispersionModel, omega) -> tuple:
     uses; v_g is NaN where ``sample``'s ``v_group`` is None, which right at
     a band edge may differ by rounding (numpy and Python divide complex
     numbers differently).  Raises ValueError on a non-finite frequency and,
-    as ``sample`` does, FrequencyOutOfRange for a metamaterial |omega|
-    above 1e50."""
+    as ``sample`` does, FrequencyOutOfRange for a plasma or metamaterial
+    |omega| above 1e50."""
     w = np.asarray(omega, dtype=float)
     w_max = float(np.abs(w).max(initial=0.0))
     if not math.isfinite(w_max):
         raise ValueError("frequency must be finite")
     if isinstance(model, NonDispersive):    # v_g = 1/n without dispersion
         return w * model.index, np.full(w.shape, 1.0 / model.index)
+    _check_range(w_max)
     if isinstance(model, ColdPlasma):   # v_g v_p = 1, so v_g = n = k/omega
         k2 = _plasma_k2(model, w)
         ok = k2 > 0
         k = np.copysign(np.sqrt(np.where(ok, k2, 0.0)), w)
         n = np.divide(k, w, out=np.zeros_like(w), where=ok)
         return w * n, np.where(ok, n, np.nan)
-    _check_lorentz_range(w_max)
     with np.errstate(divide="ignore", invalid="ignore"):    # n 0 at an edge
         (_, _, n, k, kp), _ = _lorentz_slope(model, w)
     ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
@@ -303,7 +304,7 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     ``sample(model, omega).n.real`` and ``.propagating`` bit for bit, and
     the same errors: ValueError on a non-finite omega, ZeroFrequency for a
     plasma at 0, DegenerateMedium where eps or mu is exactly 0, and
-    FrequencyOutOfRange for a metamaterial |omega| above 1e50.
+    FrequencyOutOfRange for a plasma or metamaterial |omega| above 1e50.
     """
     _check_finite(omega)
     if isinstance(model, NonDispersive):
@@ -311,7 +312,7 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     if isinstance(model, ColdPlasma):
         k2, _, n = _plasma_index(model, omega)
         return n.real, k2 > 0
-    _check_lorentz_range(abs(omega))
+    _check_range(abs(omega))
     n = _lorentz_index(model, omega)[2]
     return n.real, _wave_dominated(n)
 
@@ -368,7 +369,7 @@ def _wave(model: DispersionModel, omega: float) -> tuple:
             return eps, 1.0, n, k, None, None, None, False
         aw, ak, wp = abs(omega), math.sqrt(k2), model.omega_p     # ak = |k|
         return eps, 1.0, n, k, aw / ak, ak / aw, -wp * wp / k2 ** 1.5, True
-    _check_lorentz_range(abs(omega))
+    _check_range(abs(omega))
     eps, mu, n, k, kp, kpp = _lorentz_chain(model, omega)
     propagating = _wave_dominated(n)
     if propagating and n.real != 0 and kp != 0:

@@ -122,7 +122,7 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
     """Leading-order contributions at observer (t, x), sorted by emission time.
 
     Without ``seed_box``, one Newton solve from ``default_seed``.
-    On a line kind a ``seed_box`` selects every causal point
+    On a ``StraightLine`` a ``seed_box`` selects every causal point
     (``stationary_phase.solve_line``; for a zero carrier, the Cherenkov
     points) and ``n_seeds`` is unused; both stay only because the benchmark
     passes them.  On a ``CustomTrajectory`` Newton runs from an ``n_seeds``
@@ -229,17 +229,20 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
     grid, k, vg = sph._base_grid(model, (tuple(map(float, omega_range)),),
                                  4001)
     ok = np.isfinite(vg)
-    vals = np.where(ok, grid + sign * v * k - omega0, np.nan)
     # The array Re k rounds differently from sample's (by about 5e-13 of
     # |k|), so a residual this close to zero could take the other sign on
-    # the scalar route that the polish uses: take those points from g.
-    scale = np.abs(grid) + np.abs(v * k) + abs(omega0)
-    for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
-        vals[i] = g(float(grid[i]))
-    fa, fb = vals[:-1], vals[1:]
+    # the scalar route that the polish uses: take those points from g.  An
+    # overflow near the top of the float range is an inf of the right sign.
+    with np.errstate(over="ignore"):
+        vals = np.where(ok, grid + sign * v * k - omega0, np.nan)
+        scale = np.abs(grid) + np.abs(v * k) + abs(omega0)
+        for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
+            vals[i] = g(float(grid[i]))
+        fa, fb = vals[:-1], vals[1:]
+        cross = fa * fb < 0
     both = ok[:-1] & ok[1:]
     roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
-    for i in np.flatnonzero(both & (fa * fb < 0)):
+    for i in np.flatnonzero(both & cross):
         roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
                                  xtol=1e-14, rtol=1e-15))
     if vals[-1] == 0.0:

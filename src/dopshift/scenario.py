@@ -36,11 +36,14 @@ read, are rejected.  Command-line flags override individual keys.
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import dispersion as disp
-from .errors import ScenarioError
-from .units import omega_from_thz
+from . import fields as fld
+from . import stationary_phase as sph
+from . import trajectory as trj
+from .errors import DopshiftError, ScenarioError
+from .units import omega_from_thz, thz_from_omega
 
 _FORMATS = ("csv", "json")
 # Scenario key -> lorentz_from_thz parameter.
@@ -108,6 +111,36 @@ class Scenario:
                 dst: p[src] for src, dst in _LORENTZ_KEYS.items() if src in p})
         except ValueError as err:
             raise ScenarioError(f"invalid {self.medium_kind} medium: {err}")
+
+    def doppler_point(self) -> dict:
+        """The row ``dopshift doppler`` prints: the causal stationary point
+        on the source's line nearest the carrier, ``fields._nearest_point``."""
+        model, w0 = self.medium(), omega_from_thz(self.f0_thz)
+        ctx = sph.PhaseContext(
+            t=self.t, x=(self.x1, self.x2, self.x3), omega0=w0,
+            trajectory=trj.OffsetLine(v=self.v, H=self.h), dispersion=model)
+        sp = fld._nearest_point(ctx, w0, tol=self.tol)
+        s = disp.sample(model, sp.omega_s)
+        vrad = trj.geometry(ctx.trajectory, ctx.x, sp.tau_s).v_rad
+        cls = fld.doppler_classification(s.k.real, vrad)
+        return {"f0_thz": self.f0_thz,
+                "f_shift_thz": thz_from_omega(sp.omega_s), "tau": sp.tau_s,
+                "retarded_time": self.t - sp.tau_s,
+                "residual": sp.residual_norm, "classification": cls.value,
+                "det": sp.det, "signature": sp.signature, "v_group": s.v_group}
+
+    def doppler_sweep(self, f0_grid) -> list:
+        """The rows ``dopshift doppler-sweep`` prints: (f0_thz, f_shift_thz,
+        tau, None) of ``doppler_point`` at each carrier of f0_grid (THz), or
+        (f0_thz, None, None, name of the DopshiftError it raised)."""
+        rows = []
+        for f0 in map(float, f0_grid):
+            try:
+                row = replace(self, f0_thz=f0).doppler_point()
+                rows.append((f0, row["f_shift_thz"], row["tau"], None))
+            except DopshiftError as err:
+                rows.append((f0, None, None, type(err).__name__))
+        return rows
 
 
 def _in_range(name: str, value: float) -> float:

@@ -144,7 +144,7 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
 
     tau is the root of the retardation equation at the carrier group
     velocity in [t - 10 r(t), t] when its ends differ in sign: in closed
-    form on a line kind (a quadratic with one root there), by bisection on
+    form on a straight line (a quadratic with one root there), by bisection on
     a ``CustomTrajectory``; then omega = omega0/(1 - v_rad/c(omega0)).
     Falls back to (omega0, t - r/v_g) when there is no retarded sign change.
     """
@@ -293,7 +293,7 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
 
 
 def _line_geometry(ctx):
-    """(e.e, e.v, v.v) of e = x - x0(t) and the velocity v on a line kind."""
+    """(e.e, e.v, v.v) of e = x - x0(t) and the velocity v of a line."""
     e = np.subtract(ctx.x, trj.position(ctx.trajectory, ctx.t))
     v = trj.velocity(ctx.trajectory, ctx.t)
     return float(e @ e), float(e @ v), float(v @ v)
@@ -301,7 +301,7 @@ def _line_geometry(ctx):
 
 def _retardation(geo, vg):
     """disc and den = sqrt(max(disc, 0)) - e.v of r = v_g u, u = t - tau, on
-    a line kind: (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2 = 0 with geo from
+    a straight line: (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2 = 0 with geo from
     ``_line_geometry``, disc NaN where v_g <= 0 (vg a float or an array).
     Near root u = |e|^2 / den (disc >= 0, den > 0); far root, where v_g <
     |v|, u = den / (|v|^2 - v_g^2); they join where disc = 0 (a fold)."""
@@ -504,9 +504,9 @@ def _base_grid(model, bands: tuple, nodes: int) -> tuple:
 
 
 def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
-    """Every causal stationary point on a ``StraightLine`` or ``OffsetLine``
-    with omega in [1e-3, 10] omega0 (and a fast source's range), widened to a
-    lattice (``_bands``), sorted by tau_s; a zero carrier scans as omega0 = 1,
+    """Every causal stationary point on a ``StraightLine`` with omega in
+    [1e-3, 10] omega0 (and a fast source's range), widened to a lattice
+    (``_bands``), sorted by tau_s; a zero carrier scans as omega0 = 1,
     and its points are the Cherenkov points.  ``_line_roots`` gives D on the
     near and far branch on the windows' cached grid (``_base_grid``); cells
     that may hide a root (``_hidden``) are split down to 1e-11 omega.
@@ -517,8 +517,8 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     bracket is then skipped).  A bracket left unpolished raises
     NoConvergence; a point two brackets share, or where D touches zero, is
     ``degenerate``."""
-    if not isinstance(ctx.trajectory, (trj.StraightLine, trj.OffsetLine)):
-        raise TypeError("solve_line needs a StraightLine or OffsetLine")
+    if not isinstance(ctx.trajectory, trj.StraightLine):
+        raise TypeError("solve_line needs a StraightLine")
     geo = _line_geometry(ctx)
     # A zero carrier (the Cherenkov condition omega = k v_rad) scans the
     # windows of omega0 = 1: [1e-3, 10] in normalized frequency.

@@ -56,12 +56,9 @@ class StraightLine:
         object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
 
 
-@dataclass(frozen=True)
-class OffsetLine:
+def OffsetLine(v: float = 0.0, H: float = 0.0) -> StraightLine:
     """x0(tau) = (0, v*tau, H): motion along x2 at lateral offset H."""
-
-    v: float = 0.0
-    H: float = 0.0
+    return StraightLine(origin=(0.0, 0.0, H), velocity=(0.0, v, 0.0))
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class CustomTrajectory:
     acceleration_fn: Optional[Callable[[float], Vec3]] = None
 
 
-Trajectory = Union[StraightLine, OffsetLine, CustomTrajectory]
+Trajectory = Union[StraightLine, CustomTrajectory]
 
 
 def position(traj: Trajectory, tau: float) -> Vec3:
@@ -113,8 +110,6 @@ def acceleration(traj: Trajectory, tau: float) -> Vec3:
 
 def _state(traj: Trajectory, tau: float):
     """Position, velocity and acceleration at tau, as float triples."""
-    if isinstance(traj, OffsetLine):
-        return (0.0, traj.v * tau, traj.H), (0.0, traj.v, 0.0), _ZERO
     if isinstance(traj, StraightLine):
         (o0, o1, o2), v = traj.origin, traj.velocity
         return (o0 + v[0] * tau, o1 + v[1] * tau, o2 + v[2] * tau), v, _ZERO

@@ -28,6 +28,7 @@ from . import oracle as orc
 from . import stationary_phase as sph
 from . import trajectory as trj
 from .errors import DopshiftError, NoCherenkovRoot, NoRootInBand
+from .scenario import Scenario
 from .units import omega_from_thz, thz_from_omega
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
@@ -72,7 +73,6 @@ REF_2D = {"f_thz": 713.783, "f_tol": 0.5, "tau": -0.5577, "tau_tol": 0.02}
 # reduced equations gives (713.79608 THz, -0.557397), and solve_grid on the
 # x1 = 0 event converges to (713.7961 THz, -0.5574) only.
 REF_1D = {"f_thz": 713.796, "f_tol": 0.5, "tau": -0.5574, "tau_tol": 0.02}
-SCENARIO_2D = {"v": 0.5, "f0_thz": 420.0, "x1": 0.01, "x2": 1.595, "t": 2.0}
 
 
 @_timed
@@ -105,24 +105,18 @@ def _check_band_velocities():
 def _check_planar_reference_point():
     """Planar scenario (v=0.5, f0=420 THz, x=(0.01, 1.595), t=2) against its
     causal stationary point f = 713.783 +/- 0.5 THz, tau = -0.5577 +/- 0.02,
-    stationary residual < 1e-9, t - tau_s > 0: the enumerated causal point
-    closest to the carrier (``fields._nearest_point``, as ``dopshift
-    doppler`` takes it)."""
-    p = SCENARIO_2D
-    w0 = omega_from_thz(p["f0_thz"])
-    ctx = sph.PhaseContext(t=p["t"], x=(p["x1"], p["x2"], 0.0), omega0=w0,
-                           trajectory=trj.OffsetLine(v=p["v"], H=0.0),
-                           dispersion=disp.lorentz_from_thz())
+    stationary residual < 1e-9, t - tau_s > 0: the default scenario's
+    ``Scenario.doppler_point``, the row ``dopshift doppler`` prints."""
     try:
-        sp = fld._nearest_point(ctx, w0)
+        row = Scenario().doppler_point()
     except DopshiftError as err:
         return False, f"no converged stationary point: {err}"
-    f = thz_from_omega(sp.omega_s)
+    f, tau = row["f_shift_thz"], row["tau"]
     ok = (abs(f - REF_2D["f_thz"]) <= REF_2D["f_tol"]
-          and abs(sp.tau_s - REF_2D["tau"]) <= REF_2D["tau_tol"]
-          and sp.residual_norm < 1e-9 and p["t"] - sp.tau_s > 0)
-    return ok, (f"solved f = {f:.4f} THz, tau = {sp.tau_s:.5f}, residual = "
-                f"{sp.residual_norm:.2e}")
+          and abs(tau - REF_2D["tau"]) <= REF_2D["tau_tol"]
+          and row["residual"] < 1e-9 and row["retarded_time"] > 0)
+    return ok, (f"solved f = {f:.4f} THz, tau = {tau:.5f}, residual = "
+                f"{row['residual']:.2e}")
 
 
 @_timed
@@ -131,26 +125,26 @@ def _check_collinear_reference_point():
     ``fields._collinear_point`` selects (both branches, each retarded with
     its own side's geometry; causal, stationary for the full phase to
     |grad S| <= 1e-9, nearest the carrier) against f = 713.796 +/- 0.5 THz,
-    tau = -0.5574 +/- 0.02."""
-    p = SCENARIO_2D
+    tau = -0.5574 +/- 0.02, on the default scenario's v, f0, x2 and t."""
+    sc = Scenario()
     try:
         w, tau, grad = fld._collinear_point(
-            disp.lorentz_from_thz(), omega_from_thz(p["f0_thz"]), p["v"],
-            p["x2"], p["t"])
+            sc.medium(), omega_from_thz(sc.f0_thz), sc.v, sc.x2, sc.t)
     except NoRootInBand:
         return False, "no causal closed-form collinear point"
     f = thz_from_omega(w)
     ok = (abs(f - REF_1D["f_thz"]) <= REF_1D["f_tol"]
           and abs(tau - REF_1D["tau"]) <= REF_1D["tau_tol"]
-          and p["t"] - tau > 0 and grad < 1e-9)
+          and sc.t - tau > 0 and grad < 1e-9)
     return ok, (f"solved f = {f:.4f} THz, tau = {tau:.5f}, "
                 f"|grad S| = {grad:.2e}")
 
 
 @_timed
 def _check_plasma_closed_form():
-    """Closed form vs Newton over a 5x5 (Mach, omega0/omega_p) grid, both
-    branches; M = 0 exact; omega_p = 0 reduces to the non-dispersive shift."""
+    """Closed form vs the enumerated point of ``fields.plasma_head_on`` over
+    a 5x5 (Mach, omega0/omega_p) grid, both branches; M = 0 exact;
+    omega_p = 0 reduces to the non-dispersive shift."""
     t0 = time.perf_counter()
     worst = 0.0
     for mach in np.linspace(0.0, 0.8, 5):
@@ -370,40 +364,32 @@ def _check_cherenkov():
                 f"{surf_err:.2e}, vacuum refusal: {vacuum_ok}")
 
 
-def _sweep_1d(model, f0_grid, v):
-    """f0 -> shifted frequency via the collinear closed forms (THz in/out)."""
-    out = []
-    for f0 in f0_grid:
-        w0 = omega_from_thz(float(f0))
-        roots = []
-        for sign in (+1, -1):
-            try:
-                roots += fld.metamaterial_doppler_1d(model, w0, v, sign)
-            except NoRootInBand:
-                pass
-        out.append(thz_from_omega(min(roots)) if roots else math.nan)
-    return np.array(out)
-
-
-def _secant_deviation(f0_grid, f_grid):
-    line = f_grid[0] + (f_grid[-1] - f_grid[0]) * (
-        (f0_grid - f0_grid[0]) / (f0_grid[-1] - f0_grid[0]))
-    return float(np.max(np.abs(f_grid - line)))
+def _secant_deviation(rows):
+    """Largest distance (THz) of the shifts of ``Scenario.doppler_sweep``
+    rows from the secant through the first and last solved row, and the
+    number of solved rows (the distance is NaN below 2)."""
+    solved = [row[:2] for row in rows if row[3] is None]
+    if len(solved) < 2:
+        return math.nan, len(solved)
+    f0, f = np.array(solved).T
+    line = f[0] + (f[-1] - f[0]) * ((f0 - f0[0]) / (f0[-1] - f0[0]))
+    return float(np.max(np.abs(f - line))), len(solved)
 
 
 @_timed
 def _check_nondispersive_linearity():
-    """Shift vs carrier is exactly linear without dispersion (< 1e-10 THz
-    secant deviation) and measurably nonlinear for the metamaterial."""
+    """The ``dopshift doppler-sweep`` of the default scenario over 410-432
+    THz (21 carriers): shift vs carrier is exactly linear without dispersion
+    (eps = mu = 1, < 1e-10 THz secant deviation on every row) and
+    measurably nonlinear for the metamaterial, on at least 15 rows."""
     f0_grid = np.linspace(410.0, 432.0, 21)
-    flat = _sweep_1d(disp.NonDispersive(1.0, 1.0), f0_grid, 0.5)
-    dev_flat = _secant_deviation(f0_grid, flat)
-    meta = _sweep_1d(disp.lorentz_from_thz(), f0_grid, 0.5)
-    ok_rows = ~np.isnan(meta)
-    dev_meta = _secant_deviation(f0_grid[ok_rows], meta[ok_rows])
-    ok = dev_flat < 1e-10 and dev_meta > 0.0 and ok_rows.sum() >= 15
+    dev_flat, n_flat = _secant_deviation(
+        Scenario(medium_kind="nondispersive").doppler_sweep(f0_grid))
+    dev_meta, n_meta = _secant_deviation(Scenario().doppler_sweep(f0_grid))
+    ok = (dev_flat < 1e-10 and n_flat == len(f0_grid) and dev_meta > 0.0
+          and n_meta >= 15)
     return ok, (f"non-dispersive deviation {dev_flat:.2e} THz, metamaterial "
-                f"deviation {dev_meta:.3e} THz on {int(ok_rows.sum())} rows")
+                f"deviation {dev_meta:.3e} THz on {n_meta} rows")
 
 
 CHECKS = {check.check_name: check for check in (

@@ -12,8 +12,9 @@ Criteria (one test each, one PASS/FAIL line each):
       carrier (both branches, each retarded with its own side's geometry)
       gives f = 713.796 +/- 0.5 THz, tau = -0.5574 +/- 0.02, with
       t - tau > 0 and |grad S| < 1e-9.
-  5.  Plasma closed form vs Newton to 1e-9 on the 5x5 (Mach, ratio) grid;
-      M=0 exact; plasma-frequency-free limit to 1e-12; < 1 s.
+  5.  Plasma closed form vs the enumerated point nearest it
+      (fields.plasma_head_on) to 1e-9 on the 5x5 (Mach, ratio) grid; M=0
+      exact; plasma-frequency-free limit to 1e-12; < 1 s.
   6.  Motionless source: omega_s = omega0 exactly, det = -1, signature 0,
       retarded time = r/v_g(omega0) to 1e-10.
   7.  Saddle value vs direct quadrature: error <= 5/lam at lam in
@@ -27,8 +28,9 @@ Criteria (one test each, one PASS/FAIL line each):
   10. Cherenkov: cone angle arccos(2/3) to 1e-8 for c=0.5, v=0.75; gate
       surface by retardation predicate and cone formula coincide to 1e-8;
       vacuum at v=0.5 refuses.
-  11. Non-dispersive shift-vs-carrier exactly linear (< 1e-10); metamaterial
-      sweep strictly nonlinear.
+  11. The scenario's doppler-sweep over 410-432 THz: non-dispersive
+      shift-vs-carrier exactly linear (< 1e-10 THz); metamaterial sweep
+      strictly nonlinear on at least 15 rows.
 
 The v_g target of criterion 2 is the medium's own 1/k' at the marker, and the
 points of criteria 3 and 4 are causal: emitted before they are received.  No

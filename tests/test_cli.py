@@ -93,6 +93,20 @@ class TestScenarioFiles:
                            from_text=True)
         assert sc.medium_params == {"f_p_thz": "400"}
 
+    @pytest.mark.parametrize("text, message", [
+        ("[source]\nv = fast\n", "[source] v = 'fast'"),
+        ("[DEFAULT]\nv = 0.5\n", "unknown section [DEFAULT]"),
+        ("f0_thz = 420\n", "bad scenario syntax"),
+        ("[medium]\nkind = glass\n", "unknown medium kind 'glass'")])
+    def test_rejected_file_is_a_usage_error(self, tmp_path, capsys, text,
+                                            message):
+        p = tmp_path / "case.ini"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "doppler", "--config", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         p = tmp_path / "typo.ini"
         p.write_text(SCENARIO_TEXT.replace("[solve]", "[sovle]"))

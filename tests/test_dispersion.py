@@ -350,7 +350,7 @@ class TestBandTable:
     @example(model=disp.LorentzMetamaterial(
         omega_pe=0.00188, omega_te=0.1015625, gamma_e=0.0, omega_pm=0.0,
         omega_tm=0.1015625, gamma_m=0.0))
-    def test_drawn_lorentz_mask_equals_index_and_mask(self, model):
+    def test_drawn_lorentz_mask_equals_the_scalar_flag(self, model):
         rng = np.random.default_rng(6)
         top = 1.5 * max(model.omega_te, model.omega_tm,
                         math.hypot(model.omega_te, model.omega_pe),
@@ -485,6 +485,42 @@ class TestLorentzOverflow:
             warnings.simplefilter("error")
             with pytest.raises(FrequencyOutOfRange):
                 fld.metamaterial_doppler_1d(LORENTZ, 1e200, 0.5)
+
+
+class TestExtremeCarriers:
+    """Carriers near the top of the float range end in roots or a typed
+    error, never a numpy warning."""
+
+    @pytest.mark.parametrize("w0", [1e300, 1e307])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_nondispersive_scan_finds_the_closed_form(self, w0, sign):
+        # the residuals' product, and the rescue's scale, overflow to an
+        # inf of their sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = fld.metamaterial_doppler_1d(
+                disp.NonDispersive(eps=2.25), w0, 0.5, sign)
+        assert roots == pytest.approx([w0 / (1.0 + sign * 1.5 * 0.5)],
+                                      rel=1e-12, abs=0)
+
+    def test_plasma_typed_error_where_k_cubed_overflows(self):
+        plasma = disp.ColdPlasma(omega_p=1.0)
+        assert disp.sample(plasma, 1e50).v_group == pytest.approx(1.0)
+        for route in (lambda w: disp.sample(plasma, w),
+                      lambda w: disp.wavenumber_and_group(plasma, [1.0, w]),
+                      lambda w: disp.index_and_flag(plasma, w)):
+            for w in (1e52, -1e52, 1e300, 1e307):
+                with pytest.raises(FrequencyOutOfRange):
+                    route(w)
+
+    @pytest.mark.parametrize("w0", [1e300, 1e307])
+    def test_plasma_band_scan_raises_without_warning(self, w0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (+1, -1):
+                with pytest.raises(FrequencyOutOfRange):
+                    fld.metamaterial_doppler_1d(disp.ColdPlasma(omega_p=1.0),
+                                                w0, 0.5, sign)
 
 
 class TestWaveFloats:

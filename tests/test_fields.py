@@ -15,6 +15,7 @@ from dopshift import trajectory as trj
 from dopshift import validation as val
 from dopshift.errors import (BelowCutoff, GroupVelocityMatchesSource,
                              NoCherenkovRoot, NoRootInBand, SuperluminalMach)
+from dopshift.scenario import Scenario
 from dopshift.units import omega_from_thz, thz_from_omega
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -359,6 +360,12 @@ class TestBrent:
         with pytest.raises(ValueError):
             sph._brentq(math.cos, 0.1, 0.2, xtol=1e-15, rtol=1e-15)
 
+    def test_exact_zero_at_an_end_is_the_root(self):
+        # returned before any step, as scipy's brentq does
+        tol = dict(xtol=1e-15, rtol=1e-15)
+        assert sph._brentq(lambda x: x, 0.0, 1.0, **tol) == 0.0
+        assert sph._brentq(lambda x: x - 1.0, 0.0, 1.0, **tol) == 1.0
+
     def test_nan_raises(self):
         with pytest.raises(ValueError):
             sph._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45,
@@ -473,12 +480,12 @@ class TestMetamaterialReferenceTargets:
 
     @pytest.mark.parametrize("x1, ref", [(0.01, val.REF_2D), (0.0, val.REF_1D)])
     def test_causal_stationary_point(self, x1, ref):
-        p = val.SCENARIO_2D
-        w0 = omega_from_thz(p["f0_thz"])
+        sc = Scenario()
+        w0 = omega_from_thz(sc.f0_thz)
 
         def doppler_root(tau):
-            d2 = p["x2"] - p["v"] * tau
-            v_rad = p["v"] * d2 / math.hypot(x1, d2)
+            d2 = sc.x2 - sc.v * tau
+            v_rad = sc.v * d2 / math.hypot(x1, d2)
             # At v_rad near 0.5 the positive-index band holds two roots,
             # near 533 and 714 THz; a tau-scan over [-20, 2) meets the
             # retardation equation on the upper one only.
@@ -488,11 +495,11 @@ class TestMetamaterialReferenceTargets:
                 omega_from_thz(620.0), omega_from_thz(840.0))
 
         def retardation(tau):
-            r = math.hypot(x1, p["x2"] - p["v"] * tau)
-            return r / self._v_group(doppler_root(tau)) - (p["t"] - tau)
+            r = math.hypot(x1, sc.x2 - sc.v * tau)
+            return r / self._v_group(doppler_root(tau)) - (sc.t - tau)
 
-        tau = self._bisect(retardation, -5.0, p["t"] - 0.1)
-        assert p["t"] - tau > 0
+        tau = self._bisect(retardation, -5.0, sc.t - 0.1)
+        assert sc.t - tau > 0
         assert abs(tau - ref["tau"]) < 1e-4
         assert abs(thz_from_omega(doppler_root(tau)) - ref["f_thz"]) < 1e-3
 

@@ -86,8 +86,8 @@ from dopshift import dispersion as disp
 from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
-from dopshift import validation
 from dopshift.errors import BelowCutoff, DopshiftError
+from dopshift.scenario import Scenario
 from dopshift.units import omega_from_thz
 
 PLASMA = disp.ColdPlasma(omega_p=1.0)
@@ -256,13 +256,13 @@ def test_planar_enumerated_point():
     # default-seed solve, its own solve_grid, a re-solve seeded at the grid
     # point nearest the target) to the enumerated point nearest the carrier;
     # the seed-box value stays as a check within 1e-10 relative.
-    p = validation.SCENARIO_2D
-    w0 = omega_from_thz(p["f0_thz"])
-    traj = trj.OffsetLine(v=p["v"], H=0.0)
-    x = (p["x1"], p["x2"], 0.0)
+    sc = Scenario()
+    w0 = omega_from_thz(sc.f0_thz)
+    traj = trj.OffsetLine(v=sc.v, H=0.0)
+    x = (sc.x1, sc.x2, 0.0)
     model = disp.lorentz_from_thz()
     sp = fld._nearest_point(sph.PhaseContext(
-        t=p["t"], x=x, omega0=w0, trajectory=traj, dispersion=model), w0)
+        t=sc.t, x=x, omega0=w0, trajectory=traj, dispersion=model), w0)
     assert repr((sp.omega_s, sp.tau_s)) \
         == "(1.1219837606586465, -0.5576986819093858)"
     assert [sp.omega_s, sp.tau_s] == pytest.approx(
@@ -274,7 +274,7 @@ def test_planar_enumerated_point():
 
 # repr of (omega_s, tau_s, degenerate) of every point stationary_phase.
 # solve_line returns on the planar and collinear (x1 = 0) reference events
-# (validation.SCENARIO_2D) and on the group-velocity fold event of
+# (the default ``Scenario``) and on the group-velocity fold event of
 # test_fields (427.8 THz, v 0.007, x (0.002, 0.1, 0), t 40).
 ENUMERATED = {
     0.01: "[(1.1219837606586465, -0.5576986819093858, False)]",
@@ -289,11 +289,11 @@ ENUMERATED = {
 
 @pytest.mark.parametrize("event", [0.01, 0.0, "fold"])
 def test_enumerated_sets(event):
-    p = validation.SCENARIO_2D
+    sc = Scenario()
     if event == "fold":
         t, x, f0, v = 40.0, (0.002, 0.1, 0.0), 427.8, 0.007
     else:
-        t, x, f0, v = p["t"], (event, p["x2"], 0.0), p["f0_thz"], p["v"]
+        t, x, f0, v = sc.t, (event, sc.x2, 0.0), sc.f0_thz, sc.v
     ctx = sph.PhaseContext(t=t, x=x, omega0=omega_from_thz(f0),
                            trajectory=trj.OffsetLine(v=v, H=0.0),
                            dispersion=disp.lorentz_from_thz())

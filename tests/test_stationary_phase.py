@@ -188,11 +188,6 @@ def _as_custom(traj):
     """The line as a ``CustomTrajectory`` with analytic callables that form
     its position with the same float operations, so its default seed runs
     the bisection on the same retardation values."""
-    if isinstance(traj, trj.OffsetLine):
-        v, h = traj.v, traj.H
-        return trj.CustomTrajectory(lambda s: np.array([0.0, v * s, h]),
-                                    lambda s: np.array([0.0, v, 0.0]),
-                                    lambda s: np.zeros(3))
     o, v = np.array(traj.origin), np.array(traj.velocity)
     return trj.CustomTrajectory(lambda s: o + v * s, lambda s: v.copy(),
                                 lambda s: np.zeros(3))
@@ -202,11 +197,7 @@ def _exact_near_root(ctx, vg0):
     """tau of the smallest u = t - tau >= 0 with |x - x0(tau)| = vg0 u on
     a line, from the quadratic in u taken exactly on the float inputs (60
     digits); the first root of the retardation going back from t."""
-    traj = ctx.trajectory
-    if isinstance(traj, trj.OffsetLine):
-        origin, velocity = (0.0, 0.0, traj.H), (0.0, traj.v, 0.0)
-    else:
-        origin, velocity = traj.origin, traj.velocity
+    origin, velocity = ctx.trajectory.origin, ctx.trajectory.velocity
     with localcontext(prec=60):
         t, g = Decimal(ctx.t), Decimal(vg0)
         v = [Decimal(c) for c in velocity]
@@ -251,6 +242,12 @@ class TestDefaultSeed:
         trajectory=trj.StraightLine(origin=(1.0, -1.375, -2.5),
                                     velocity=(0.0, -0.5577, -0.1171875)),
         dispersion=disp.NonDispersive(eps=3.1875, mu=1.0)))
+    @example(ctx=sph.PhaseContext(
+        t=1e-06, x=(0.0, 0.0, 0.0), omega0=0.7969450695971269,
+        trajectory=trj.OffsetLine(v=1e-06, H=0.0),
+        dispersion=disp.LorentzMetamaterial(
+            0.46908155358811565, 0.6441894051721786, 6.287535065855045e-05,
+            0.2689335936042849, 0.6254368318382659, 6.287535065855045e-05)))
     def test_closed_form_matches_bisection(self, ctx):
         # The bisection of the same retardation values stops within
         # 1e-15 max(1, |tau|) of where their rounding (a few ulp of tau)
@@ -258,14 +255,33 @@ class TestDefaultSeed:
         # 1e-14 max(1, |tau|); without a sign change both take the same
         # fallback, bit for bit.  The bisection also stops on a probe where
         # the rounded residual is exactly zero, which near a fold can lie
-        # over a hundred ulp of tau from the root (the example: 8.2e-13 at
-        # tau -49.7); there only the exact root is the reference.  Every
-        # closed-form root is also checked against the exact root, within
-        # 1e-14 max(1, |tau|) (1.6e-15 at most on 13,000 events).  A probe
-        # on the source takes the r = 0 limit, as the seed does.
+        # over a hundred ulp of tau from the root (the first example:
+        # 8.2e-13 at tau -49.7); there only the exact root is the reference.
+        # Every closed-form root is also checked against the exact root,
+        # within 1e-14 max(1, |tau|) (1.6e-15 at most on 13,000 events).  A
+        # probe on the source takes the r = 0 limit, as the seed does; the
+        # bisection then solves another equation, so where any probe took
+        # it only the exact root is the reference (the second example: the
+        # source stays within 1e-12 of the observer over the whole bracket
+        # but its top, the bisection ends 3e-16 below t and the root lies
+        # 1.03e-10 below it).
+        probes = []
+        line = _as_custom(ctx.trajectory)
+
+        def position(s):
+            probes.append(s)
+            return line.position_fn(s)
+
+        def on_source(s):
+            try:
+                trj.geometry(line, ctx.x, s)
+            except ObserverOnTrajectory:
+                return True
+            return False
+
         try:
-            ref = sph.default_seed(replace(ctx, trajectory=_as_custom(
-                ctx.trajectory)))
+            ref = sph.default_seed(replace(ctx, trajectory=replace(
+                line, position_fn=position)))
         except DopshiftError as err:
             with pytest.raises(type(err)):
                 sph.default_seed(ctx)
@@ -286,7 +302,7 @@ class TestDefaultSeed:
             return
         exact = _exact_near_root(ctx, vg0)
         assert abs(tau - exact) <= 1e-14 * max(1.0, abs(exact))
-        if ret(ref[1]) != 0.0:
+        if ret(ref[1]) != 0.0 and not any(map(on_source, probes)):
             assert abs(tau - ref[1]) <= 1e-14 * max(1.0, abs(ref[1]))
 
     def test_probe_on_the_source_keeps_the_root(self):
@@ -358,6 +374,21 @@ class TestSolvers:
             sph.solve_newton(ctx, tol=1e-10, seed=(5.0, -20.0))
         diag = err.value.diagnostics
         assert diag is not None and not diag.converged
+
+    def test_line_search_stall_raises_with_diagnostics(self):
+        # A motionless source, seeded on the lowest propagating float of the
+        # plasma band: v_g is about 2e-8 there, the Newton step points below
+        # the edge, and each halving leaves the band or rounds back onto the
+        # seed, so no trial lowers the merit.
+        ctx = plasma_ctx(mach=0.0)
+        w = math.nextafter(PLASMA.omega_p, math.inf)
+        with pytest.raises(NoConvergence,
+                           match="line search stalled at iteration 1") as err:
+            sph.solve_newton(ctx, seed=(w, 0.0))
+        diag = err.value.diagnostics
+        assert (diag.omega_s, diag.tau_s, diag.iterations) == (w, 0.0, 1)
+        assert diag.residual_norm == sph._norm(sph.gradient(ctx, w, 0.0))
+        assert not diag.converged and np.isnan(diag.hessian).all()
 
     def test_singular_hessian_raises_no_convergence(self):
         # Vacuum, and a source at light speed on the line of sight: every
