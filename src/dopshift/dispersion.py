@@ -18,6 +18,13 @@ analytic derivatives of the model permittivity and permeability.  Finite
 differences are used only as a cross-check in the test suite: near the
 resonance the group velocity is a small difference of large terms and needs
 the analytic route.
+
+Each medium class holds its formulas in private methods: ``_index_and_flag``
+(Re n and the propagating flag, no derivatives), ``_wave`` (``sample``'s
+tuple), ``_arrays`` (Re k and v_g on an array), ``_flips`` (where the flag
+can flip) and ``_index_above``.  The routes ``sample``, ``index_and_flag``,
+``wavenumber_and_group`` and ``_band_table`` check the frequency and call
+them; none tests which medium it has.
 """
 
 import cmath
@@ -34,9 +41,8 @@ from .units import omega_from_thz
 
 __all__ = [
     "NonDispersive", "ColdPlasma", "LorentzMetamaterial", "DispersionModel",
-    "DispersionSample", "branch_sqrt_product", "permittivity", "permeability",
-    "refraction_index", "sample", "index_and_flag", "wavenumber_and_group",
-    "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
+    "DispersionSample", "branch_sqrt_product", "sample", "index_and_flag",
+    "wavenumber_and_group", "lorentz_from_thz", "LORENTZ_DEFAULTS_THZ",
 ]
 
 
@@ -47,12 +53,32 @@ def _store_floats(model):
         object.__setattr__(model, name, float(getattr(model, name)))
 
 
+class _Medium:
+    """What the media share, unless a subclass writes its own."""
+
+    _MAX_OMEGA = 1e50   # beyond it a plasma's k**3 and Lorentz cubes overflow
+    _index_above = 1.0  # the index above every resonance
+
+    def _flips(self) -> list:
+        return []
+
+    def _arrays(self, w):
+        """Re k and v_g = 1/k' from ``_slope``, NaN where the scalar gate
+        gives None; an overflow is an inf of its sign."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            (_, _, n, k, kp), _ = self._slope(w)   # n 0 at an edge
+        ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
+        return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
+
+
 @dataclass(frozen=True)
-class NonDispersive:
+class NonDispersive(_Medium):
     """Constant permittivity and permeability (both strictly positive)."""
 
     eps: float = 1.0
     mu: float = 1.0
+
+    _MAX_OMEGA = math.inf   # k = omega n has no cube to overflow
 
     def __post_init__(self):
         _store_floats(self)
@@ -63,9 +89,23 @@ class NonDispersive:
     def index(self) -> float:
         return math.sqrt(self.eps * self.mu)
 
+    _index_above = index
+
+    def _index_and_flag(self, w):
+        return self.index, True
+
+    def _wave(self, w):
+        n = self.index
+        return self.eps, self.mu, n, w * n, 1.0 / n, 1.0 / n, 0.0, True
+
+    def _slope(self, w):
+        """eps, mu, n, Re k and k' = n, as the Lorentz ``_slope``."""
+        n = self.index
+        return (self.eps, self.mu, n, w * n, n), None
+
 
 @dataclass(frozen=True)
-class ColdPlasma:
+class ColdPlasma(_Medium):
     """Lossless unmagnetized plasma: eps = 1 - omega_p**2/omega**2, mu = 1."""
 
     omega_p: float = 1.0
@@ -75,9 +115,45 @@ class ColdPlasma:
         if self.omega_p < 0:
             raise ValueError("plasma frequency must be non-negative")
 
+    def _k2(self, w):
+        """k**2 = omega**2 - omega_p**2, > 0 where the plasma propagates."""
+        return w * w - self.omega_p * self.omega_p
+
+    def _k(self, w: float):
+        """k**2, k and n = k/omega at one frequency: k real with the sign of
+        omega where k**2 > 0, else i sqrt(-k**2) (limiting absorption)."""
+        if w == 0:
+            raise ZeroFrequency("plasma index diverges at omega = 0")
+        k2 = self._k2(w)
+        k = math.copysign(math.sqrt(k2), w) if k2 > 0 \
+            else 1j * math.sqrt(-k2)
+        return k2, k, k / w
+
+    def _index_and_flag(self, w):
+        k2, _, n = self._k(w)
+        return n.real, k2 > 0
+
+    def _wave(self, w):
+        k2, k, n = self._k(w)
+        eps = 1.0 - (self.omega_p / w) ** 2
+        if not k2 > 0:
+            return eps, 1.0, n, k, None, None, None, False
+        aw, ak, wp = abs(w), math.sqrt(k2), self.omega_p     # ak = |k|
+        return eps, 1.0, n, k, aw / ak, ak / aw, -wp * wp / k2 ** 1.5, True
+
+    def _arrays(self, w):   # v_g v_p = 1, so v_g = n = k/omega
+        k2 = self._k2(w)
+        ok = k2 > 0
+        k = np.copysign(np.sqrt(np.where(ok, k2, 0.0)), w)
+        n = np.divide(k, w, out=np.zeros_like(w), where=ok)
+        return w * n, np.where(ok, n, np.nan)
+
+    def _flips(self) -> list:
+        return [self.omega_p] if self.omega_p > 0 else []
+
 
 @dataclass(frozen=True)
-class LorentzMetamaterial:
+class LorentzMetamaterial(_Medium):
     """Single-resonance electric and magnetic response.
 
     All frequencies are normalized angular frequencies.
@@ -96,6 +172,70 @@ class LorentzMetamaterial:
             raise ValueError("resonance frequencies must be strictly positive")
         if min(self.omega_pe, self.omega_pm, self.gamma_e, self.gamma_m) < 0:
             raise ValueError("coupling strengths and losses must be >= 0")
+
+    def _index(self, w):
+        """eps = 1 + omega_pe**2/d_e, mu alike, n = sqrt(eps*mu), d_e and d_m,
+        d = omega_t**2 - w**2 - i w gamma (scalar or array w); a scalar w on
+        a lossless oscillator's pole (d == 0) raises DegenerateMedium."""
+        de = self.omega_te ** 2 - w * w - 1j * w * self.gamma_e
+        dm = self.omega_tm ** 2 - w * w - 1j * w * self.gamma_m
+        try:        # an array entry with d == 0 gives inf, not an error
+            eps = 1.0 + self.omega_pe ** 2 / de
+            mu = 1.0 + self.omega_pm ** 2 / dm
+        except ZeroDivisionError:
+            raise DegenerateMedium("omega on a lossless resonance pole") \
+                from None
+        return eps, mu, branch_sqrt_product(eps, mu), de, dm
+
+    def _index_and_flag(self, w):
+        n = self._index(w)[2]
+        return n.real, _wave_dominated(n)
+
+    def _slope(self, w):
+        """eps, mu, n, Re k = w Re n and k' (scalar or array w), and what k''
+        builds on: n' and (p**2, d, -d', eps') of each oscillator."""
+        eps, mu, n, de, dm = self._index(w)
+        pe2, pm2 = self.omega_pe ** 2, self.omega_pm ** 2
+        ge = 2.0 * w + 1j * self.gamma_e    # -d(de)/dw
+        gm = 2.0 * w + 1j * self.gamma_m
+        deps = pe2 * ge / de ** 2
+        dmu = pm2 * gm / dm ** 2
+        dn = (deps * mu + eps * dmu) / (2.0 * n)        # (eps*mu)' / 2n
+        return (eps, mu, n, w * n.real, n.real + w * dn.real), \
+            (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu))
+
+    def _chain(self, w):
+        """eps, mu, n, Re k = w Re n, k' and k'' (scalar or array w)."""
+        (eps, mu, n, k, kp), (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu)) = \
+            self._slope(w)
+        # x * (x * x) is the product Python's x ** 3 forms, and numpy's x ** 3
+        # on complex arrays is several times slower
+        d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / (de * (de * de)))
+        d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / (dm * (dm * dm)))
+        p2 = d2eps * mu + 2.0 * deps * dmu + eps * d2mu  # (eps*mu)''
+        d2n = (p2 - 2.0 * dn * dn) / (2.0 * n)
+        return eps, mu, n, k, kp, 2.0 * dn.real + w * d2n.real
+
+    def _wave(self, w):
+        eps, mu, n, k, kp, kpp = self._chain(w)
+        propagating = _wave_dominated(n)
+        if propagating and n.real != 0 and kp != 0:
+            return eps, mu, n, k, 1.0 / n.real, 1.0 / kp, kpp, True
+        return eps, mu, n, k, None, None, None, bool(propagating)
+
+    def _flips(self) -> list:
+        """Re r of each root r with Re r > 0 (complex ones too: ``np.roots``
+        splits a repeated real root) of Re(eps mu) |d_e d_m|**2, a real
+        degree-8 polynomial, ascending."""
+        # (d + p**2) conj(d) of each oscillator, d = t**2 - omega**2 - i
+        # omega gam, in x = omega/s and divided by s**4
+        s = self.omega_te
+        x = np.roots(functools.reduce(np.polymul, [
+            [-1.0, im * gam / s, (t * t + q * p * p) / s ** 2]
+            for p, t, gam in ((self.omega_pe, self.omega_te, self.gamma_e),
+                              (self.omega_pm, self.omega_tm, self.gamma_m))
+            for q, im in ((1.0, -1j), (0.0, 1j))]).real)
+        return sorted(s * float(r.real) for r in x if r.real > 0)
 
 
 DispersionModel = Union[NonDispersive, ColdPlasma, LorentzMetamaterial]
@@ -167,134 +307,26 @@ def _wave_dominated(n):
     return n.real ** 2 > n.imag ** 2
 
 
-def _resonance(omega_p, omega_t, gamma, w):
-    """Single-resonance response 1 + omega_p**2/d and its denominator
-    d = omega_t**2 - w**2 - i w gamma (scalar or array w); a scalar w on
-    the pole of a lossless oscillator (d == 0) raises DegenerateMedium."""
-    d = omega_t ** 2 - w * w - 1j * w * gamma
-    try:        # an array entry with d == 0 gives inf, not an error
-        return 1.0 + omega_p ** 2 / d, d
-    except ZeroDivisionError:
-        raise DegenerateMedium("omega on a lossless resonance pole") from None
-
-
-def _plasma_k2(model: ColdPlasma, omega):
-    """k**2 = omega**2 - omega_p**2; the plasma propagates where it is > 0."""
-    return omega * omega - model.omega_p * model.omega_p
-
-
-def _plasma_index(model: ColdPlasma, omega: float):
-    """k**2, k and n = k/omega at one frequency: k real with the sign of
-    omega where k**2 > 0, else the limiting-absorption k = i sqrt(-k**2)."""
-    if omega == 0:
-        raise ZeroFrequency("plasma index diverges at omega = 0")
-    _check_range(abs(omega))
-    k2 = _plasma_k2(model, omega)
-    if k2 > 0:
-        k = math.copysign(math.sqrt(k2), omega)
-    else:
-        k = 1j * math.sqrt(-k2)
-    return k2, k, k / omega
-
-
-def permittivity(model: DispersionModel, omega: float) -> complex:
-    """Relative permittivity eps(omega)."""
-    _check_finite(omega)
-    if isinstance(model, NonDispersive):
-        return complex(model.eps)
-    if isinstance(model, ColdPlasma):
-        return complex(_wave(model, omega)[0])
-    return _resonance(model.omega_pe, model.omega_te, model.gamma_e, omega)[0]
-
-
-def permeability(model: DispersionModel, omega: float) -> complex:
-    """Relative permeability mu(omega)."""
-    _check_finite(omega)
-    if isinstance(model, NonDispersive):
-        return complex(model.mu)
-    if isinstance(model, ColdPlasma):
-        return complex(1.0)
-    return _resonance(model.omega_pm, model.omega_tm, model.gamma_m, omega)[0]
-
-
-def refraction_index(model: DispersionModel, omega: float) -> complex:
-    """n(omega) on the left-handed-compatible branch."""
-    return branch_sqrt_product(permittivity(model, omega),
-                               permeability(model, omega))
-
-
-def _check_finite(omega: float):
+def _check(model: DispersionModel, omega: float):
+    """Raise ValueError on a non-finite omega and FrequencyOutOfRange above
+    the medium's ``_MAX_OMEGA`` (inf for a non-dispersive medium)."""
     if not math.isfinite(omega):
         raise ValueError("frequency must be finite")
-
-
-def _lorentz_index(model: LorentzMetamaterial, w: float):
-    """eps, mu, n = sqrt(eps*mu) and the two resonance denominators."""
-    eps, de = _resonance(model.omega_pe, model.omega_te, model.gamma_e, w)
-    mu, dm = _resonance(model.omega_pm, model.omega_tm, model.gamma_m, w)
-    return eps, mu, branch_sqrt_product(eps, mu), de, dm
-
-
-_MAX_OMEGA = 1e50   # beyond it a plasma's k**3 and the Lorentz cubes overflow
-
-
-def _check_range(w_max: float):
-    if w_max > _MAX_OMEGA:
+    if abs(omega) > model._MAX_OMEGA:
         raise FrequencyOutOfRange(
-            f"|omega| = {w_max:g} > {_MAX_OMEGA:g} (normalized)")
-
-
-def _lorentz_slope(model: LorentzMetamaterial, w):
-    """eps, mu, n, Re k = w Re n and k' (scalar or array w), and what k''
-    builds on: n' and (p**2, d, -d', eps') of each oscillator."""
-    eps, mu, n, de, dm = _lorentz_index(model, w)
-    pe2, pm2 = model.omega_pe ** 2, model.omega_pm ** 2
-    ge = 2.0 * w + 1j * model.gamma_e   # -d(de)/dw
-    gm = 2.0 * w + 1j * model.gamma_m
-    deps = pe2 * ge / de ** 2
-    dmu = pm2 * gm / dm ** 2
-    dn = (deps * mu + eps * dmu) / (2.0 * n)        # (eps*mu)' / 2n
-    return (eps, mu, n, w * n.real, n.real + w * dn.real), \
-        (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu))
-
-
-def _lorentz_chain(model: LorentzMetamaterial, w):
-    """eps, mu, n, Re k = w Re n, k' and k'' (scalar or array w)."""
-    (eps, mu, n, k, kp), (dn, (pe2, de, ge, deps), (pm2, dm, gm, dmu)) = \
-        _lorentz_slope(model, w)
-    # x * (x * x) is the product Python's x ** 3 forms, and numpy's x ** 3
-    # on complex arrays is several times slower
-    d2eps = pe2 * (2.0 / de ** 2 + 2.0 * ge ** 2 / (de * (de * de)))
-    d2mu = pm2 * (2.0 / dm ** 2 + 2.0 * gm ** 2 / (dm * (dm * dm)))
-    p2 = d2eps * mu + 2.0 * deps * dmu + eps * d2mu  # (eps*mu)''
-    d2n = (p2 - 2.0 * dn * dn) / (2.0 * n)
-    return eps, mu, n, k, kp, 2.0 * dn.real + w * d2n.real
+            f"|omega| = {abs(omega):g} > {model._MAX_OMEGA:g} (normalized)")
 
 
 def wavenumber_and_group(model: DispersionModel, omega) -> tuple:
-    """Re k and v_g on an array of frequencies, from the helpers ``sample``
-    uses; v_g is NaN where ``sample``'s ``v_group`` is None, which right at
-    a band edge may differ by rounding (numpy and Python divide complex
-    numbers differently).  Raises ValueError on a non-finite frequency and,
-    as ``sample`` does, FrequencyOutOfRange for a plasma or metamaterial
-    |omega| above 1e50."""
+    """Re k (an inf of its sign past the floats) and v_g on an array of
+    frequencies, from the formulas ``sample`` uses; v_g is NaN where
+    ``sample``'s ``v_group`` is None, which right at a band edge may differ
+    by rounding (numpy and Python divide complex numbers differently).
+    Raises ValueError on a non-finite frequency and, as ``sample`` does,
+    FrequencyOutOfRange for a plasma or metamaterial |omega| above 1e50."""
     w = np.asarray(omega, dtype=float)
-    w_max = float(np.abs(w).max(initial=0.0))
-    if not math.isfinite(w_max):
-        raise ValueError("frequency must be finite")
-    if isinstance(model, NonDispersive):    # v_g = 1/n without dispersion
-        return w * model.index, np.full(w.shape, 1.0 / model.index)
-    _check_range(w_max)
-    if isinstance(model, ColdPlasma):   # v_g v_p = 1, so v_g = n = k/omega
-        k2 = _plasma_k2(model, w)
-        ok = k2 > 0
-        k = np.copysign(np.sqrt(np.where(ok, k2, 0.0)), w)
-        n = np.divide(k, w, out=np.zeros_like(w), where=ok)
-        return w * n, np.where(ok, n, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):    # n 0 at an edge
-        (_, _, n, k, kp), _ = _lorentz_slope(model, w)
-    ok = _wave_dominated(n) & (n.real != 0) & (kp != 0)
-    return k, np.divide(1.0, kp, out=np.full(w.shape, np.nan), where=ok)
+    _check(model, float(np.abs(w).max(initial=0.0)))
+    return model._arrays(w)
 
 
 def index_and_flag(model: DispersionModel, omega: float) -> tuple:
@@ -306,15 +338,8 @@ def index_and_flag(model: DispersionModel, omega: float) -> tuple:
     plasma at 0, DegenerateMedium where eps or mu is exactly 0, and
     FrequencyOutOfRange for a plasma or metamaterial |omega| above 1e50.
     """
-    _check_finite(omega)
-    if isinstance(model, NonDispersive):
-        return model.index, True
-    if isinstance(model, ColdPlasma):
-        k2, _, n = _plasma_index(model, omega)
-        return n.real, k2 > 0
-    _check_range(abs(omega))
-    n = _lorentz_index(model, omega)[2]
-    return n.real, _wave_dominated(n)
+    _check(model, omega)
+    return model._index_and_flag(omega)
 
 
 @functools.lru_cache(maxsize=32)
@@ -322,26 +347,14 @@ def _band_table(model: DispersionModel) -> tuple:
     """(lo, hi) of each propagating band at omega > 0, ascending, 0.0 and
     inf at open ends: the adjacent floats where ``index_and_flag`` flips (a
     lossless pole or zero, where it raises, does not propagate), bisected
-    around Re r of each root r with Re r > 0 (complex ones too: ``np.roots``
-    splits a repeated real root) of Re(eps mu) |d_e d_m|**2, a real degree-8
-    polynomial (a plasma's omega_p); a root with no flip is dropped."""
+    around each of the medium's ``_flips``; one with no flip is dropped."""
     def flag(w):
         try:
             return index_and_flag(model, w)[1]
         except DegenerateMedium:
             return False
 
-    g = [model.omega_p] if getattr(model, "omega_p", 0.0) > 0 else []
-    if isinstance(model, LorentzMetamaterial):
-        # (d + p**2) conj(d) of each oscillator, d = t**2 - omega**2 - i
-        # omega gam, in x = omega/s and divided by s**4
-        m, s = model, model.omega_te
-        x = np.roots(functools.reduce(np.polymul, [
-            [-1.0, im * gam / s, (t * t + q * p * p) / s ** 2]
-            for p, t, gam in ((m.omega_pe, m.omega_te, m.gamma_e),
-                              (m.omega_pm, m.omega_tm, m.gamma_m))
-            for q, im in ((1.0, -1j), (0.0, 1j))]).real)
-        g = sorted(s * float(r.real) for r in x if r.real > 0)
+    g = model._flips()
     ends = [0.5 * g[0], *(0.5 * (a + b) for a, b in zip(g, g[1:])),
             2.0 * g[-1]] if g else [1.0]
     cuts = [0.0]    # (0, a1), (b1, a2), ..., (bk, inf) between the flips
@@ -358,23 +371,8 @@ def _wave(model: DispersionModel, omega: float) -> tuple:
     """eps, mu, n, Re k, v_p, v_g, k'' and the propagating flag at one
     frequency; the speeds and k'' are None outside the band, and where k'
     is stationary (infinite group speed; the point keeps its flag)."""
-    _check_finite(omega)
-    if isinstance(model, NonDispersive):
-        n = model.index
-        return model.eps, model.mu, n, omega * n, 1.0 / n, 1.0 / n, 0.0, True
-    if isinstance(model, ColdPlasma):
-        k2, k, n = _plasma_index(model, omega)
-        eps = 1.0 - (model.omega_p / omega) ** 2
-        if not k2 > 0:
-            return eps, 1.0, n, k, None, None, None, False
-        aw, ak, wp = abs(omega), math.sqrt(k2), model.omega_p     # ak = |k|
-        return eps, 1.0, n, k, aw / ak, ak / aw, -wp * wp / k2 ** 1.5, True
-    _check_range(abs(omega))
-    eps, mu, n, k, kp, kpp = _lorentz_chain(model, omega)
-    propagating = _wave_dominated(n)
-    if propagating and n.real != 0 and kp != 0:
-        return eps, mu, n, k, 1.0 / n.real, 1.0 / kp, kpp, True
-    return eps, mu, n, k, None, None, None, bool(propagating)
+    _check(model, omega)
+    return model._wave(omega)
 
 
 def sample(model: DispersionModel, omega: float) -> DispersionSample:

@@ -219,7 +219,7 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
         omega_range = held[0]
     else:       # before np.linspace meets a NaN or an inf
         for end in omega_range:
-            disp._check_finite(end)
+            disp._check(model, end)
 
     def g(w):
         n_real, propagating = disp.index_and_flag(model, w)

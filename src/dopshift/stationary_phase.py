@@ -458,7 +458,7 @@ def _bands(model, omega0: float, speed: float = 0.0) -> list:
         j += int(2.0 ** (j / 256) < x) if up else -int(2.0 ** (j / 256) > x)
         return 2.0 ** (j / 256)
 
-    n = model.index if isinstance(model, disp.NonDispersive) else 1.0
+    n = model._index_above
     top = 2.0 / (1.0 - n * speed) if n * speed < 1.0 else 0.0
     cut = [e * omega0 for e in [1e-3, 10.0] + ([top] if top > 10.0 else [])]
     if not (0.0 < cut[0] and cut[-1] * 2.0 ** (1 / 256) < math.inf):

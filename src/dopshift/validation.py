@@ -60,12 +60,12 @@ def _timed(fn):
 REF_F_MARKER_THZ = 417.82
 REF_V_PHASE = -0.31673          # +/- 0.005
 # +/- 10 %.  Independent route: a central difference (step 1e-5 omega) of
-# omega Re n(omega) through dispersion.refraction_index, not _lorentz_chain,
-# gives 1/k' = 0.00613441.
+# omega Re n(omega), with n written out in tests/test_fields.py
+# (_lorentz_re_n, not the package's routes), gives 0.00613441.
 REF_V_GROUP = 0.0061344
 # The scenario's only causal stationary point, in the positive-index band.
 # Independent route: the reduced equations solved by bisection (Doppler root
-# in omega through refraction_index, then the retardation mismatch in tau
+# in omega through that written-out n, then the retardation mismatch in tau
 # with the finite-difference v_g) give (713.7829 THz, -0.557699); a tau-scan
 # over [-20, 2) finds no other sign change.
 REF_2D = {"f_thz": 713.783, "f_tol": 0.5, "tau": -0.5577, "tau_tol": 0.02}

@@ -37,3 +37,41 @@ def test_every_error_class_is_raised():
                if isinstance(obj, type) and obj is not errors.DopshiftError
                and issubclass(obj, errors.DopshiftError)}
     assert sorted(defined - raised) == []
+
+
+MEDIA = {"NonDispersive", "ColdPlasma", "LorentzMetamaterial"}
+
+
+def _medium_tests(tree):
+    """Calls that pick code by the medium: ``isinstance`` against a medium
+    class, or ``getattr`` of a named attribute on a model."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) >= 2):
+            continue
+        first, second = node.args[:2]
+        classes = second.elts if isinstance(second, ast.Tuple) else [second]
+        if node.func.id == "isinstance" and any(
+                getattr(c, "id", getattr(c, "attr", None)) in MEDIA
+                for c in classes):
+            yield node
+        elif node.func.id == "getattr" and isinstance(second, ast.Constant) \
+                and getattr(first, "id", None) == "model":
+            yield node
+
+
+def test_each_medium_holds_its_formulas():
+    """No code outside the medium classes tests which medium it has, so a
+    new term of a medium goes into its class alone.  The one exception is
+    ``fields.cherenkov_solve``: a non-dispersive medium's stationary set is
+    a line, which needs another algorithm, not another formula."""
+    sites = []
+    for path in sorted(Path(dopshift.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and func.name == "cherenkov_solve"
+                   for node in ast.walk(func)}
+        sites += [f"{path.name}:{node.lineno}" for node in _medium_tests(tree)
+                  if id(node) not in allowed]
+    assert sites == []

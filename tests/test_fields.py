@@ -1,6 +1,7 @@
 """Field assembly, closed-form Doppler formulas, planar metamaterial solver
 and the Cherenkov gate."""
 
+import cmath
 import math
 import sys
 import threading
@@ -448,10 +449,25 @@ class TestDoppler2D:
         assert (w, tau) == pytest.approx((sp.omega_s, sp.tau_s), rel=1e-10)
         assert t - tau > 0 and grad <= 1e-9
 
+
+def _lorentz_re_n(w):
+    """Re n of the default metamaterial written out here, as
+    ``perfbench/verify.lorentz_index`` does: each oscillator's response,
+    then n = sqrt(|eps| |mu|) on the half-argument branch."""
+    m = LORENTZ
+    eps = 1.0 + m.omega_pe ** 2 / (m.omega_te ** 2 - w * w
+                                   - 1j * w * m.gamma_e)
+    mu = 1.0 + m.omega_pm ** 2 / (m.omega_tm ** 2 - w * w
+                                  - 1j * w * m.gamma_m)
+    half = 0.5 * (cmath.phase(eps) + cmath.phase(mu))
+    return (math.sqrt(abs(eps) * abs(mu)) * cmath.exp(1j * half)).real
+
+
 class TestMetamaterialReferenceTargets:
-    """The validation targets recomputed without _lorentz_chain or Newton:
-    Re n from refraction_index, v_g by a central difference of omega Re n,
-    and the reduced stationary equations solved by bisection."""
+    """The validation targets recomputed without the package's dispersion
+    routes or Newton: Re n from ``_lorentz_re_n``, v_g by a central
+    difference of omega Re n, and the reduced stationary equations solved
+    by bisection."""
 
     @staticmethod
     def _bisect(fn, a, b):
@@ -469,7 +485,7 @@ class TestMetamaterialReferenceTargets:
     @staticmethod
     def _v_group(w, rel_step=1e-5):
         def k(x):
-            return x * disp.refraction_index(LORENTZ, x).real
+            return x * _lorentz_re_n(x)
 
         h = rel_step * w
         return 2.0 * h / (k(w + h) - k(w - h))
@@ -490,8 +506,7 @@ class TestMetamaterialReferenceTargets:
             # near 533 and 714 THz; a tau-scan over [-20, 2) meets the
             # retardation equation on the upper one only.
             return self._bisect(
-                lambda w: w - w0 - w * disp.refraction_index(
-                    LORENTZ, w).real * v_rad,
+                lambda w: w - w0 - w * _lorentz_re_n(w) * v_rad,
                 omega_from_thz(620.0), omega_from_thz(840.0))
 
         def retardation(tau):
@@ -561,7 +576,7 @@ class TestMovingSourceFields:
         assert out == []
 
     # The fold event's five causal points by the route of
-    # TestMetamaterialReferenceTargets (Re n from refraction_index, v_g by a
+    # TestMetamaterialReferenceTargets (Re n from _lorentz_re_n, v_g by a
     # central difference of omega Re n, here with step 1e-7 omega): at each
     # tau the Doppler equation is bisected in omega, and the retardation
     # mismatch then in tau, within (THz, tau) brackets that hold one point.
@@ -578,9 +593,8 @@ class TestMovingSourceFields:
         def doppler_root(tau):
             d2 = x[1] - v * tau
             v_rad = v * d2 / math.hypot(x[0], d2)
-            return ref._bisect(lambda w: w - w0 - w * disp.refraction_index(
-                LORENTZ, w).real * v_rad, omega_from_thz(f_lo),
-                omega_from_thz(f_hi))
+            return ref._bisect(lambda w: w - w0 - w * _lorentz_re_n(w) * v_rad,
+                               omega_from_thz(f_lo), omega_from_thz(f_hi))
 
         def retardation(tau):
             r = math.hypot(x[0], x[1] - v * tau)
