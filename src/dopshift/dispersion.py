@@ -73,7 +73,8 @@ class _Medium:
 
 @dataclass(frozen=True)
 class NonDispersive(_Medium):
-    """Constant permittivity and permeability (both strictly positive)."""
+    """Constant permittivity and permeability (both strictly positive, with
+    a nonzero finite index sqrt(eps mu))."""
 
     eps: float = 1.0
     mu: float = 1.0
@@ -82,8 +83,9 @@ class NonDispersive(_Medium):
 
     def __post_init__(self):
         _store_floats(self)
-        if not (self.eps > 0 and self.mu > 0):
-            raise ValueError("non-dispersive medium requires eps > 0, mu > 0")
+        if not (self.eps > 0 and self.mu > 0 and 0 < self.index < math.inf):
+            raise ValueError("non-dispersive medium requires eps > 0, mu > 0 "
+                             "and 0 < sqrt(eps mu) < inf")
 
     @property
     def index(self) -> float:

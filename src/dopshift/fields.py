@@ -92,10 +92,10 @@ def doppler_classification(k_at_solution: float, v_rad: float) -> DopplerClass:
 def _assemble(source: SourceModel, ctx: sph.PhaseContext,
               sp: sph.StationaryPoint, gate: bool) -> FieldContribution:
     """One point's contribution, from one geometry and one dispersion
-    evaluation there; S is formed as in ``stationary_phase.phase``."""
+    evaluation there."""
     r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s)
     _, mu, _, k, _, _, _, _ = disp._wave(ctx.dispersion, sp.omega_s)
-    s_val = k * r - sp.omega_s * (ctx.t - sp.tau_s) - ctx.omega0 * sp.tau_s
+    s_val = sph._phase_of(ctx, sp.omega_s, sp.tau_s, k, r)
     direction = trj.velocity(ctx.trajectory, sp.tau_s)
     if not np.any(direction) and source.polarization is not None:
         direction = trj.as_vec3(source.polarization)

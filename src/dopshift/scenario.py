@@ -34,7 +34,6 @@ read, are rejected.  Command-line flags override individual keys.
 """
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -182,15 +181,12 @@ def _reject_unknown(cp):
                 f"[{section}] unknown keys: {', '.join(unknown)}")
 
 
-def load_scenario(path_or_text: str, from_text: bool = False) -> Scenario:
-    """Parse a scenario file (or literal text when ``from_text``)."""
+def load_scenario(path: str) -> Scenario:
+    """Parse a scenario file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        if from_text:
-            cp.read_file(io.StringIO(path_or_text))
-        else:
-            with open(path_or_text) as fh:
-                cp.read_file(fh)
+        with open(path) as fh:
+            cp.read_file(fh)
     except OSError as err:
         raise ScenarioError(f"cannot read scenario: {err}")
     except configparser.Error as err:

@@ -77,6 +77,12 @@ def phase(ctx: PhaseContext, omega: float, tau: float) -> float:
     """S = k r - omega (t - tau) - omega0 tau (real part of k)."""
     k = disp._wave_floats(ctx.dispersion, omega)[0]
     r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+    return _phase_of(ctx, omega, tau, k, r)
+
+
+def _phase_of(ctx: PhaseContext, omega: float, tau: float, k: float,
+              r: float) -> float:
+    """``phase`` from Re k at omega and the range r at tau."""
     return k * r - omega * (ctx.t - tau) - ctx.omega0 * tau
 
 

@@ -12,11 +12,15 @@ The second expression is what the leading-order magnetic amplitude needs; the
 third drives the electric amplitude.  Both are validated against nested
 finite differences of r itself in the test suite (the finite-difference
 oracle is authoritative).
+
+Each world-line kind gives its position, velocity and acceleration at an
+emission time through its own ``_state`` method; the functions below call
+it and never test the kind.
 """
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -31,7 +35,6 @@ __all__ = [
 Vec3 = np.ndarray
 
 _MIN_RANGE = 1e-12          # l0 units; closer counts as "on the trajectory"
-_FD_REL_STEP = 1e-6
 _ZERO = (0.0, 0.0, 0.0)
 
 
@@ -55,6 +58,11 @@ class StraightLine:
         object.__setattr__(self, "origin", tuple(map(float, self.origin)))
         object.__setattr__(self, "velocity", tuple(map(float, self.velocity)))
 
+    def _state(self, tau: float):
+        """Position, velocity and acceleration at tau, as float triples."""
+        (o0, o1, o2), v = self.origin, self.velocity
+        return (o0 + v[0] * tau, o1 + v[1] * tau, o2 + v[2] * tau), v, _ZERO
+
 
 def OffsetLine(v: float = 0.0, H: float = 0.0) -> StraightLine:
     """x0(tau) = (0, v*tau, H): motion along x2 at lateral offset H."""
@@ -63,58 +71,40 @@ def OffsetLine(v: float = 0.0, H: float = 0.0) -> StraightLine:
 
 @dataclass(frozen=True)
 class CustomTrajectory:
-    """Arbitrary world-line given by callables tau -> 3-vector.
+    """Arbitrary world-line given by callables tau -> 3-vector: its
+    position, velocity and acceleration.
 
-    The callables must be pure and safe to call concurrently.  Missing
-    velocity/acceleration callables are replaced by central finite
-    differences (one Richardson level).
+    All three are required: the acceleration enters every field amplitude
+    through the Hessian entry S_tautau = -k dv_rad/dtau, and differences
+    of the position give it too poorly for that.  The callables must be
+    pure, agree with each other and be safe to call concurrently.
     """
 
     position_fn: Callable[[float], Vec3]
-    velocity_fn: Optional[Callable[[float], Vec3]] = None
-    acceleration_fn: Optional[Callable[[float], Vec3]] = None
+    velocity_fn: Callable[[float], Vec3]
+    acceleration_fn: Callable[[float], Vec3]
+
+    def _state(self, tau: float):
+        """Position, velocity and acceleration at tau, each checked as
+        ``as_vec3`` checks it, as float lists."""
+        return (as_vec3(self.position_fn(tau)).tolist(),
+                as_vec3(self.velocity_fn(tau)).tolist(),
+                as_vec3(self.acceleration_fn(tau)).tolist())
 
 
 Trajectory = Union[StraightLine, CustomTrajectory]
 
 
 def position(traj: Trajectory, tau: float) -> Vec3:
-    if isinstance(traj, CustomTrajectory):
-        return as_vec3(traj.position_fn(tau))
-    return np.array(_state(traj, tau)[0])
-
-
-def _richardson(f: Callable[[float], np.ndarray], tau: float) -> np.ndarray:
-    """Central difference with one Richardson extrapolation level."""
-    h = _FD_REL_STEP * max(1.0, abs(tau))
-    d1 = (f(tau + h) - f(tau - h)) / (2 * h)
-    d2 = (f(tau + h / 2) - f(tau - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return np.array(traj._state(tau)[0])
 
 
 def velocity(traj: Trajectory, tau: float) -> Vec3:
-    if not isinstance(traj, CustomTrajectory):
-        return np.array(_state(traj, tau)[1])
-    if traj.velocity_fn is not None:
-        return as_vec3(traj.velocity_fn(tau))
-    return _richardson(lambda s: position(traj, s), tau)
+    return np.array(traj._state(tau)[1])
 
 
 def acceleration(traj: Trajectory, tau: float) -> Vec3:
-    if not isinstance(traj, CustomTrajectory):
-        return np.zeros(3)
-    if traj.acceleration_fn is not None:
-        return as_vec3(traj.acceleration_fn(tau))
-    return _richardson(lambda s: velocity(traj, s), tau)
-
-
-def _state(traj: Trajectory, tau: float):
-    """Position, velocity and acceleration at tau, as float triples."""
-    if isinstance(traj, StraightLine):
-        (o0, o1, o2), v = traj.origin, traj.velocity
-        return (o0 + v[0] * tau, o1 + v[1] * tau, o2 + v[2] * tau), v, _ZERO
-    return (position(traj, tau).tolist(), velocity(traj, tau).tolist(),
-            acceleration(traj, tau).tolist())
+    return np.array(traj._state(tau)[2])
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def _geometry_floats(traj: Trajectory, x, tau: float):
     arithmetic, and this runs once per Newton trial point.
     """
     x0, x1, x2 = _float3(x)
-    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = _state(traj, float(tau))
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = traj._state(float(tau))
     d0, d1, d2 = x0 - p0, x1 - p1, x2 - p2
     r = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     if r < _MIN_RANGE:

@@ -49,6 +49,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def load_text(tmp_path, text):
+    """``load_scenario`` of a file holding text."""
+    p = tmp_path / "scenario.ini"
+    p.write_text(text)
+    return load_scenario(str(p))
+
+
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "case.ini"
@@ -58,16 +65,16 @@ class TestScenarioFiles:
         assert sc.f0_thz == 420.0
         assert sc.x2 == 1.595
 
-    def test_defaults_fill_missing_sections(self):
-        sc = load_scenario("[source]\nf0_thz = 100\n", from_text=True)
+    def test_defaults_fill_missing_sections(self, tmp_path):
+        sc = load_text(tmp_path, "[source]\nf0_thz = 100\n")
         assert sc.f0_thz == 100.0
         assert sc.medium_kind == "lorentz"
 
-    def test_bad_values_rejected(self):
+    def test_bad_values_rejected(self, tmp_path):
         with pytest.raises(ScenarioError):
-            load_scenario("[source]\nv = 1.5\n", from_text=True)
+            load_text(tmp_path, "[source]\nv = 1.5\n")
         with pytest.raises(ScenarioError):
-            load_scenario("[solve]\ntol = 0\n", from_text=True)
+            load_text(tmp_path, "[solve]\ntol = 0\n")
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.ini")
 
@@ -77,20 +84,20 @@ class TestScenarioFiles:
         "[solve]\ntol = nan\n", "[observer]\nt = 1e13\n",
         "[medium]\nkind = plasma\nf_p_thz = 1e-300\n",
         "[medium]\nkind = lorentz\nf_te_thz = nan\n"])
-    def test_values_outside_the_modelled_range_rejected(self, text):
+    def test_values_outside_the_modelled_range_rejected(self, tmp_path,
+                                                        text):
         with pytest.raises(ScenarioError):
-            load_scenario(text, from_text=True)
+            load_text(tmp_path, text)
 
-    def test_unknown_sections_and_keys_rejected(self, capsys):
+    def test_unknown_sections_and_keys_rejected(self, tmp_path):
         for text in ("[sovle]\ntol = 1e-10\n",
                      "[medium]\nkind = lorentz\nneglect_imaginery = false\n",
                      "[medium]\nkind = lorentz\nneglect_imaginary = true\n",
                      "[medium]\nkind = plasma\neps = 4\n",
                      "[observer]\ny = 1\n"):
             with pytest.raises(ScenarioError):
-                load_scenario(text, from_text=True)
-        sc = load_scenario("[medium]\nkind = plasma\nf_p_thz = 400\n",
-                           from_text=True)
+                load_text(tmp_path, text)
+        sc = load_text(tmp_path, "[medium]\nkind = plasma\nf_p_thz = 400\n")
         assert sc.medium_params == {"f_p_thz": "400"}
 
     @pytest.mark.parametrize("text, message", [
@@ -137,9 +144,9 @@ class TestScenarioFiles:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_medium_construction(self):
-        sc = load_scenario("[medium]\nkind = nondispersive\neps = 4\nmu = 1\n",
-                           from_text=True)
+    def test_medium_construction(self, tmp_path):
+        sc = load_text(tmp_path,
+                       "[medium]\nkind = nondispersive\neps = 4\nmu = 1\n")
         m = sc.medium()
         assert m.eps == 4.0 and m.mu == 1.0
 
@@ -197,10 +204,9 @@ class TestScenarioFiles:
             dests = {a.dest for a in commands[command]._actions} - {"help"}
             assert dests - keys == set(), command
 
-    def test_docstring_example_is_the_default(self):
+    def test_docstring_example_is_the_default(self, tmp_path):
         text = scenario.__doc__.split("Example::")[1].split("\n\nUnknown")[0]
-        assert load_scenario(textwrap.dedent(text),
-                             from_text=True) == Scenario()
+        assert load_text(tmp_path, textwrap.dedent(text)) == Scenario()
 
     @pytest.mark.parametrize("command", [
         ("doppler",),

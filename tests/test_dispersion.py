@@ -589,6 +589,10 @@ class TestGroupVelocityDerivatives:
 def test_model_validation():
     with pytest.raises(ValueError):
         disp.NonDispersive(eps=-1.0, mu=1.0)
+    # eps * mu underflows to an index of 0 and overflows to one of inf
+    for eps_mu in (1e-200, 1e200):
+        with pytest.raises(ValueError):
+            disp.NonDispersive(eps=eps_mu, mu=eps_mu)
     with pytest.raises(ValueError):
         disp.ColdPlasma(omega_p=-0.1)
     with pytest.raises(ValueError):

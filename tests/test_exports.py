@@ -40,11 +40,12 @@ def test_every_error_class_is_raised():
 
 
 MEDIA = {"NonDispersive", "ColdPlasma", "LorentzMetamaterial"}
+WORLD_LINES = {"StraightLine", "CustomTrajectory"}
 
 
-def _medium_tests(tree):
-    """Calls that pick code by the medium: ``isinstance`` against a medium
-    class, or ``getattr`` of a named attribute on a model."""
+def _kind_tests(tree, kinds):
+    """Calls that pick code by the kind: ``isinstance`` against a class in
+    kinds, or ``getattr`` of a named attribute on a model."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and len(node.args) >= 2):
@@ -52,7 +53,7 @@ def _medium_tests(tree):
         first, second = node.args[:2]
         classes = second.elts if isinstance(second, ast.Tuple) else [second]
         if node.func.id == "isinstance" and any(
-                getattr(c, "id", getattr(c, "attr", None)) in MEDIA
+                getattr(c, "id", getattr(c, "attr", None)) in kinds
                 for c in classes):
             yield node
         elif node.func.id == "getattr" and isinstance(second, ast.Constant) \
@@ -60,18 +61,35 @@ def _medium_tests(tree):
             yield node
 
 
-def test_each_medium_holds_its_formulas():
-    """No code outside the medium classes tests which medium it has, so a
-    new term of a medium goes into its class alone.  The one exception is
-    ``fields.cherenkov_solve``: a non-dispersive medium's stationary set is
-    a line, which needs another algorithm, not another formula."""
+def _sites_outside(kinds, functions):
+    """file:line of each test of the kind in the package outside the named
+    functions."""
     sites = []
     for path in sorted(Path(dopshift.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = {id(node) for func in ast.walk(tree)
                    if isinstance(func, ast.FunctionDef)
-                   and func.name == "cherenkov_solve"
+                   and func.name in functions
                    for node in ast.walk(func)}
-        sites += [f"{path.name}:{node.lineno}" for node in _medium_tests(tree)
+        sites += [f"{path.name}:{node.lineno}"
+                  for node in _kind_tests(tree, kinds)
                   if id(node) not in allowed]
-    assert sites == []
+    return sites
+
+
+def test_each_medium_holds_its_formulas():
+    """No code outside the medium classes tests which medium it has, so a
+    new term of a medium goes into its class alone.  The one exception is
+    ``fields.cherenkov_solve``: a non-dispersive medium's stationary set is
+    a line, which needs another algorithm, not another formula."""
+    assert _sites_outside(MEDIA, {"cherenkov_solve"}) == []
+
+
+def test_each_world_line_holds_its_state():
+    """No code outside the world-line classes tests which kind it has to
+    get a position or a derivative: each kind's ``_state`` gives them.
+    Three functions test the kind to pick an algorithm: ``default_seed``
+    (bisection off a line), ``solve_line`` (needs a line) and
+    ``moving_source_fields`` (a seed grid off a line)."""
+    assert _sites_outside(WORLD_LINES, {"default_seed", "solve_line",
+                                        "moving_source_fields"}) == []

@@ -758,7 +758,9 @@ class TestSolveLine:
     def test_needs_a_straight_line(self):
         ctx = sph.PhaseContext(
             t=1.0, x=(0.0, 4.0, 0.0), omega0=2.0, dispersion=PLASMA,
-            trajectory=trj.CustomTrajectory(lambda s: np.array([0, s, 0.0])))
+            trajectory=trj.CustomTrajectory(lambda s: np.array([0, s, 0.0]),
+                                            lambda s: np.array([0, 1, 0.0]),
+                                            lambda s: np.zeros(3)))
         with pytest.raises(TypeError):
             sph.solve_line(ctx)
 
@@ -781,7 +783,8 @@ class TestSolveLine:
     def test_seed_box_on_custom_trajectory_keeps_the_grid(self):
         src = fld.SourceModel(omega0=2.0)
         custom = trj.CustomTrajectory(lambda s: np.array([0.0, 0.5 * s, 0.0]),
-                                      lambda s: np.array([0.0, 0.5, 0.0]))
+                                      lambda s: np.array([0.0, 0.5, 0.0]),
+                                      lambda s: np.zeros(3))
         box = ((1.5, 6.0), (-8.0, 0.9))
         out = fld.moving_source_fields(src, custom, PLASMA, (0.0, 4.0, 0.0),
                                        1.0, seed_box=box, n_seeds=(5, 5))

@@ -145,10 +145,8 @@ def _random_trajectory(rng, kind):
                               H=float(rng.normal()))
     pos, vel, acc = _circle(float(rng.uniform(0.5, 3.0)),
                             float(rng.uniform(-0.5, 0.5)))
-    if kind == "custom":
-        return trj.CustomTrajectory(position_fn=pos, velocity_fn=vel,
-                                    acceleration_fn=acc)
-    return trj.CustomTrajectory(position_fn=pos)     # Richardson differences
+    return trj.CustomTrajectory(position_fn=pos, velocity_fn=vel,
+                                acceleration_fn=acc)
 
 
 class TestFloatKernelAgainstNumpy:
@@ -157,11 +155,9 @@ class TestFloatKernelAgainstNumpy:
 
     RTOL = 1e-13
 
-    @pytest.mark.parametrize("kind", ["straight", "offset", "custom",
-                                      "custom-position-only"])
+    @pytest.mark.parametrize("kind", ["straight", "offset", "custom"])
     def test_random_draws(self, kind):
-        rng = np.random.default_rng(["straight", "offset", "custom",
-                                     "custom-position-only"].index(kind))
+        rng = np.random.default_rng(["straight", "offset", "custom"].index(kind))
         checked = 0
         for _ in range(200):
             traj = _random_trajectory(rng, kind)
@@ -223,24 +219,21 @@ class TestCustomTrajectory:
               - trj.geometry(traj, (5.0, 1.0, 0.5), 0.9 - h).v_rad) / (2 * h)
         assert g.dv_rad_dtau == pytest.approx(fd, rel=1e-6)
 
-    def test_position_only_velocity_by_finite_differences(self):
+    def test_derivatives_are_required(self):
+        # the acceleration sets S_tautau, so no derivative is guessed
         pos, vel, _ = _circle()
-        traj = trj.CustomTrajectory(position_fn=pos)
-        full = trj.CustomTrajectory(position_fn=pos, velocity_fn=vel)
-        g = trj.geometry(traj, (5.0, 1.0, 0.5), 0.9)
-        assert g.v_rad == pytest.approx(
-            trj.geometry(full, (5.0, 1.0, 0.5), 0.9).v_rad, rel=1e-8)
+        with pytest.raises(TypeError):
+            trj.CustomTrajectory(position_fn=pos)
+        with pytest.raises(TypeError):
+            trj.CustomTrajectory(position_fn=pos, velocity_fn=vel)
 
-    def test_slowed_world_line_has_bounded_velocity(self):
-        # x0(t) = L * X0(t/L) keeps |velocity| <= sup |X0'| for every scale L
-        profile = lambda s: np.array([math.tanh(s), 0.5 * math.sin(s), 0.0])
-        sup_speed = math.sqrt(1.0 + 0.25)          # |X0'| <= sqrt(1 + 1/4)
-        for lam in (1.0, 10.0, 1e3):
-            traj = trj.CustomTrajectory(
-                position_fn=lambda s, L=lam: L * profile(s / L))
-            for t in (-3.0, 0.0, 5.0, 40.0):
-                speed = float(np.linalg.norm(trj.velocity(traj, t)))
-                assert speed <= sup_speed + 1e-6
+    @pytest.mark.parametrize("bad", [(0.0, math.nan, 0.0), (1.0, 2.0)])
+    def test_each_callable_is_checked(self, bad):
+        pos, vel, acc = _circle()
+        for fns in ((lambda s: bad, vel, acc), (pos, lambda s: bad, acc),
+                    (pos, vel, lambda s: bad)):
+            with pytest.raises(ValueError):
+                trj.geometry(trj.CustomTrajectory(*fns), (5.0, 1.0, 0.5), 0.9)
 
 
 def _factors(traj, x, tau):
@@ -321,7 +314,8 @@ class TestAmplitudeFactors:
     def test_custom_kind_supported_via_velocity(self):
         pos = lambda s: np.array([0.0, 0.5 * s, 0.0])
         traj = trj.CustomTrajectory(position_fn=pos,
-                                    velocity_fn=lambda s: np.array([0, 0.5, 0]))
+                                    velocity_fn=lambda s: np.array([0, 0.5, 0]),
+                                    acceleration_fn=lambda s: np.zeros(3))
         curl, graddiv = _factors(traj, (1.0, 2.0, 0.0), 0.3)
         curl_b, graddiv_b = _factors(trj.OffsetLine(v=0.5, H=0.0),
                                      (1.0, 2.0, 0.0), 0.3)
