@@ -21,10 +21,10 @@ the analytic route.
 
 Each medium class holds its formulas in private methods: ``_index_and_flag``
 (Re n and the propagating flag, no derivatives), ``_wave`` (``sample``'s
-tuple), ``_arrays`` (Re k and v_g on an array), ``_flips`` (where the flag
-can flip) and ``_index_above``.  The routes ``sample``, ``index_and_flag``,
-``wavenumber_and_group`` and ``_band_table`` check the frequency and call
-them; none tests which medium it has.
+tuple), ``_arrays`` (Re k and v_g on arrays), ``_flips`` (where the flag can
+flip), ``_doppler_roots`` (closed-form collinear roots) and ``_index_above``.
+The routes ``sample``, ``index_and_flag``, ``wavenumber_and_group`` and
+``_band_table`` check the frequency and call them, never testing the medium.
 """
 
 import cmath
@@ -61,6 +61,9 @@ class _Medium:
 
     def _flips(self) -> list:
         return []
+
+    def _doppler_roots(self, omega0, sv):   # none in closed form: scan
+        return None
 
     def _arrays(self, w):
         """Re k and v_g = 1/k' from ``_slope``, NaN where the scalar gate
@@ -99,6 +102,11 @@ class NonDispersive(_Medium):
     def _wave(self, w):
         n = self.index
         return self.eps, self.mu, n, w * n, 1.0 / n, 1.0 / n, 0.0, True
+
+    def _doppler_roots(self, omega0, sv):
+        """The root omega0 / (1 + sv n), if it is positive and finite."""
+        w = omega0 / d if (d := 1.0 + sv * self.index) else math.nan
+        return [w] if 0.0 < w < math.inf else []
 
     def _slope(self, w):
         """eps, mu, n, Re k and k' = n, as the Lorentz ``_slope``."""

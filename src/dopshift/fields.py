@@ -13,6 +13,7 @@ a(tau_s) e^{i(S + pi/4 sgn)} / (4 pi r sqrt|det|).
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -91,12 +92,13 @@ def doppler_classification(k_at_solution: float, v_rad: float) -> DopplerClass:
 
 def _assemble(source: SourceModel, ctx: sph.PhaseContext,
               sp: sph.StationaryPoint, gate: bool) -> FieldContribution:
-    """One point's contribution, from one geometry and one dispersion
-    evaluation there."""
-    r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s)
+    """One point's contribution, from one world-line, one geometry and one
+    dispersion evaluation there."""
+    state = ctx.trajectory._state(float(sp.tau_s))
+    r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s, state)
     _, mu, _, k, _, _, _, _ = disp._wave(ctx.dispersion, sp.omega_s)
     s_val = sph._phase_of(ctx, sp.omega_s, sp.tau_s, k, r)
-    direction = trj.velocity(ctx.trajectory, sp.tau_s)
+    direction = np.array(state[1])
     if not np.any(direction) and source.polarization is not None:
         direction = trj.as_vec3(source.polarization)
     if gate and not sp.degenerate and np.any(direction):
@@ -193,15 +195,41 @@ def _nearest_point(ctx: sph.PhaseContext, omega_ref: float,
     return min(found, key=lambda p: abs(p.omega_s - omega_ref))
 
 
+@functools.lru_cache(maxsize=64)
+def _doppler_curve(model, window: tuple, sv: float) -> tuple:
+    """The carrier-free data of the collinear scan on ``window``'s grid
+    (``stationary_phase._base_grid``): the grid, Re k, F = omega + sv Re k
+    (NaN where v_g is not finite), max |omega| + |sv Re k| where F is not
+    NaN, and each maximal run of cells where F does not fall, or falls, as
+    (first node, d = 1 or -1, max |omega|, d F on its nodes: ascending)."""
+    grid, k, vg = sph._base_grid(model, (window,), 4001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.where(np.isfinite(vg), grid + sv * k, np.nan)
+        top = np.abs(grid) + np.abs(sv * k)
+        step = np.diff(f)                       # NaN next to a NaN
+        slope = np.sign(step) + (step == 0)     # a flat cell does not fall
+    signed = np.array([f, -f])
+    signed.flags.writeable = False
+    starts = np.flatnonzero(np.diff(slope, prepend=np.nan))
+    runs = tuple((int(a), float(slope[a]), float(max(abs(grid[[a, b]]))),
+                  signed[int(slope[a] < 0), a:b + 1])   # its nodes a to b
+                 for a, b in zip(starts, [*starts[1:], len(slope)])
+                 if not np.isnan(slope[a]))
+    return grid, k, signed[0], float(top[~np.isnan(f)].max(initial=0.0)), runs
+
+
 def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
                             omega_range=None) -> list[float]:
     """Roots of g(w) = w (1 + sign * n(w) v) - w0 on the propagating band.
 
     Scans the window of ``stationary_phase._bands`` that holds omega0 (or
-    the given range) on its cached 4001-node grid (``_base_grid``): where
-    v_g is finite the residual is w + sign v Re k - w0.  Brackets the sign
-    changes and polishes each with Brent's method on the scalar
-    ``dispersion.index_and_flag``.
+    the given range), for sign +1 or -1.  A non-dispersive medium gives its
+    root w0 / (1 + sign n v), if positive and finite (and in a given range).
+    Otherwise g = F - w0 on the window's cached curve F = w + sign v Re k
+    (``_doppler_curve``); binary search on each run where F is monotone
+    finds the nodes within 2e-9 (|w| + |w0|) of w0, where g is taken from
+    the scalar ``dispersion.index_and_flag``, and one node on each side.
+    Brent's method polishes each of their cells whose ends differ in sign.
     A given ``omega_range`` must lie inside one propagating band, as every
     ``_bands`` window does: next to a band edge inside the range the grid's
     finite v_g can differ from the scalar flag by rounding, and the polish
@@ -210,6 +238,7 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
     """
     if not -1.0 < v < 1.0:
         raise ValueError("source speed must lie in (-1, 1)")
+    roots = model._doppler_roots(omega0, sign * v)
     if omega_range is None:
         # no window for omega0 <= 0, where a plasma's flag raises; the flag
         # can propagate between bands as rounding noise
@@ -220,33 +249,36 @@ def metamaterial_doppler_1d(model, omega0: float, v: float, sign: int = +1,
     else:       # before np.linspace meets a NaN or an inf
         for end in omega_range:
             disp._check(model, end)
+        lo, hi = sorted(omega_range)
+        roots = roots and [w for w in roots if lo <= w <= hi]
 
     def g(w):
-        n_real, propagating = disp.index_and_flag(model, w)
-        return w * (1.0 + sign * n_real * v) - omega0 if propagating \
-            else math.nan
+        n_real, ok = disp.index_and_flag(model, w)
+        return w * (1.0 + sign * n_real * v) - omega0 if ok else math.nan
 
-    grid, k, vg = sph._base_grid(model, (tuple(map(float, omega_range)),),
-                                 4001)
-    ok = np.isfinite(vg)
-    # The array Re k rounds differently from sample's (by about 5e-13 of
-    # |k|), so a residual this close to zero could take the other sign on
-    # the scalar route that the polish uses: take those points from g.  An
-    # overflow near the top of the float range is an inf of the right sign.
-    with np.errstate(over="ignore"):
-        vals = np.where(ok, grid + sign * v * k - omega0, np.nan)
-        scale = np.abs(grid) + np.abs(v * k) + abs(omega0)
-        for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
-            vals[i] = g(float(grid[i]))
-        fa, fb = vals[:-1], vals[1:]
-        cross = fa * fb < 0
-    both = ok[:-1] & ok[1:]
-    roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
-    for i in np.flatnonzero(both & cross):
-        roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
-                                 xtol=1e-14, rtol=1e-15))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    if roots is None:
+        grid, k, f, top, runs = _doppler_curve(
+            model, tuple(map(float, omega_range)), sign * v)
+        # g, not the array's F - w0, where |F - w0| <= 1e-9 (|w| + |v k| +
+        # |w0|), so within 2e-9 (|w| + |w0|); the last node always (a zero
+        # there needs no neighbour), every node if the scale overflows
+        nodes = set(range(0 if top + abs(omega0) == math.inf else len(f) - 1,
+                          len(f)))
+        for a, d, w_max, keys in runs:
+            tol = 2.000001e-9 * (w_max + abs(omega0))
+            i0, i1 = keys.searchsorted((d * omega0 - tol, d * omega0 + tol))
+            nodes.update(range(a + max(i0 - 1, 0), a + min(i1 + 1, len(keys))))
+        nodes, vals, roots = sorted(nodes), [], []
+        for w, fw, kw in zip(*(a[nodes].tolist() for a in (grid, f, k))):
+            res, scale = fw - omega0, abs(w) + abs(v * kw) + abs(omega0)
+            vals.append(g(w) if abs(res) <= 1e-9 * scale else res)
+        for j, (i, fa) in enumerate(zip(nodes, vals)):
+            if fa == 0.0 and (i == len(f) - 1 or not math.isnan(f[i + 1])):
+                roots.append(float(grid[i]))
+            elif i + 1 in nodes[j + 1:j + 2] and (
+                    fa < 0.0 < vals[j + 1] or vals[j + 1] < 0.0 < fa):
+                roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
+                                         xtol=1e-14, rtol=1e-15))
     if not roots:
         raise NoRootInBand(
             f"no Doppler root in [{omega_range[0]:g}, {omega_range[1]:g}]")

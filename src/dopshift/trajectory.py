@@ -127,9 +127,9 @@ def _float3(x):
     return tuple(as_vec3(x).tolist())
 
 
-def _geometry_floats(traj: Trajectory, x, tau: float):
+def _geometry_floats(traj: Trajectory, x, tau: float, state=None):
     """``geometry``'s values as floats: (r, unit_dir as a float triple,
-    v_rad, dv_rad/dtau).
+    v_rad, dv_rad/dtau), from ``state``, traj._state(tau), if given.
 
     dv_rad/dtau uses d(x - x0)/dtau = -v and d r/dtau = -v_rad:
 
@@ -139,7 +139,7 @@ def _geometry_floats(traj: Trajectory, x, tau: float):
     arithmetic, and this runs once per Newton trial point.
     """
     x0, x1, x2 = _float3(x)
-    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = traj._state(float(tau))
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = state or traj._state(float(tau))
     d0, d1, d2 = x0 - p0, x1 - p1, x2 - p2
     r = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     if r < _MIN_RANGE:

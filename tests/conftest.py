@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopshift import dispersion as disp
+from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 
 
@@ -13,9 +14,10 @@ def rotate_array_index(monkeypatch):
     (``dispersion.wavenumber_and_group``) by it, leaving scalar ``sample``
     as is: a stand-in for a rounding difference between the two routes
     larger than the one numpy and Python show.  The grid cache of both line
-    scans (``stationary_phase._base_grid``) is emptied when the route turns
-    and after the test, so the scans evaluate the turned route and no later
-    test reads a turned grid."""
+    scans (``stationary_phase._base_grid``) and the band scan's curve cache
+    (``fields._doppler_curve``) are emptied when the route turns and after
+    the test, so the scans evaluate the turned route and no later test
+    reads a turned grid."""
     def rotate(angle):
         exact = disp.branch_sqrt_product
 
@@ -25,5 +27,7 @@ def rotate_array_index(monkeypatch):
 
         monkeypatch.setattr(disp, "branch_sqrt_product", rotated)
         sph._base_grid.cache_clear()
+        fld._doppler_curve.cache_clear()
     yield rotate
     sph._base_grid.cache_clear()
+    fld._doppler_curve.cache_clear()

@@ -8,14 +8,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
 from dopshift import fields as fld
 from dopshift import stationary_phase as sph
 from dopshift import trajectory as trj
 from dopshift import validation as val
-from dopshift.errors import (BelowCutoff, GroupVelocityMatchesSource,
-                             NoCherenkovRoot, NoRootInBand, SuperluminalMach)
+from dopshift.errors import (BelowCutoff, DopshiftError,
+                             GroupVelocityMatchesSource, NoCherenkovRoot,
+                             NoRootInBand, SuperluminalMach)
 from dopshift.scenario import Scenario
 from dopshift.units import omega_from_thz, thz_from_omega
 
@@ -104,6 +107,107 @@ def _scalar_scan_roots(model, omega0, v, sign, omega_range, n_scan=4001):
     return sorted(roots)
 
 
+def _product_test(fa, fb):
+    return fa * fb < 0
+
+
+def _sign_test(fa, fb):
+    return ((fa < 0) != (fb < 0)) & (fa != 0) & (fb != 0)
+
+
+def _dense_scan_roots(model, omega0, v, sign=+1, omega_range=None,
+                      cross=_product_test):
+    """The collinear scan as it was before the carrier-free curve: the
+    residual on every node of the cached grid, each residual within 1e-9 of
+    its scale taken from the scalar route, and a root bracketed wherever
+    ``cross`` (by default the product of neighbours, which underflows to
+    zero for tiny residuals) holds."""
+    if not -1.0 < v < 1.0:
+        raise ValueError("source speed must lie in (-1, 1)")
+    if omega_range is None:
+        held = [b for b in sph._bands(model, omega0) if b[0] <= omega0 <= b[1]]
+        if not held or not disp.index_and_flag(model, omega0)[1]:
+            raise NoRootInBand(f"no propagating band holds omega0={omega0:g}")
+        omega_range = held[0]
+    else:
+        for end in omega_range:
+            disp._check(model, end)
+
+    def g(w):
+        n_real, propagating = disp.index_and_flag(model, w)
+        return w * (1.0 + sign * n_real * v) - omega0 if propagating \
+            else math.nan
+
+    grid, k, vg = sph._base_grid(model, (tuple(map(float, omega_range)),),
+                                 4001)
+    ok = np.isfinite(vg)
+    with np.errstate(over="ignore"):
+        vals = np.where(ok, grid + sign * v * k - omega0, np.nan)
+        scale = np.abs(grid) + np.abs(v * k) + abs(omega0)
+        for i in np.flatnonzero(np.abs(vals) <= 1e-9 * scale):
+            vals[i] = g(float(grid[i]))
+        fa, fb = vals[:-1], vals[1:]
+        crossing = cross(fa, fb)
+    both = ok[:-1] & ok[1:]
+    roots = [float(a) for a in grid[:-1][both & (fa == 0.0)]]
+    for i in np.flatnonzero(both & crossing):
+        roots.append(sph._brentq(g, float(grid[i]), float(grid[i + 1]),
+                                 xtol=1e-14, rtol=1e-15))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    if not roots:
+        raise NoRootInBand(
+            f"no Doppler root in [{omega_range[0]:g}, {omega_range[1]:g}]")
+    return sorted(roots)
+
+
+def _outcome(scan, *args, **kw):
+    """The roots of a scan, or its error type."""
+    try:
+        return scan(*args, **kw)
+    except (DopshiftError, ValueError) as err:
+        return type(err)
+
+
+RESONANCE = st.floats(0.3, 1.5)
+GAMMA = st.sampled_from([0.0, 1e-4, 1e-2])
+
+
+@st.composite
+def scan_cases(draw):
+    """(medium, carrier, v): a Lorentz medium with four resonances in
+    [0.3, 1.5] and both gammas from {0, 1e-4, 1e-2}, a plasma or a
+    non-dispersive medium; a carrier inside a band, within 5 % of a band
+    edge, or from 1e-300 to 1e49."""
+    kind = draw(st.sampled_from(["lorentz", "plasma", "nondispersive"]))
+    if kind == "lorentz":
+        model = disp.LorentzMetamaterial(
+            draw(RESONANCE), draw(RESONANCE), draw(GAMMA),
+            draw(RESONANCE), draw(RESONANCE), draw(GAMMA))
+    elif kind == "plasma":
+        model = disp.ColdPlasma(omega_p=draw(RESONANCE))
+    else:
+        model = disp.NonDispersive(eps=draw(st.floats(1.0, 4.0)))
+    bands = disp._band_table(model)
+    edges = [e for band in bands for e in band if 0.0 < e < math.inf]
+    where = draw(st.sampled_from(["band", "edge", "extreme"]))
+    if kind == "nondispersive":
+        # one band, (0, inf); below 1e-8 the reference's absolute Brent
+        # tolerance of 1e-14 blurs the root
+        omega0 = 10.0 ** draw(st.floats(-8.0, 49.0))
+    elif where == "edge" and edges:
+        omega0 = draw(st.sampled_from(edges)) * (1.0 + draw(
+            st.floats(-0.05, 0.05)))
+    elif where == "extreme":
+        omega0 = 10.0 ** draw(st.floats(-300.0, 49.0))
+    else:
+        lo, hi = draw(st.sampled_from(bands))
+        omega0 = draw(st.floats(lo, min(hi, 3.0 * lo + 3.0),
+                                exclude_min=True))
+    v = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return model, omega0, v
+
+
 class TestDoppler1D:
     def test_vacuum_both_signs(self):
         w0 = 3.0
@@ -138,6 +242,59 @@ class TestDoppler1D:
         assert not any(lo <= w0 <= hi for lo, hi in disp._band_table(model))
         with pytest.raises(NoRootInBand, match="no propagating band holds"):
             fld.metamaterial_doppler_1d(model, w0, 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scan_cases())
+    def test_scan_equals_dense_reference(self, case):
+        # bit for bit on Lorentz media and plasmas, roots or error type,
+        # in the carrier's window and in every window of the line scan; a
+        # difference must come from a root cell whose residual product
+        # underflows, which the sign test brackets
+        model, omega0, v = case
+        for sign in (+1, -1):
+            for window in [None, *sph._bands(model, omega0, abs(v))]:
+                args = (model, omega0, v, sign, window)
+                got = _outcome(fld.metamaterial_doppler_1d, *args)
+                want = _outcome(_dense_scan_roots, *args)
+                if isinstance(model, disp.NonDispersive):
+                    if isinstance(want, list):
+                        assert got == pytest.approx(want, rel=4e-16, abs=0)
+                elif repr(got) != repr(want):
+                    assert repr(got) == repr(_outcome(
+                        _dense_scan_roots, *args, cross=_sign_test))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_tiny_carrier_root_cell_is_bracketed(self, sign):
+        # the residuals of the root cell are near 1e-160, so their product
+        # underflows to zero: the product test missed the cell
+        roots = fld.metamaterial_doppler_1d(LORENTZ, 1e-160, 0.5, sign)
+        assert roots == _dense_scan_roots(LORENTZ, 1e-160, 0.5, sign,
+                                          cross=_sign_test)
+        with pytest.raises(NoRootInBand):
+            _dense_scan_roots(LORENTZ, 1e-160, 0.5, sign)
+        n = disp.index_and_flag(LORENTZ, roots[0])[0]
+        assert roots[0] * (1.0 + sign * n * 0.5) == pytest.approx(1e-160,
+                                                                  rel=1e-12)
+
+    def test_nondispersive_root_beyond_ten_carriers(self):
+        # n v = 0.95: the sign -1 root is 20 w0, beyond the [1e-3, 10] w0
+        # window that the scan once clipped it to
+        model, w0 = disp.NonDispersive(eps=3.61), omega_from_thz(420.0)
+        roots = fld.metamaterial_doppler_1d(model, w0, 0.5, -1)
+        assert roots == [w0 / (1.0 - 0.5 * model.index)]
+        assert roots[0] == pytest.approx(20.0 * w0, rel=1e-12)
+        window = _window(model, w0)
+        with pytest.raises(NoRootInBand):
+            fld.metamaterial_doppler_1d(model, w0, 0.5, -1, window)
+
+    @pytest.mark.parametrize("w0", [1e-14, 1e-100, 1e-160])
+    def test_small_nondispersive_carriers(self, w0):
+        # the scan's absolute Brent tolerance of 1e-14 once blurred these
+        # roots (1.6e-4 at 1e-14, 1.7e-3 at 1e-100) or lost them (1e-160)
+        roots = fld.metamaterial_doppler_1d(disp.NonDispersive(eps=2.25),
+                                            w0, 0.5, +1)
+        assert len(roots) == 1
+        assert abs(roots[0] - w0 / 1.75) <= math.ulp(w0 / 1.75)
 
     @pytest.mark.parametrize("omega0",
                              [0.0, -1.0, 1e-322, 1e308, math.inf, math.nan])
@@ -227,9 +384,11 @@ class TestBandCaches:
             assert cached.tobytes() == fresh.tobytes()
 
     def test_one_table_and_one_grid_per_band(self):
-        # 800 scans of the 409.82-433.11 THz band: one table, one grid
+        # 800 scans of the 409.82-433.11 THz band: one table, one grid and
+        # one curve per sign, which reads the grid
         disp._band_table.cache_clear()
         sph._base_grid.cache_clear()
+        fld._doppler_curve.cache_clear()
         for f0 in np.linspace(410.0, 432.0, 400):
             for sign in (+1, -1):
                 try:
@@ -237,10 +396,18 @@ class TestBandCaches:
                                                 0.5, sign)
                 except NoRootInBand:
                     pass
-        tables, grids = disp._band_table.cache_info(), \
-            sph._base_grid.cache_info()
+        tables, grids, curves = disp._band_table.cache_info(), \
+            sph._base_grid.cache_info(), fld._doppler_curve.cache_info()
         assert (tables.misses, tables.hits) == (1, 799)
-        assert (grids.misses, grids.hits) == (1, 799)
+        assert (curves.misses, curves.hits) == (2, 798)
+        assert (grids.misses, grids.hits) == (1, 1)
+
+    def test_cached_curve_is_read_only(self):
+        window = _window(LORENTZ, omega_from_thz(420.0))
+        grid, k, f, _, runs = fld._doppler_curve(LORENTZ, window, 0.5)
+        for a in (grid, k, f, *(run[3] for run in runs)):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
 
     def test_line_scan_and_band_scan_in_either_order(self):
         # solve_line and the band scan read one grid cache; whichever runs
@@ -268,6 +435,7 @@ class TestBandCaches:
         runs = []
         for order in ((line, scan), (scan, line)):
             sph._base_grid.cache_clear()
+            fld._doppler_curve.cache_clear()
             runs.append({f.__name__: f() for f in order})
         assert runs[0] == runs[1] and runs[0]["line"]
         assert any(runs[0]["scan"])
@@ -293,6 +461,7 @@ class TestBandCaches:
         serial = [scan(*c) for c in carriers]
         disp._band_table.cache_clear()
         sph._base_grid.cache_clear()
+        fld._doppler_curve.cache_clear()
         results = [None] * len(carriers)
 
         def work(k):
@@ -346,7 +515,7 @@ class TestBrent:
 
         monkeypatch.setattr(sph, "_brentq", recording)
         for f0 in np.linspace(405.0, 720.0, 22):
-            for model in (LORENTZ, disp.NonDispersive(eps=2.25, mu=1.0)):
+            for model in (LORENTZ, disp.ColdPlasma(omega_p=0.5)):
                 for sign in (+1, -1):
                     try:
                         fld.metamaterial_doppler_1d(
@@ -567,6 +736,30 @@ class TestMovingSourceFields:
         expected_h = s.k.real * 1.0 / (4.0 * math.pi * 3.0)
         assert np.linalg.norm(c.H) == pytest.approx(expected_h, rel=1e-9)
         assert c.doppler_shift == pytest.approx(0.0, abs=1e-12)
+
+    def test_assembly_evaluates_the_world_line_once(self):
+        # each callable of a custom world-line runs once per assembled
+        # point: the geometry and the current direction share one state
+        calls = dict.fromkeys(["position", "velocity", "acceleration"], 0)
+        v = np.array([0.0, 0.5, 0.0])
+
+        def counted(name, fn):
+            def call(tau):
+                calls[name] += 1
+                return fn(tau)
+            return call
+
+        traj = trj.CustomTrajectory(
+            position_fn=counted("position", lambda tau: v * tau),
+            velocity_fn=counted("velocity", lambda tau: v),
+            acceleration_fn=counted("acceleration", lambda tau: 0.0 * v))
+        ctx = sph.PhaseContext(t=1.0, x=(0.5, 4.0, 0.0), omega0=2.0,
+                               trajectory=traj, dispersion=PLASMA)
+        sp = sph.solve_newton(ctx)
+        calls.update(dict.fromkeys(calls, 0))
+        c = fld._assemble(fld.SourceModel(omega0=2.0), ctx, sp, gate=True)
+        assert calls == dict.fromkeys(calls, 1)
+        assert c.H.any() and c.E.any()
 
     def test_no_stationary_point_gives_empty_list(self):
         src = fld.SourceModel(omega0=omega_from_thz(420.0))
