@@ -95,19 +95,22 @@ def _assemble(source: SourceModel, ctx: sph.PhaseContext,
     """One point's contribution, from one world-line, one geometry and one
     dispersion evaluation there."""
     state = ctx.trajectory._state(float(sp.tau_s))
-    r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s, state)
+    r, u, _, _ = trj._geometry_core(ctx.trajectory, ctx.x, sp.tau_s, state)
     _, mu, _, k, _, _, _, _ = disp._wave(ctx.dispersion, sp.omega_s)
     s_val = sph._phase_of(ctx, sp.omega_s, sp.tau_s, k, r)
-    direction = np.array(state[1])
-    if not np.any(direction) and source.polarization is not None:
-        direction = trj.as_vec3(source.polarization)
-    if gate and not sp.degenerate and np.any(direction):
+    direction = state[1]
+    if not any(direction) and source.polarization is not None:
+        direction = trj._float3(source.polarization)
+    if gate and not sp.degenerate and any(direction):
         a = float(source.envelope(sp.tau_s))
-        curl, graddiv = trj.amplitude_factors(np.array(u), r, direction)
+        curl, radial = trj._factors(u, direction)
         scale = sph.saddle_contribution(1.0, s_val, sp.det, sp.signature,
                                         a / (8.0 * math.pi ** 2 * r))
-        h_vec = 1j * k * curl * scale
-        e_vec = (sp.omega_s * complex(mu) * direction - graddiv) * scale / 1j
+        # float components; numpy's complex product fuses multiply-adds
+        ik, w_mu = 1j * k, sp.omega_s * complex(mu)
+        h_vec = np.array([ik * c for c in curl]) * scale
+        e_vec = np.array([w_mu * d - g / r for d, g in zip(direction, radial)]
+                         ) * scale / 1j
     else:
         h_vec, e_vec = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
     return FieldContribution(
@@ -132,7 +135,7 @@ def moving_source_fields(source: SourceModel, traj, model, x, t,
     No stationary point yields an empty list.  Degenerate (caustic) points
     are kept in the list with zero fields and ``point.degenerate`` set.
     """
-    ctx = sph.PhaseContext(t=t, x=tuple(trj.as_vec3(x)), omega0=source.omega0,
+    ctx = sph.PhaseContext(t=t, x=x, omega0=source.omega0,
                            trajectory=traj, dispersion=model)
     if seed_box is not None and not isinstance(traj, trj.CustomTrajectory):
         points = sph.solve_line(ctx)
@@ -360,7 +363,7 @@ def cherenkov_solve(model, v_vec, x, t) -> FieldContribution:
     x_perp = float(np.linalg.norm(x - zeta * vhat))
     traj = trj.StraightLine(origin=(0.0, 0.0, 0.0), velocity=tuple(v_vec))
     source = SourceModel(omega0=0.0)
-    ctx = sph.PhaseContext(t=t, x=tuple(x), omega0=0.0, trajectory=traj,
+    ctx = sph.PhaseContext(t=t, x=x, omega0=0.0, trajectory=traj,
                            dispersion=model)
 
     def in_cone(v_group):

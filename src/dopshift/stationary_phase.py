@@ -46,7 +46,8 @@ START_FAILURES = (NoConvergence, LeftPropagatingBand, EvanescentRegime,
 class PhaseContext:
     """Observer, source and medium data defining the phase.  The large
     parameter is folded into the phase (lam = 1), as the field formulas
-    take it."""
+    take it.  The observer x is checked once, here: three finite numbers,
+    stored as floats, or ValueError."""
 
     t: float
     x: tuple
@@ -55,7 +56,7 @@ class PhaseContext:
     dispersion: disp.DispersionModel
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(map(float, self.x)))
+        object.__setattr__(self, "x", trj._float3(self.x))
         if self.omega0 < 0:
             raise ValueError("source eigenfrequency must be >= 0")
 
@@ -76,7 +77,7 @@ class StationaryPoint:
 def phase(ctx: PhaseContext, omega: float, tau: float) -> float:
     """S = k r - omega (t - tau) - omega0 tau (real part of k)."""
     k = disp._wave_floats(ctx.dispersion, omega)[0]
-    r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+    r = trj._geometry_core(ctx.trajectory, ctx.x, tau)[0]
     return _phase_of(ctx, omega, tau, k, r)
 
 
@@ -91,7 +92,7 @@ def _grad_and_hess(ctx, omega, tau):
     and one geometry evaluation, as five floats:
     (S_w, S_tau, S_ww, S_wtau, S_tautau)."""
     k, vg, kpp = disp._wave_floats(ctx.dispersion, omega)
-    r, _, v_rad, dv_rad = trj._geometry_floats(ctx.trajectory, ctx.x, tau)
+    r, _, v_rad, dv_rad = trj._geometry_core(ctx.trajectory, ctx.x, tau)
     return (r / vg - (ctx.t - tau), -k * v_rad + (omega - ctx.omega0),
             kpp * r, 1.0 - v_rad / vg, -k * dv_rad)
 
@@ -114,27 +115,29 @@ def classify(h: np.ndarray) -> Tuple[float, int]:
     ``eigvalsh`` reads it.  Degenerate (caustic) matrices raise: the
     contribution formula divides by sqrt(|det|).
     """
-    h = np.asarray(h, dtype=float)
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    a, b, c = float(h[0, 0]), float(h[1, 0]), float(h[1, 1])
+    (a, b_up), (b, c) = np.asarray(h, dtype=float)[:2, :2].tolist()
+    return a * c - b_up * b, _signature(a, b, c)
+
+
+def _signature(a, b, c) -> int:
+    """``classify``'s signature of [[a, b], [b, c]], or DegeneratePoint."""
     mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
     eigs = (mid - rad, mid + rad)
     scale = max(map(abs, eigs))
     if scale == 0.0 or min(map(abs, eigs)) < _DEGENERACY_RTOL * scale:
         raise DegeneratePoint(f"near-singular Hessian, eigenvalues {eigs}")
-    signature = int(math.copysign(1.0, eigs[0]) + math.copysign(1.0, eigs[1]))
-    return float(det), signature
+    return int(math.copysign(1.0, eigs[0]) + math.copysign(1.0, eigs[1]))
 
 
 def _make_point(d, omega, tau, iters) -> StationaryPoint:
     """Classify a converged point with ``_grad_and_hess`` output d."""
-    h = np.array([[d[2], d[3]], [d[3], d[4]]])
+    _, _, a, b, c = d
     try:
-        det, sig, degenerate = *classify(h), False
+        sig, degenerate = _signature(a, b, c), False
     except DegeneratePoint:
-        det = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0])
         sig, degenerate = 0, True
-    return StationaryPoint(omega_s=omega, tau_s=tau, hessian=h, det=det,
+    return StationaryPoint(omega_s=omega, tau_s=tau, det=a * c - b * b,
+                           hessian=np.array([[a, b], [b, c]]),
                            signature=sig, residual_norm=_norm(d),
                            iterations=iters, converged=True,
                            degenerate=degenerate)
@@ -162,14 +165,14 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
 
     def ret(tau):
         try:
-            r = trj._geometry_floats(ctx.trajectory, ctx.x, tau)[0]
+            r = trj._geometry_core(ctx.trajectory, ctx.x, tau)[0]
         except ObserverOnTrajectory:
             r = 0.0     # a probe on the source: the r = 0 limit
         return r / vg0 - (ctx.t - tau)
 
-    r_now = trj._geometry_floats(ctx.trajectory, ctx.x, ctx.t)[0]
+    r_now = trj._geometry_core(ctx.trajectory, ctx.x, ctx.t)[0]
     lo, hi = ctx.t - 10.0 * r_now, ctx.t
-    flo, fhi = ret(lo), ret(hi)
+    flo, fhi = ret(lo), r_now / vg0 - (ctx.t - hi)     # ret(hi) from r(t)
     if flo * fhi < 0 and isinstance(ctx.trajectory, trj.CustomTrajectory):
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -183,11 +186,11 @@ def default_seed(ctx: PhaseContext) -> Tuple[float, float]:
         tau_seed = 0.5 * (lo + hi)
     elif flo * fhi < 0:     # ret(hi) > 0 > ret(lo): the near root
         geo = _line_geometry(ctx)
-        tau_seed = ctx.t - geo[0] / float(_retardation(geo, vg0)[1])
+        tau_seed = ctx.t - geo[0] / _retardation(geo, vg0)[1]
     else:
         tau_seed = ctx.t - r_now / vg0
     try:
-        v_rad = trj._geometry_floats(ctx.trajectory, ctx.x, tau_seed)[2]
+        v_rad = trj._geometry_core(ctx.trajectory, ctx.x, tau_seed)[2]
     except ObserverOnTrajectory:
         v_rad = 0.0
     denom = 1.0 - v_rad / c0
@@ -299,20 +302,24 @@ def solve_grid(ctx: PhaseContext, omega_box: Tuple[float, float],
 
 
 def _line_geometry(ctx):
-    """(e.e, e.v, v.v) of e = x - x0(t) and the velocity v of a line."""
-    e = np.subtract(ctx.x, trj.position(ctx.trajectory, ctx.t))
-    v = trj.velocity(ctx.trajectory, ctx.t)
+    """(e.e, e.v, v.v) of e = x - x0(t) and the velocity v of a line, by
+    numpy's dots, which fuse multiply-adds (README)."""
+    p, v, _ = ctx.trajectory._state(ctx.t)
+    e, v = np.subtract(ctx.x, p), np.array(v)
     return float(e @ e), float(e @ v), float(v @ v)
 
 
 def _retardation(geo, vg):
     """disc and den = sqrt(max(disc, 0)) - e.v of r = v_g u, u = t - tau, on
     a straight line: (|v|^2 - v_g^2) u^2 + 2 e.v u + |e|^2 = 0 with geo from
-    ``_line_geometry``, disc NaN where v_g <= 0 (vg a float or an array).
+    ``_line_geometry``, disc NaN where v_g <= 0 (floats for a float vg).
     Near root u = |e|^2 / den (disc >= 0, den > 0); far root, where v_g <
     |v|, u = den / (|v|^2 - v_g^2); they join where disc = 0 (a fold)."""
     ee, ev, vv = geo
-    disc = np.where(vg > 0, vg * vg * ee - (vv * ee - ev * ev), np.nan)
+    disc = vg * vg * ee - (vv * ee - ev * ev)
+    if isinstance(vg, float):
+        return (d := disc if vg > 0 else math.nan), math.sqrt(max(d, 0.0)) - ev
+    disc = np.where(vg > 0, disc, np.nan)
     return disc, np.sqrt(np.maximum(disc, 0.0)) - ev
 
 

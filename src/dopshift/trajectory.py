@@ -138,7 +138,12 @@ def _geometry_floats(traj: Trajectory, x, tau: float, state=None):
     Plain floats: numpy's per-call cost on 3-vectors is several times the
     arithmetic, and this runs once per Newton trial point.
     """
-    x0, x1, x2 = _float3(x)
+    return _geometry_core(traj, _float3(x), tau, state)
+
+
+def _geometry_core(traj: Trajectory, x, tau: float, state=None):
+    """``_geometry_floats`` of an observer x that ``_float3`` has passed."""
+    x0, x1, x2 = x
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = state or traj._state(float(tau))
     d0, d1, d2 = x0 - p0, x1 - p1, x2 - p2
     r = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
@@ -159,9 +164,14 @@ def geometry(traj: Trajectory, x, tau: float) -> Geometry:
 
 def amplitude_factors(u: Vec3, r: float, direction: Vec3):
     """curl_factor u x d and graddiv_factor (d - (d.u) u)/r of a current
-    direction d, at range r and unit direction u (``np.cross`` written out)."""
-    d_rad = float(np.dot(direction, u))
-    (u0, u1, u2), (d0, d1, d2) = u, direction
-    curl = u1 * d2 - u2 * d1, u2 * d0 - u0 * d2, u0 * d1 - u1 * d0
-    return (np.array(curl),
-            np.array((d0 - d_rad * u0, d1 - d_rad * u1, d2 - d_rad * u2)) / r)
+    direction d, at range r and unit direction u."""
+    curl, radial = _factors(u, direction)
+    return np.array(curl), np.array(radial) / r
+
+
+def _factors(u, d):
+    """u x d and d - (d.u) u as float triples; d.u is numpy's fused dot."""
+    d_rad = float(np.dot(d, u))
+    (u0, u1, u2), (d0, d1, d2) = u, d
+    return ((u1 * d2 - u2 * d1, u2 * d0 - u0 * d2, u0 * d1 - u1 * d0),
+            (d0 - d_rad * u0, d1 - d_rad * u1, d2 - d_rad * u2))

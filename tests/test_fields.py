@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dopshift import dispersion as disp
@@ -18,7 +18,8 @@ from dopshift import trajectory as trj
 from dopshift import validation as val
 from dopshift.errors import (BelowCutoff, DopshiftError,
                              GroupVelocityMatchesSource, NoCherenkovRoot,
-                             NoRootInBand, SuperluminalMach)
+                             NoRootInBand, ObserverOnTrajectory,
+                             SuperluminalMach)
 from dopshift.scenario import Scenario
 from dopshift.units import omega_from_thz, thz_from_omega
 
@@ -688,7 +689,91 @@ class TestMetamaterialReferenceTargets:
         assert abs(thz_from_omega(doppler_root(tau)) - ref["f_thz"]) < 1e-3
 
 
+def _array_assembly(source, ctx, sp):
+    """(H, E) of ``fields._assemble`` by the array expressions its float
+    path replaced: numpy's dot and elementwise products on 3-vectors, and
+    complex array products."""
+    r, u, _, _ = trj._geometry_floats(ctx.trajectory, ctx.x, sp.tau_s)
+    _, mu, _, k, _, _, _, _ = disp._wave(ctx.dispersion, sp.omega_s)
+    s_val = sph._phase_of(ctx, sp.omega_s, sp.tau_s, k, r)
+    direction = trj.velocity(ctx.trajectory, float(sp.tau_s))
+    if not np.any(direction) and source.polarization is not None:
+        direction = trj.as_vec3(source.polarization)
+    u = np.array(u)
+    d_rad = float(np.dot(direction, u))
+    (u0, u1, u2), (d0, d1, d2) = u, direction
+    curl = np.array((u1 * d2 - u2 * d1, u2 * d0 - u0 * d2, u0 * d1 - u1 * d0))
+    graddiv = np.array((d0 - d_rad * u0, d1 - d_rad * u1,
+                        d2 - d_rad * u2)) / r
+    a = float(source.envelope(sp.tau_s))
+    scale = sph.saddle_contribution(1.0, s_val, sp.det, sp.signature,
+                                    a / (8.0 * math.pi ** 2 * r))
+    return (1j * k * curl * scale,
+            (sp.omega_s * complex(mu) * direction - graddiv) * scale / 1j)
+
+
+@st.composite
+def assembly_cases(draw):
+    """(source, context, point) of a current direction with three nonzero
+    components: a straight line, an accelerating custom world-line, or a
+    motionless source with a polarization; any medium, point and weight."""
+    part = st.floats(0.01, 0.5) | st.floats(-0.5, -0.01)
+    v, acc = (draw(st.tuples(part, part, part)) for _ in range(2))
+    origin, x = (draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+                 for _ in range(2))
+    kind = draw(st.sampled_from(["line", "custom", "still"]))
+    polarization = None
+    if kind == "line":
+        traj = trj.StraightLine(origin=origin, velocity=v)
+    elif kind == "custom":
+        traj = trj.CustomTrajectory(
+            lambda s: np.add(origin, np.multiply(v, s))
+            + np.multiply(acc, 0.5 * s * s),
+            lambda s: np.add(v, np.multiply(acc, s)),
+            lambda s: np.array(acc))
+    else:
+        traj, polarization = trj.StraightLine(origin=origin), v
+    model, lo, hi = draw(st.sampled_from([
+        (PLASMA, 1.1, 5.0), (VACUUM, 0.1, 5.0),
+        (LORENTZ, omega_from_thz(380.0), omega_from_thz(440.0))]))
+    tau = draw(st.floats(-3.0, 3.0))
+    try:
+        r = trj.geometry(traj, x, tau).r
+    except ObserverOnTrajectory:
+        r = 0.0
+    assume(r > 1e-3)
+    ctx = sph.PhaseContext(t=tau + draw(st.floats(0.1, 10.0)), x=x,
+                           omega0=draw(st.floats(0.5, 5.0)), trajectory=traj,
+                           dispersion=model)
+    sp = sph.StationaryPoint(
+        omega_s=draw(st.floats(lo, hi)), tau_s=tau, hessian=np.eye(2),
+        det=draw(st.floats(0.01, 10.0) | st.floats(-10.0, -0.01)),
+        signature=draw(st.sampled_from([-2, 0, 2])), residual_norm=0.0,
+        iterations=0, converged=True)
+    source = fld.SourceModel(
+        omega0=ctx.omega0, polarization=polarization,
+        envelope=draw(st.sampled_from([fld._unit_envelope, math.cos])))
+    return source, ctx, sp
+
+
 class TestMovingSourceFields:
+    @settings(max_examples=300, deadline=None)
+    @given(case=assembly_cases())
+    def test_assembly_equals_array_expressions(self, case):
+        source, ctx, sp = case
+        c = fld._assemble(source, ctx, sp, gate=True)
+        h, e = _array_assembly(source, ctx, sp)
+        assert c.H.tobytes() == h.tobytes() and c.E.tobytes() == e.tobytes()
+        assert c.H.dtype == c.E.dtype == complex
+
+    @pytest.mark.parametrize("x", [(math.nan, 4.0, 0.0), (0.0, math.inf, 0.0),
+                                   (0.0, 4.0)])
+    def test_bad_observer_raises(self, x):
+        with pytest.raises(ValueError):
+            fld.moving_source_fields(
+                fld.SourceModel(omega0=2.0),
+                trj.StraightLine(velocity=(0.0, 0.5, 0.0)), PLASMA, x, 1.0)
+
     def test_zero_envelope_zero_fields(self):
         src = fld.SourceModel(omega0=2.0, envelope=lambda t: 0.0)
         out = fld.moving_source_fields(

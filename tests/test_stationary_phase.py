@@ -29,6 +29,24 @@ def plasma_ctx(x2=4.0, t=1.0, w0=2.0, mach=0.5):
         dispersion=PLASMA)
 
 
+class TestContext:
+    @pytest.mark.parametrize("x", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0),
+                                   np.array([0.0, 1.0, -math.inf]),
+                                   (1.0, 2.0), [[1.0], [2.0], [3.0]]])
+    def test_bad_observer_raises_at_construction(self, x):
+        with pytest.raises(ValueError):
+            sph.PhaseContext(t=0.0, x=x, omega0=1.0,
+                             trajectory=trj.StraightLine(), dispersion=VACUUM)
+
+    @pytest.mark.parametrize("x", [[1, 2, 3], np.array([1.0, 2.0, 3.0]),
+                                   (np.float64(1.0), 2, 3.0)])
+    def test_observer_stored_as_floats(self, x):
+        ctx = sph.PhaseContext(t=0.0, x=x, omega0=1.0,
+                               trajectory=trj.StraightLine(), dispersion=VACUUM)
+        assert ctx.x == (1.0, 2.0, 3.0)
+        assert [type(c) for c in ctx.x] == [float] * 3
+
+
 class TestPhase:
     def test_static_vacuum_point(self):
         ctx = sph.PhaseContext(t=0.0, x=(1.0, 0.0, 0.0), omega0=0.0,
@@ -121,7 +139,45 @@ class TestDerivativeConsistency:
             assert np.allclose(fdh, h, rtol=1e-5, atol=1e-7)
 
 
+@st.composite
+def hessian_entries(draw):
+    """``_grad_and_hess`` 5-tuples whose Hessian is random, zero, singular
+    up to rounding, or a rotation of diag(s, s gap) near the 1e-10 rule."""
+    grad = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 2))
+    kind = draw(st.sampled_from(["random", "zero", "singular", "near"]))
+    if kind == "random":
+        return grad + draw(st.tuples(*[st.floats(-1e100, 1e100)] * 3))
+    if kind == "zero":
+        return grad + draw(st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
+    if kind == "singular":
+        s, p, q = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+        return grad + (s * p * p, s * p * q, s * q * q)
+    angle, scale = draw(st.floats(0.0, 7.0)), draw(st.floats(-1e5, 1e5))
+    gap = draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-10, 1e-9, 1e-6]))
+    c, sn, small = math.cos(angle), math.sin(angle), scale * gap
+    return grad + (c * c * scale + sn * sn * small, c * sn * (scale - small),
+                   sn * sn * scale + c * c * small)
+
+
 class TestClassify:
+    @settings(max_examples=400, deadline=None)
+    @given(d=hessian_entries())
+    def test_make_point_matches_classify(self, d):
+        # the five floats classify as classify reads their 2x2 array: the
+        # same det bytes (numpy's expression), signature and degenerate flag
+        h = np.array([[d[2], d[3]], [d[3], d[4]]])
+        sp = sph._make_point(d, 1.0, 0.0, 0)
+        numpy_det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        try:
+            det, sig = sph.classify(h)
+        except DegeneratePoint:
+            assert sp.degenerate and sp.signature == 0
+        else:
+            assert not sp.degenerate and sp.signature == sig
+            assert np.float64(det).tobytes() == numpy_det.tobytes()
+        assert np.float64(sp.det).tobytes() == numpy_det.tobytes()
+        assert sp.hessian.tobytes() == h.tobytes()
+
     def test_positive_definite(self):
         det, sig = sph.classify(np.eye(2))
         assert (det, sig) == (1.0, 2)
@@ -341,14 +397,15 @@ class TestDefaultSeed:
         assert omega == pytest.approx(omega_bisected, rel=1e-13)
 
     def test_three_range_evaluations_on_a_line(self, monkeypatch):
-        # r(t), ret(lo) and ret(hi), then v_rad at the seed; bisecting the
-        # window took 58 calls on this event
+        # r(t) (which also gives ret(t)) and ret(lo), then v_rad at the seed;
+        # bisecting the window took 58 calls on this event
         calls = []
-        route = trj._geometry_floats
-        monkeypatch.setattr(trj, "_geometry_floats",
+        route = trj._geometry_core
+        monkeypatch.setattr(trj, "_geometry_core",
                             lambda *a: calls.append(a[2]) or route(*a))
-        sph.default_seed(plasma_ctx())
-        assert len(calls) == 4
+        ctx = plasma_ctx()
+        sph.default_seed(ctx)
+        assert len(calls) == 3 and calls[0] == ctx.t
 
 
 class TestSolvers:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dopshift import trajectory as trj
 from dopshift.errors import ObserverOnTrajectory
@@ -242,7 +244,29 @@ def _factors(traj, x, tau):
     return trj.amplitude_factors(g.unit_dir, g.r, trj.velocity(traj, tau))
 
 
+def _array_amplitude_factors(u, r, direction):
+    """``amplitude_factors`` by the array expressions its float core
+    replaced: numpy's dot, the cross product written out, an array
+    divided by r."""
+    d_rad = float(np.dot(direction, u))
+    (u0, u1, u2), (d0, d1, d2) = u, direction
+    curl = u1 * d2 - u2 * d1, u2 * d0 - u0 * d2, u0 * d1 - u1 * d0
+    return (np.array(curl),
+            np.array((d0 - d_rad * u0, d1 - d_rad * u1, d2 - d_rad * u2)) / r)
+
+
 class TestAmplitudeFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           d=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+           r=st.floats(1e-12, 1e6), as_array=st.booleans())
+    def test_equals_array_expressions(self, u, d, r, as_array):
+        if as_array:
+            u, d = np.array(u), np.array(d)
+        for a, b in zip(trj.amplitude_factors(u, r, d),
+                        _array_amplitude_factors(u, r, d)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_equals_numpy_cross_formula(self):
         # the float expressions give np.cross's bytes, and the grad-div
         # factor's bytes from the array formula
