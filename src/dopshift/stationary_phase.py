@@ -324,75 +324,73 @@ def _retardation(geo, vg):
 
 
 def _line_roots(ctx, geo, w, wave=None):
-    """tau and D = omega - omega0 - k v_rad on the near and the far causal
-    root of the retardation equation at each omega (NaN where there is none;
-    Re k and v_g from ``wave``, or computed), and its discriminant disc."""
+    """tau and D = omega - omega0 - k v_rad on the (near, far) causal root of
+    the retardation equation at each omega, one (2, 2, n) array, NaN where
+    there is none (the far row only if some node has v_g < |v|), and disc."""
     ee, ev, vv = geo
     k, vg = wave or disp.wavenumber_and_group(ctx.dispersion, w)
     disc, den = _retardation(geo, vg)
-    near = (disc >= 0) & (den > 0)
-    vg2, dw = vg * vg, w - ctx.omega0
-    rows = []
-    for ok, num, div in ((near, ee, den), (near & (vv > vg2), den, vv - vg2)):
-        u = np.divide(num, div, out=np.full(w.shape, np.nan), where=ok)
-        rows += [ctx.t - u, dw - k * (ev + vv * u) / (vg * u)]
-    return rows, disc
+    near, vg2 = (disc >= 0) & (den > 0), vg * vg
+    live = 2 if (far := near & (vv > vg2)).any() else 1     # branches
+    u, d = out = np.full((2, 2, len(w)), np.nan)    # u = t - tau, then tau
+    np.divide(ee, np.where(near, den, np.nan), out=u[0])
+    if live == 2:
+        np.divide(den, np.where(far, vv - vg2, np.nan), out=u[1])
+    d[:live] = (w - ctx.omega0) - k * (ev + vv * u[:live]) / (vg * u[:live])
+    np.subtract(ctx.t, u, out=u)
+    return out, disc
 
 
-def _turns(d):
-    """Nodes 1..n-2 where the discrete slope of D turns towards zero and D
-    is within the turn's size of zero, so D may cross zero near them."""
-    s = np.diff(d)
-    sign, size = np.sign(s), np.abs(s)
-    return (sign[:-1] * sign[1:] < 0) & ((s[:-1] > 0) == (d[1:-1] < 0)) \
-        & (np.abs(d[1:-1]) <= size[:-1] + size[1:])
-
-
-def _joints(w, rows, disc, near, far):
-    """(j, m): both roots exist at node j with D of opposite signs, and
-    join before its neighbour m, where the near root is gone: disc < 0 at
-    m, or disc carried on from j's other neighbour reaches zero by m (near
-    and far flag the nodes where each root exists)."""
-    split = (np.signbit(rows[1]) != np.signbit(rows[3])) & far
-    gone = ~near
-    out = []
-    for j, m in [(i + 1, i) for i in np.flatnonzero(gone[:-1] & split[1:])] \
-            + [(i, i + 1) for i in np.flatnonzero(split[:-1] & gone[1:])]:
-        b = 2 * j - m
-        reach = disc[j] + (disc[j] - disc[b]) * (w[m] - w[j]) \
-            / (w[j] - w[b]) if 0 <= b < len(w) else math.nan
-        if disc[m] < 0 or not reach > 0:
-            out.append((j, m))
-    return out
-
-
-def _hidden(w, rows, disc, geo):
-    """Cells that may hide a root: the cells around a turn; a cell where a
-    root ends, unless D carried on across it keeps its sign; for e.v < 0,
-    one where the near root ends with no far root (it ends at a fold, which
-    the far root reaches first); a joint with no node past its fold yet.
-    Also returns the ``_turns`` of each branch and the ``_joints``; a
-    collinear event (e parallel to v) has none: disc = v_g^2 |e|^2 has no
-    fold, and its roots meet only where v_g = 0, both at the passage r = 0."""
+def _scan(w, d, disc, geo):
+    """(cells, turns, flips, joints) from one pass over each branch of D
+    with a root: sign bits of D's slope and of D, and D's NaN flags, give
+    the candidate nodes, and the tests run only there.  Per branch (near
+    first), turns are the nodes where D's slope turns towards zero within
+    the turn's size of zero, so D may cross zero near them, and flips the
+    cells where D changes sign (its end sum not NaN).  A joint (j, m) has
+    both roots at j with D of opposite signs, joining before m, where the
+    near root is gone: disc < 0 at m, or disc carried on from j's other
+    neighbour reaches zero by m; none on a collinear event (e parallel to
+    v: disc = v_g^2 |e|^2 has no fold).  Cells that may hide a root,
+    ascending: those around a turn; one where a root ends, unless D
+    carried on across it keeps its sign; for e.v < 0, one where the near
+    root ends with no far root (at a fold, which the far root reaches
+    first); a joint with no node past its fold yet."""
     ee, ev, vv = geo
-    cells = np.zeros(len(w) - 1, dtype=bool)
-    turns = [_turns(d) for d in rows[1::2]]
-    near, far = valids = [~np.isnan(d) for d in rows[1::2]]
-    for d, turn, valid in zip(rows[1::2], turns, valids):
-        cells[:-1] |= turn
-        cells[1:] |= turn
-        for j in np.flatnonzero(valid[:-1] != valid[1:]):
-            a, b = (j, j - 1) if valid[j] else (j + 1, j + 2)
-            ahead = 2.0 * d[a] - d[b] if 0 <= b < len(d) else math.nan
-            cells[j] |= not ahead * d[a] > 0
-    if ev < 0:
-        cells |= near[:-1] & ~near[1:] & ~far[:-1] \
-            | ~near[:-1] & near[1:] & ~far[1:]
-    joints = _joints(w, rows, disc, near, far) \
-        if vv * ee - ev * ev > 1e-12 * vv * ee else []
-    for j, m in joints:
-        cells[min(j, m)] |= not disc[m] < 0
-    return cells, turns, joints
+    n, nan = len(w), np.isnan(d)
+    turns, flips, signs, cells = [], [], [], set()
+    for r in range(1 if nan[1].all() else 2):
+        dr, nr = d[r], nan[r]
+        sb = np.signbit(s := dr[1:] - dr[:-1])  # s: the slope of D per cell
+        c = (sb[1:] != sb[:-1]).nonzero()[0]    # turn candidates c + 1
+        if len(c):
+            sp, sn, dc = s[c], s[c + 1], dr[c + 1]
+            c = c[(np.sign(sp) * np.sign(sn) < 0) & ((sp > 0) == (dc < 0))
+                  & (np.abs(dc) <= np.abs(sp) + np.abs(sn))] + 1
+            cells.update((c - 1).tolist(), c.tolist())
+        turns.append(c)
+        signs.append(sg := np.signbit(dr))
+        c = (sg[1:] != sg[:-1]).nonzero()[0]
+        flips.append(c[~np.isnan(dr[c] + dr[c + 1])] if len(c) else c)
+        for j in (nr[1:] != nr[:-1]).nonzero()[0].tolist():
+            a, z = (j, j - 1) if not nr[j] else (j + 1, j + 2)
+            ahead = 2.0 * dr[a] - dr[z] if 0 <= z < n else math.nan
+            if not ahead * dr[a] > 0 or r == 0 and ev < 0 and nan[1, a]:
+                cells.add(j)
+    joints = []
+    if len(signs) == 2 and vv * ee - ev * ev > 1e-12 * vv * ee:
+        j = np.flatnonzero((signs[0] != signs[1]) & ~nan[1])
+        lo, hi = j[j > 0], j[j < n - 1]
+        for x, m in [(x, x - 1) for x in lo[nan[0, lo - 1]].tolist()] \
+                + [(x, x + 1) for x in hi[nan[0, hi + 1]].tolist()]:
+            z = 2 * x - m
+            reach = disc[x] + (disc[x] - disc[z]) * (w[m] - w[x]) \
+                / (w[x] - w[z]) if 0 <= z < n else math.nan
+            if disc[m] < 0 or not reach > 0:
+                joints.append((x, m))
+                if not disc[m] < 0:
+                    cells.add(min(x, m))
+    return sorted(cells), turns, flips, joints
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -520,16 +518,19 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     """Every causal stationary point on a ``StraightLine`` with omega in
     [1e-3, 10] omega0 (and a fast source's range), widened to a lattice
     (``_bands``), sorted by tau_s; a zero carrier scans as omega0 = 1,
-    and its points are the Cherenkov points.  ``_line_roots`` gives D on the
-    near and far branch on the windows' cached grid (``_base_grid``); cells
-    that may hide a root (``_hidden``) are split down to 1e-11 omega.
+    and its points are the Cherenkov points.  ``_line_roots`` gives tau and
+    D of the near and far branch in one array on the windows' cached grid
+    (``_base_grid``); one pass over each branch (``_scan``) flags the cells
+    that may hide a root, which are split down to 1e-11 omega.
     ``solve_newton`` polishes each sign change of D in its bracket: across a
     fold from its joint, on a branch from the secant root or, when that
     misses a causal point in the bracket, from the root of D in it that
     Brent's method finds, unless |D| there shows a pole or jump of D (the
     bracket is then skipped).  A bracket left unpolished raises
-    NoConvergence; a point two brackets share, or where D touches zero, is
-    ``degenerate``."""
+    NoConvergence, a tol not above 0 ValueError; a point two brackets
+    share, or where D touches zero, is ``degenerate``."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if not isinstance(ctx.trajectory, trj.StraightLine):
         raise TypeError("solve_line needs a StraightLine")
     geo = _line_geometry(ctx)
@@ -541,36 +542,36 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
     w, *wave = _base_grid(ctx.dispersion, tuple(bands), _LINE_GRID)
     rows, disc = _line_roots(ctx, geo, w, wave)
     while True:
-        cells, turns, joints = _hidden(w, rows, disc, geo)
-        i = np.flatnonzero(cells & (np.diff(w) > _LINE_MIN_CELL * w[1:]))
+        cells, turns, flips, joints = _scan(w, rows[1], disc, geo)
+        i = np.array(cells, dtype=int)
+        i = i[w[i + 1] - w[i] > _LINE_MIN_CELL * w[i + 1]] if cells else i
         if not len(i):
             break
-        new = (w[i, None] + np.diff(w)[i, None]
+        new = (w[i, None] + (w[i + 1] - w[i])[:, None]
                * np.arange(1, _LINE_SPLIT) / _LINE_SPLIT).ravel()
         new_rows, new_disc = _line_roots(ctx, geo, new)
         order = np.argsort(np.r_[w, new], kind="stable")
         w = np.r_[w, new][order]
-        rows = [np.r_[r, n][order] for r, n in zip(rows, new_rows)]
+        rows = np.concatenate((rows, new_rows), axis=2)[..., order]
         disc = np.r_[disc, new_disc][order]
+    tau, d = rows
     # (lo, hi, seed omega, seed tau, tangent, branch): joints, sign changes on
     # the near (0) or far (1) branch, one try per run of turns left in the
     # finest cells from its node nearest zero (D touches zero, or rounding)
     tries = [(min(w[j], w[m]), max(w[j], w[m]), w[j],
-              0.5 * (rows[0][j] + rows[2][j]), False, None) for j, m in joints]
-    for b, (tau, d, turn) in enumerate(zip(rows[::2], rows[1::2], turns)):
-        sb = np.signbit(d)
-        j = np.flatnonzero((sb[:-1] != sb[1:]) & ~np.isnan(d[:-1] + d[1:]))
-        f = np.divide(d[j], d[j] - d[j + 1], out=np.full(len(j), 0.5),
-                      where=d[j] != d[j + 1])   # the secant root in the cell
-        tries += [(w[i], w[i + 1], w[i] + g * (w[i + 1] - w[i]),
-                   tau[i] + g * (tau[i + 1] - tau[i]), False, b)
-                  for i, g in zip(j, f)]
-        turn = np.flatnonzero(turn) + 1
+              0.5 * (tau[0, j] + tau[1, j]), False, None) for j, m in joints]
+    for b, (flip, turn) in enumerate(zip(flips, turns)):
+        db, tb = d[b], tau[b]
+        for i in flip.tolist():
+            d0, d1 = db[i], db[i + 1]
+            g = d0 / (d0 - d1) if d0 != d1 else 0.5     # the secant root
+            tries.append((w[i], w[i + 1], w[i] + g * (w[i + 1] - w[i]),
+                          tb[i] + g * (tb[i + 1] - tb[i]), False, b))
         if len(turn):
             for run in np.split(turn, np.flatnonzero(
                     np.diff(w[turn]) > _DEDUPE_SEP * w[turn[1:]]) + 1):
-                j = run[np.argmin(np.abs(d[run]))]
-                tries.append((w[run[0] - 1], w[run[-1] + 1], w[j], tau[j],
+                j = run[np.argmin(np.abs(db[run]))]
+                tries.append((w[run[0] - 1], w[run[-1] + 1], w[j], tb[j],
                               True, None))
 
     def polish(seed, lo, hi):   # solve_newton's point if causal, in [lo, hi]
@@ -588,12 +589,11 @@ def solve_line(ctx: PhaseContext, tol: float = 1e-10) -> list:
         if sp is None and b is not None:    # from the root of the branch's D
             try:
                 root = _brentq(lambda x: _line_roots(ctx, geo, np.r_[x])[0]
-                               [2 * b + 1][0], lo, hi, xtol=0.0, rtol=1e-15)
+                               [1, b, 0], lo, hi, xtol=0.0, rtol=1e-15)
             except (ValueError, RuntimeError):
                 pass        # NaN inside the bracket
             else:
-                (t_r,), (d_r,) = _line_roots(ctx, geo, np.r_[root])[0][
-                    2 * b:2 * b + 2]
+                t_r, d_r = _line_roots(ctx, geo, np.r_[root])[0][:, b, 0]
                 # 1e-15 omega off a root leaves |D| far below this: D changed
                 # sign through a pole or a jump, with no root
                 if abs(d_r) > 1e-8 * max(1.0, root, ctx.omega0):

@@ -593,7 +593,7 @@ class TestSolveLine:
         geo = (e @ e, e @ v, v @ v)
 
         def top(w):
-            return sph._line_roots(ctx, geo, np.array([w]))[0][1][0]
+            return sph._line_roots(ctx, geo, np.array([w]))[0][1, 0, 0]
 
         lo, hi = omega_from_thz(396.8), omega_from_thz(397.3)
         g = (math.sqrt(5.0) - 1.0) / 2.0
