@@ -8,13 +8,13 @@ with chi a fixed C-infinity bump (1 on |u| <= 1/2, 0 on |u| >= 1); the limit
 is independent of the bump profile.  A product bump chi(u1/R) chi(u2/R) is
 used so the cutoff folds into the per-axis quadrature weights.
 
-Quadrature: per axis, order-16 Gauss-Legendre panels sized from the local
-phase gradient so the node density never drops below 6 points per local
-phase oscillation; the 2-D tensor product is evaluated densely in blocks of
-rows; each block's exponential and contraction with the axis weights run on
-a thread pool of one thread per usable CPU, and the block sums are added in
-block order, so the value is the same on any CPU count.  R doubles until two
-successive values agree to the requested tolerance.
+Quadrature: per axis, order-32 Gauss-Legendre panels, at least 4 nodes per
+local oscillation of the phase and amplitude (a panel spans at most 50.3 rad);
+the 2-D tensor product is evaluated densely in L2-sized blocks of 2**15 nodes
+(rows at a time); each block's exponential and contraction with the axis
+weights run on a pool of one thread per usable CPU, and the block sums are
+added in block order, so the value is the same on any CPU count.  R doubles
+until two successive values agree to the requested tolerance.
 
 An integration-by-parts regularizer is also provided: the transpose of the
 first-order operator L with L e^{iS} = e^{iS} maps the amplitude to one of
@@ -37,11 +37,11 @@ __all__ = [
     "oscillatory_integral_2d", "ibp_regularize", "gaussian_saddle_case", "fresnel_case", "hyperbolic_saddle_case",
 ]
 
-_CHUNK = 1 << 19          # elements per evaluation block
+_CHUNK = 1 << 15          # nodes per evaluation block: 256 KB of floats
 _SKIP_REL = 1e-12         # amplitude floor of the node extents, per peak
 _PROBE_N = 129            # probe nodes per axis
-_POINTS_PER_OSC = 6       # quadrature nodes per local phase oscillation
-_GL_ORDER = 16            # Gauss-Legendre order of each panel
+_POINTS_PER_OSC = 4       # quadrature nodes per local phase oscillation
+_GL_ORDER = 32            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
 _MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
 
@@ -122,11 +122,11 @@ def _probe_box(ig: OscillatoryIntegrand, R: float):
         sy = np.gradient(S, g, axis=1)
     amp = np.abs(np.asarray(ig.amplitude(X, Y))) * np.ones_like(X)
     amp_scale = float(np.max(amp))
-    # log-derivative of the amplitude, probe-resolution limited; the factor 2
-    # guards against peaks narrower than the probe spacing
+    # log-derivative of the amplitude, probe-resolution limited; weight 6 caps
+    # an amplitude-set panel at 8.4/|d log amp| (IBP ops need R 12 at 2 or 3)
     ref = np.maximum(amp, 1e-3 * amp_scale if amp_scale > 0 else 1.0)
-    lax = 2.0 * np.abs(np.gradient(amp, g, axis=0)) / ref
-    lay = 2.0 * np.abs(np.gradient(amp, g, axis=1)) / ref
+    lax = 6.0 * np.abs(np.gradient(amp, g, axis=0)) / ref
+    lay = 6.0 * np.abs(np.gradient(amp, g, axis=1)) / ref
     gx = np.max(ig.lam * np.abs(np.asarray(sx)) + lax, axis=1)
     gy = np.max(ig.lam * np.abs(np.asarray(sy)) + lay, axis=0)
     pad = 2.0 * (g[1] - g[0])
@@ -154,7 +154,7 @@ def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray):
     span_phase = _GL_ORDER * 2.0 * math.pi / _POINTS_PER_OSC
     xs, ws = [], []
     u = -extent
-    wmax = extent / 6.0
+    wmax = extent / 3.0          # at least 3 panels (96 nodes) per axis
     while u < extent:
         w = wmax
         for _ in range(3):

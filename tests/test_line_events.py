@@ -4,9 +4,9 @@ Each known drop is one strict xfail that states what a correct answer
 holds, with its ROADMAP item as the reason: a mend turns it into an
 XPASS, which fails, and the mending change makes it a plain test.  The
 inputs are the probe draws that found them (random-model Cherenkov probe,
-item 16's probe, the non-dispersive closed-form draw); the expected points
-come from independent routes (Newton from a nearby seed, the collinear
-scan, or the same event at tol 1e-10).
+item 16's probe, the non-dispersive closed-form draw, the plasma near-cutoff
+draw); the expected points come from independent routes (Newton from a
+nearby seed, the collinear scan, or the same event at tol 1e-10).
 """
 
 import math
@@ -67,6 +67,12 @@ EVENTS = {
         trajectory=trj.OffsetLine(-0.5164320240509733),
         x=(-2.2361305415117654, 0.8862102663823372, 0.5609729838355393),
         dispersion=disp.NonDispersive(eps=4.562857641347017)),
+    # plasma near-cutoff draw (default_rng(7)): the first base cell is a fold
+    # joint, and the joint's seed at the far node leaves the band
+    "plasma-cutoff": sph.PhaseContext(
+        t=2.16, omega0=1.000147, trajectory=trj.StraightLine(
+            velocity=(-0.03882, -0.06565, 0.0202)),
+        x=(1.943, 1.821, -1.037), dispersion=disp.ColdPlasma(1.0)),
     "planar": sph.PhaseContext(
         t=2.0, x=(0.01, 1.595, 0.0), omega0=omega_from_thz(420.0),
         trajectory=trj.OffsetLine(v=0.5), dispersion=disp.lorentz_from_thz()),
@@ -123,6 +129,13 @@ class TestKnownDrops:
         points = sph.solve_line(EVENTS["event-318"])
         assert any(p.omega_s == pytest.approx(19.117557669780698, rel=1e-9)
                    for p in points)
+
+    @known_drop(19, "a fold joint in the first base cell next to the "
+                "plasma cutoff is not polished", raises=NoConvergence)
+    def test_plasma_near_cutoff(self):
+        # Newton from 11 of 12 seeds across that cell converges here
+        assert_holds(sph.solve_line(EVENTS["plasma-cutoff"]),
+                     [(1.0002425452932244, -35.2609524756)])
 
 
 class TestTol:

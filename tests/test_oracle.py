@@ -67,8 +67,9 @@ class TestQuadrature:
     def test_one_panel_integrates_its_phase_budget(self):
         # one _GL_ORDER-node panel over the whole phase budget is exact to
         # rounding: e^{ikx} on [-1, 1] carries 2k rad, and the worst error
-        # over k is 1.1e-15 at 6 nodes per oscillation, 7.4e-15 at 5.5 and
-        # 1.5e-13 at 5
+        # over k of a 32-node panel is 2.3e-15 at 4 nodes per oscillation,
+        # 9.3e-15 at 3.24 and 6.7e-13 at 3 (a 16-node panel: 1.1e-15 at 6,
+        # 1.5e-13 at 5)
         x, w = leggauss(orc._GL_ORDER)
         budget = orc._GL_ORDER * 2.0 * np.pi / orc._POINTS_PER_OSC
         for k in np.linspace(budget / 4, budget / 2, 101):
@@ -76,10 +77,10 @@ class TestQuadrature:
             assert abs(got - 2.0 * np.sin(k) / k) <= 1e-14
 
     # the three model cases at lam 20, 24, ..., 40 (R0 3, tol 1e-6), with
-    # the R_used recorded at 8 nodes per oscillation, which 6 keeps; each
-    # value also lies within 1e-10 relative of exact (the worst over lam 20
-    # to 40 in steps of 0.5 is 2.3e-13) and its estimated_error within the
-    # requested tolerance
+    # the R_used recorded at 8 nodes per oscillation, which 16-node panels
+    # at 6 and 32-node panels at 4 keep; each value also lies within 1e-10
+    # relative of exact (the worst over lam 20 to 40 in steps of 0.5 is
+    # 2.2e-13) and its estimated_error within the requested tolerance
     @pytest.mark.parametrize("case, lam, r_used", [
         (case, 20.0 + 4.0 * i, r)
         for case, rs in (("gaussian", (12.0,) * 5 + (6.0,)),
@@ -192,6 +193,18 @@ def bits(res):
 # against the exact 2 pi/sqrt(1 + 24**2) went from 2.5e-10 to 2.6e-10, on
 # the central-difference floor of the regularized amplitude), and its
 # estimated_error went from 2.4e-10 to 1.3e-9 because the R = 3 pass moved.
+# When the panels went from 16 nodes at 6 per oscillation to 32 nodes at 4
+# (amplitude weight 6, width cap extent / 3, blocks of 2**15 nodes), R_used
+# held on all four and two were re-pinned:
+# - Fresnel lam 20: estimated_error moved by 7.7e-13 (2.3533e-9 to
+#   2.3526e-9), past the 6.3e-13 bound, because its R = 6 pass moved; the
+#   value moved by 7.1e-14 relative and its error against 2 pi i/20 went
+#   from 3.5e-14 to 3.6e-14.
+# - hyperbolic under IBP, lam 24: the value moved by 1.0e-11 (3.9e-11
+#   relative) on the central-difference floor (error against exact 2.6e-10
+#   to 3.0e-10), and estimated_error went from 1.3e-9 to 3.4e-9.
+# The Gaussian and plain hyperbolic pins held (they moved by at most
+# 3.2e-15 relative).
 # Values must agree to 1e-12 relative and R_used must be identical.
 GOLDEN = {
     ("gaussian", 20.0, False):
@@ -201,11 +214,11 @@ GOLDEN = {
         (0.313767301057426 - 2.0024657018372243e-17j, 6.0,
          1.1593415116806302e-10),
     ("fresnel", 20.0, False):
-        (1.0556786953559404e-14 + 0.3141592653589758j, 12.0,
-         2.3533425888934307e-09),
+        (-9.47506558876019e-15 + 0.31415926535898553j, 12.0,
+         2.3525749756041713e-09),
     ("hyperbolic", 24.0, True):
-        (0.26157242679621057 - 2.343835692246516e-14j, 6.0,
-         1.288652358552194e-09),
+        (0.2615724267859704 - 1.8149638633461914e-13j, 6.0,
+         3.399615242416809e-09),
 }
 
 
@@ -242,6 +255,17 @@ class TestPooledBlocks:
     def test_bit_identical_for_any_worker_count(self, pooled, key):
         got = [bits(pooled(key, workers)) for workers in (1, 2, 3)]
         assert got[0] == got[1] == got[2]
+
+    def test_block_size_moves_only_the_rounding(self, monkeypatch):
+        # the R = 12 pass runs as 4 blocks of 2**19 nodes or 55 of 2**15:
+        # only the summation order differs
+        ig, _, _ = orc.gaussian_saddle_case(24.0)
+        got = []
+        for chunk in (1 << 19, 1 << 15):
+            monkeypatch.setattr(orc, "_CHUNK", chunk)
+            got.append(orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6))
+        assert got[0].R_used == got[1].R_used
+        assert abs(got[0].value - got[1].value) <= 1e-14 * abs(got[0].value)
 
     def test_callbacks_run_on_the_calling_thread(self):
         ig, _, _ = orc.gaussian_saddle_case(20.0)
@@ -352,6 +376,16 @@ class TestIbpRegularization:
             reg = orc.ibp_regularize(ig, j)
             res = orc.oscillatory_integral_2d(reg, R0=4.0, tol=10 * tol)
             assert abs(res.value - exact) / abs(exact) <= tol
+
+    @pytest.mark.parametrize("case", ["hyperbolic", "fresnel"])
+    @pytest.mark.parametrize("lam", [20.0, 24.0])
+    def test_cheap_rows_settle_at_r_6(self, case, lam):
+        # the amplitude log-derivative weight of the panel rule keeps these
+        # at R = 6; at a weight of 2 or 3 the hyperbolic ones need R = 12
+        ig, exact = golden_integrand(case, lam, True)
+        res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
+        assert res.R_used == 6.0
+        assert abs(res.value - exact) <= 1e-8 * abs(exact)
 
     def test_decay_improves(self):
         # growth exponent 1 phase: each application gains one decay order
