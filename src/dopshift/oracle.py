@@ -8,8 +8,8 @@ with chi a fixed C-infinity bump (1 on |u| <= 1/2, 0 on |u| >= 1); the limit
 is independent of the bump profile.  A product bump chi(u1/R) chi(u2/R) is
 used so the cutoff folds into the per-axis quadrature weights.
 
-Quadrature: per axis, order-32 Gauss-Legendre panels, at least 4 nodes per
-local oscillation of the phase and amplitude (a panel spans at most 50.3 rad);
+Quadrature: per axis, order-64 Gauss-Legendre panels, at least 3 nodes per
+local oscillation of the phase and amplitude (a panel spans at most 134 rad);
 the 2-D tensor product is evaluated densely in L2-sized blocks of 2**15 nodes
 (rows at a time); each block's exponential and contraction with the axis
 weights run on a pool of one thread per usable CPU, and the block sums are
@@ -40,8 +40,8 @@ __all__ = [
 _CHUNK = 1 << 15          # nodes per evaluation block: 256 KB of floats
 _SKIP_REL = 1e-12         # amplitude floor of the node extents, per peak
 _PROBE_N = 129            # probe nodes per axis
-_POINTS_PER_OSC = 4       # quadrature nodes per local phase oscillation
-_GL_ORDER = 32            # Gauss-Legendre order of each panel
+_POINTS_PER_OSC = 3       # quadrature nodes per local phase oscillation
+_GL_ORDER = 64            # Gauss-Legendre order of each panel
 _MAX_NODES = 1 << 28      # tensor nodes of one pass, above every pass run
 _MAX_DOUBLINGS = 10       # cutoff-radius doublings after the first pass
 
@@ -122,11 +122,12 @@ def _probe_box(ig: OscillatoryIntegrand, R: float):
         sy = np.gradient(S, g, axis=1)
     amp = np.abs(np.asarray(ig.amplitude(X, Y))) * np.ones_like(X)
     amp_scale = float(np.max(amp))
-    # log-derivative of the amplitude, probe-resolution limited; weight 6 caps
-    # an amplitude-set panel at 8.4/|d log amp| (IBP ops need R 12 at 2 or 3)
+    # log-derivative of the amplitude, probe-resolution limited; weight 11
+    # caps an amplitude-set panel at 12.2/|d log amp| (a sweep of 6 to 16:
+    # README "Numerical notes")
     ref = np.maximum(amp, 1e-3 * amp_scale if amp_scale > 0 else 1.0)
-    lax = 6.0 * np.abs(np.gradient(amp, g, axis=0)) / ref
-    lay = 6.0 * np.abs(np.gradient(amp, g, axis=1)) / ref
+    lax = 11.0 * np.abs(np.gradient(amp, g, axis=0)) / ref
+    lay = 11.0 * np.abs(np.gradient(amp, g, axis=1)) / ref
     gx = np.max(ig.lam * np.abs(np.asarray(sx)) + lax, axis=1)
     gy = np.max(ig.lam * np.abs(np.asarray(sy)) + lay, axis=0)
     pad = 2.0 * (g[1] - g[0])
@@ -154,7 +155,7 @@ def _axis_rule(extent: float, grid: np.ndarray, gprof: np.ndarray):
     span_phase = _GL_ORDER * 2.0 * math.pi / _POINTS_PER_OSC
     xs, ws = [], []
     u = -extent
-    wmax = extent / 3.0          # at least 3 panels (96 nodes) per axis
+    wmax = extent / 3.0          # at least 3 panels (192 nodes) per axis
     while u < extent:
         w = wmax
         for _ in range(3):
@@ -272,8 +273,9 @@ def ibp_regularize(ig: OscillatoryIntegrand, j: int) -> OscillatoryIntegrand:
 
     The integral value is unchanged while the amplitude decay improves by the
     measured gradient-growth exponent per application.  Divergence terms are
-    formed by central differences of the analytic-weight products, so only
-    the phase gradient callback is required.
+    formed by central differences of the analytic-weight products (in place,
+    with the bits of the plain expression), so only the phase gradient
+    callback is required.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -283,9 +285,14 @@ def ibp_regularize(ig: OscillatoryIntegrand, j: int) -> OscillatoryIntegrand:
 
     def weight(wc, tc):
         # gradient of the full phase lam * S, so that L e^{i lam S} = e^{i lam S}
-        gx, gy = ig.phase_grad(wc, tc)
-        sx, sy = ig.lam * gx, ig.lam * gy
-        return 1.0 / (1.0 + sx ** 2 + sy ** 2), sx, sy
+        # (in place on arrays of the full block, scalars not, in the order of
+        # 1 / (1 + sx**2 + sy**2), so the bits are those of that expression)
+        gx, gy = np.broadcast_arrays(*ig.phase_grad(wc, tc), wc, tc)[:2]
+        sx, sy = np.multiply(ig.lam, gx), np.multiply(ig.lam, gy)
+        ww = np.square(sx)
+        ww += 1.0
+        ww += np.square(sy)
+        return np.divide(1.0, ww, out=ww if np.ndim(ww) else None), sx, sy
 
     def transpose_apply(g):
         def lt_g(wc, tc):
@@ -295,17 +302,28 @@ def ibp_regularize(ig: OscillatoryIntegrand, j: int) -> OscillatoryIntegrand:
 
             def px(a):
                 ww, sxa, _ = weight(a, tc)
-                return g(a, tc) * ww * sxa
+                prod = g(a, tc) * ww
+                prod *= sxa
+                return prod
 
             def py(b):
                 ww, _, syb = weight(wc, b)
-                return g(wc, b) * ww * syb
+                prod = g(wc, b) * ww
+                prod *= syb
+                return prod
 
-            hx = 1e-5 * (1.0 + np.abs(wc))
-            hy = 1e-5 * (1.0 + np.abs(tc))
-            ddx = (px(wc + hx) - px(wc - hx)) / (2.0 * hx)
-            ddy = (py(tc + hy) - py(tc - hy)) / (2.0 * hy)
-            return w2 * g(wc, tc) + 1j * (ddx + ddy)
+            def quotient(f, u, h):
+                # (f(u + h) - f(u - h)) / (2 h), in place
+                d = f(u + h)
+                d -= f(u - h)
+                d /= 2.0 * h
+                return d
+
+            div = quotient(px, wc, 1e-5 * (1.0 + np.abs(wc)))
+            div += quotient(py, tc, 1e-5 * (1.0 + np.abs(tc)))
+            out = np.multiply(1j, div)
+            out += w2 * g(wc, tc)
+            return out
 
         return lt_g
 

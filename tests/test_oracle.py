@@ -67,9 +67,10 @@ class TestQuadrature:
     def test_one_panel_integrates_its_phase_budget(self):
         # one _GL_ORDER-node panel over the whole phase budget is exact to
         # rounding: e^{ikx} on [-1, 1] carries 2k rad, and the worst error
-        # over k of a 32-node panel is 2.3e-15 at 4 nodes per oscillation,
-        # 9.3e-15 at 3.24 and 6.7e-13 at 3 (a 16-node panel: 1.1e-15 at 6,
-        # 1.5e-13 at 5)
+        # over k of a 64-node panel is 3.1e-15 at 3 nodes per oscillation,
+        # 4.1e-15 at 2.5, 2.4e-14 at 2.4 and 1.2e-12 at 2.3 (a 32-node
+        # panel: 2.3e-15 at 4, 9.3e-15 at 3.24 and 6.7e-13 at 3; a 16-node
+        # panel: 1.1e-15 at 6, 1.5e-13 at 5)
         x, w = leggauss(orc._GL_ORDER)
         budget = orc._GL_ORDER * 2.0 * np.pi / orc._POINTS_PER_OSC
         for k in np.linspace(budget / 4, budget / 2, 101):
@@ -78,9 +79,10 @@ class TestQuadrature:
 
     # the three model cases at lam 20, 24, ..., 40 (R0 3, tol 1e-6), with
     # the R_used recorded at 8 nodes per oscillation, which 16-node panels
-    # at 6 and 32-node panels at 4 keep; each value also lies within 1e-10
-    # relative of exact (the worst over lam 20 to 40 in steps of 0.5 is
-    # 2.2e-13) and its estimated_error within the requested tolerance
+    # at 6, 32-node panels at 4 and 64-node panels at 3 keep; each value
+    # also lies within 1e-10 relative of exact (the worst over lam 20 to 40
+    # in steps of 0.5 is 3.1e-13) and its estimated_error within the
+    # requested tolerance
     @pytest.mark.parametrize("case, lam, r_used", [
         (case, 20.0 + 4.0 * i, r)
         for case, rs in (("gaussian", (12.0,) * 5 + (6.0,)),
@@ -150,15 +152,63 @@ class TestQuadrature:
             orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-6)
 
     def test_node_budget_raises_before_a_pass(self, monkeypatch):
-        # a budget of exactly the R = 2 pass's nodes: that pass runs, and the
-        # R = 4 pass raises, naming its node count, instead of running
+        # a budget of exactly the R = 3 pass's nodes: that pass runs, and the
+        # R = 6 pass raises, naming its node count, instead of running (the
+        # R = 2 and R = 4 passes both run 448 x 448 nodes)
         ig, _, _ = orc.gaussian_saddle_case(20.0)
-        grid, gx, gy, _, ext_x, ext_y = orc._probe_box(ig, 2.0)
-        nx, ny = (len(orc._axis_rule(ext, grid, g)[0])
-                  for ext, g in ((ext_x, gx), (ext_y, gy)))
+        nx, ny = pass_shape(ig, 3.0)
+        assert pass_shape(ig, 6.0) > (nx, ny)
         monkeypatch.setattr(orc, "_MAX_NODES", nx * ny)
-        with pytest.raises(NoConvergenceInR, match=r"R = 4 needs \d+ nodes"):
-            orc.oscillatory_integral_2d(ig, R0=2.0, tol=1e-12)
+        with pytest.raises(NoConvergenceInR, match=r"R = 6 needs \d+ nodes"):
+            orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-12)
+
+
+# The 20 distinct ops of the benchmark's oracle deck (the (case, lam, ibp)
+# of Oracle.STRATA in perfbench/workloads.py) with their R_used at R0 = 3,
+# tol = 1e-6, and the tensor nodes of all their passes: 65,546,240 with
+# 32-node panels at 4 nodes per oscillation, 42,872,832 with 64-node panels
+# at 3 (amplitude weight 11).
+DECK = [(case, lam, ibp, r_used) for case, lams, ibp, r_used in (
+    ("gaussian", (23.5, 24.0, 24.5, 35.5, 36.0, 36.5), False, 12.0),
+    ("hyperbolic", (23.5, 24.0, 24.5, 35.5, 36.0, 36.5), False, 6.0),
+    ("fresnel", (24.5, 25.0), False, 12.0),
+    ("hyperbolic", (23.5, 24.0, 24.5), True, 6.0),
+    ("fresnel", (23.5, 24.0, 24.5), True, 6.0)) for lam in lams]
+DECK_NODES = 42_872_832
+
+
+def deck_nodes():
+    """Tensor nodes of every pass, R = 3 up to R_used, of the DECK ops."""
+    total = 0
+    for case, lam, ibp, r_used in DECK:
+        ig = golden_integrand(case, lam, ibp)[0]
+        R = 3.0
+        while R <= r_used:
+            nx, ny = pass_shape(ig, R)
+            total += nx * ny
+            R *= 2.0
+    return total
+
+
+class TestBenchmarkDeck:
+    @pytest.mark.parametrize("case, lam, ibp, r_used", DECK)
+    def test_r_used_and_value(self, case, lam, ibp, r_used):
+        ig, exact = golden_integrand(case, lam, ibp)
+        res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
+        assert res.R_used == r_used
+        assert abs(res.value - exact) <= (1e-8 if ibp else 1e-10) * abs(exact)
+
+    def test_tensor_nodes_within_budget(self):
+        # counted from the panel rule alone, so it does not depend on the
+        # host's speed; the test above holds the passes that run
+        assert deck_nodes() <= DECK_NODES
+
+
+def pass_shape(ig, R):
+    """Nodes per axis of the quadrature pass at cutoff radius R."""
+    grid, gx, gy, _, ext_x, ext_y = orc._probe_box(ig, R)
+    return tuple(len(orc._axis_rule(ext, grid, g)[0])
+                 for ext, g in ((ext_x, gx), (ext_y, gy)))
 
 
 def golden_integrand(case, lam, ibp):
@@ -205,6 +255,18 @@ def bits(res):
 #   to 3.0e-10), and estimated_error went from 1.3e-9 to 3.4e-9.
 # The Gaussian and plain hyperbolic pins held (they moved by at most
 # 3.2e-15 relative).
+# When the panels went from 32 nodes at 4 per oscillation to 64 nodes at 3
+# (amplitude weight 11), R_used held on all four and two were re-pinned:
+# - Fresnel lam 20: estimated_error moved by 3.4e-12 (2.3526e-9 to
+#   2.3492e-9), past the 6.3e-13 bound, because its R = 6 pass moved; the
+#   value moved by 7.3e-14 relative and its error against 2 pi i/20 went
+#   from 3.61e-14 to 3.65e-14.
+# - hyperbolic under IBP, lam 24: the value moved by 1.4e-11 (5.2e-11
+#   relative) on the central-difference floor (error against exact 3.0e-10
+#   to 2.5e-10), and estimated_error went from 3.4e-9 to 7.4e-13 because
+#   the R = 3 pass moved.
+# The Gaussian and plain hyperbolic pins held (they moved by at most
+# 8.3e-15 relative).
 # Values must agree to 1e-12 relative and R_used must be identical.
 GOLDEN = {
     ("gaussian", 20.0, False):
@@ -214,11 +276,11 @@ GOLDEN = {
         (0.313767301057426 - 2.0024657018372243e-17j, 6.0,
          1.1593415116806302e-10),
     ("fresnel", 20.0, False):
-        (-9.47506558876019e-15 + 0.31415926535898553j, 12.0,
-         2.3525749756041713e-09),
+        (1.004913816757503e-14 + 0.31415926535897376j, 12.0,
+         2.349223315149636e-09),
     ("hyperbolic", 24.0, True):
-        (0.2615724267859704 - 1.8149638633461914e-13j, 6.0,
-         3.399615242416809e-09),
+        (0.2615724267995312 + 9.55529971170486e-15j, 6.0,
+         7.389476698566327e-13),
 }
 
 
@@ -381,11 +443,64 @@ class TestIbpRegularization:
     @pytest.mark.parametrize("lam", [20.0, 24.0])
     def test_cheap_rows_settle_at_r_6(self, case, lam):
         # the amplitude log-derivative weight of the panel rule keeps these
-        # at R = 6; at a weight of 2 or 3 the hyperbolic ones need R = 12
+        # at R = 6 and 1e-8; with 64-node panels, at weight 6 the hyperbolic
+        # one at lam 20 is off by 2.4e-7 and at 16 Fresnel at lam 20 raises
+        # (with 32-node panels, at 2 or 3 the hyperbolic ones needed R = 12)
         ig, exact = golden_integrand(case, lam, True)
         res = orc.oscillatory_integral_2d(ig, R0=3.0, tol=1e-6)
         assert res.R_used == 6.0
         assert abs(res.value - exact) <= 1e-8 * abs(exact)
+
+    @pytest.mark.parametrize("case", ["gaussian", "hyperbolic", "fresnel",
+                                      "unbroadcast"])
+    def test_in_place_differences_keep_the_bits(self, case):
+        # ibp_regularize forms its weight and central differences in place;
+        # the plain expressions below are the reference, and every output
+        # (blocks, a meshgrid, a scalar, j = 1 and 2) must match bit for bit
+        if case == "unbroadcast":     # a phase gradient not broadcast
+            ig = orc.OscillatoryIntegrand(
+                amplitude=GAUSS2, phase=lambda w, t: w * t, lam=7.0,
+                phase_grad=lambda w, t: (t, w))
+        else:
+            ig = golden_integrand(case, 24.0, False)[0]
+
+        def plain_lt(g):
+            def weight(wc, tc):
+                gx, gy = ig.phase_grad(wc, tc)
+                sx, sy = ig.lam * gx, ig.lam * gy
+                return 1.0 / (1.0 + sx ** 2 + sy ** 2), sx, sy
+
+            def lt_g(wc, tc):
+                wc = np.asarray(wc, dtype=float)
+                tc = np.asarray(tc, dtype=float)
+
+                def px(a):
+                    ww, sxa, _ = weight(a, tc)
+                    return g(a, tc) * ww * sxa
+
+                def py(b):
+                    ww, _, syb = weight(wc, b)
+                    return g(wc, b) * ww * syb
+
+                hx = 1e-5 * (1.0 + np.abs(wc))
+                hy = 1e-5 * (1.0 + np.abs(tc))
+                ddx = (px(wc + hx) - px(wc - hx)) / (2.0 * hx)
+                ddy = (py(tc + hy) - py(tc - hy)) / (2.0 * hy)
+                return weight(wc, tc)[0] * g(wc, tc) + 1j * (ddx + ddy)
+
+            return lt_g
+
+        g = np.linspace(-6.0, 6.0, 33)
+        args = [(g[:, None], g[None, :]), np.meshgrid(g, g, indexing="ij"),
+                (g[:, None], 0.5), (0.3, -1.7)]
+        ref = ig.amplitude
+        for j in (1, 2):
+            ref = plain_lt(ref)
+            amp = orc.ibp_regularize(ig, j).amplitude
+            for a, b in args:
+                got, want = np.asarray(amp(a, b)), np.asarray(ref(a, b))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_decay_improves(self):
         # growth exponent 1 phase: each application gains one decay order
